@@ -1,95 +1,4 @@
 """Adiabatic graph-state quantum computation: compile measurement patterns
 with gflow into adiabatic replacement schedules and verify them exactly."""
 
-from .compiler import (
-    AdiabaticBudget,
-    CompileError,
-    GadgetParameters,
-    InvalidGflowError,
-    ReorderReport,
-    Schedule,
-    ScheduleStep,
-    StepFeasibility,
-    compile_layered,
-    compile_one_step,
-    compile_reordered_fixed,
-    compile_reordered_strip,
-    compile_stepwise,
-    delta1_gap,
-    delta1_min,
-    gadget_parameters,
-    hamiltonian_degree,
-    runtime_bound,
-    step_gap_analytic,
-    step_norm_hdot,
-)
-from .gflow import (
-    Gflow,
-    GflowReport,
-    GflowStructureError,
-    find_gflow,
-    gflow_from_json,
-    gflow_lines,
-    gflow_size,
-    gflow_to_json,
-    layers_and_depth,
-    verify_gflow,
-    zigzag_gflow_family,
-)
-from .graph import (
-    OpenGraph,
-    Plane,
-    ValidationReport,
-    generate_chain,
-    generate_cluster,
-    generate_cnot_graph,
-    generate_zigzag,
-    graph_from_json,
-    graph_to_json,
-    make_graph,
-    odd_connectivity,
-    validate,
-)
-from .logical import (
-    LogicalFrame,
-    NestedExponentError,
-    chain_unitary,
-    compare,
-    final_frame,
-    frame_unitary,
-    initial_frame,
-    propagate,
-    propagate_schedule,
-)
-from .pauli import (
-    Commutation,
-    NonCliffordAngleError,
-    PauliString,
-    RotatedPauliOp,
-    apply_op,
-    build_T,
-    commutes,
-    correction_operator,
-    multiply,
-    one_step_update,
-    stabilizer_generator,
-    stabilizer_set,
-    to_matrix,
-    twisted_generator,
-)
-from .sim import (
-    ConservedCheck,
-    EvolutionResult,
-    MbqcRun,
-    SizeCapError,
-    SpectralScan,
-    assemble,
-    conserved_operator_check,
-    evolve,
-    leakage_experiment,
-    mbqc_logical_unitary,
-    mbqc_reference_run,
-    spectral_scan,
-)
-
 __version__ = "0.1.0"

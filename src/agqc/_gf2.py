@@ -3,36 +3,47 @@
 from __future__ import annotations
 
 
-def solve(rows: list[int], rhs: list[int], n_cols: int) -> int | None:
-    """Solve ``A x = b`` over GF(2).
+def solve_unit_columns(rows: list[int], n_cols: int) -> list[int | None]:
+    """Solve ``A x = e_u`` over GF(2) for every unit vector ``e_u``.
 
-    ``rows[i]`` is the bitmask of row *i* of ``A`` (bit *j* = column *j*),
-    ``rhs[i]`` the right-hand side bit.  Returns one solution bitmask with
-    free variables set to 0, or ``None`` when inconsistent.  Deterministic:
-    columns are eliminated in ascending order.
+    ``rows[i]`` is the bitmask of row *i* of ``A`` (bit *j* = column *j*).
+    Entry *u* of the result is one solution bitmask for ``e_u`` (1 in row
+    *u*) with free variables set to 0, or ``None`` when that system is
+    inconsistent.  One Gauss-Jordan pass on ``[A | I]`` serves every
+    right-hand side: pivots depend only on ``A`` (columns in ascending
+    order, first row holding the bit), so each entry equals a one-column
+    solve.
     """
-    aug = [(rows[i] << 1) | (rhs[i] & 1) for i in range(len(rows))]
-    pivot_row_of_col: dict[int, int] = {}
+    m = len(rows)
+    aug = [(row << m) | (1 << i) for i, row in enumerate(rows)]
+    pivots: list[tuple[int, int]] = []
     r = 0
     for c in range(n_cols):
-        bit = 1 << (c + 1)
-        pivot = next((i for i in range(r, len(aug)) if aug[i] & bit), None)
+        bit = 1 << (c + m)
+        pivot = next((i for i in range(r, m) if aug[i] & bit), None)
         if pivot is None:
             continue
         aug[r], aug[pivot] = aug[pivot], aug[r]
-        for i in range(len(aug)):
+        for i in range(m):
             if i != r and aug[i] & bit:
                 aug[i] ^= aug[r]
-        pivot_row_of_col[c] = r
+        pivots.append((c, r))
         r += 1
-    for i in range(r, len(aug)):
-        if aug[i] & 1:
-            return None
-    x = 0
-    for c, i in pivot_row_of_col.items():
-        if aug[i] & 1:
-            x |= 1 << c
-    return x
+    # rows without a pivot read 0 = (transformed e_u) bit: any 1 is inconsistent
+    inconsistent = 0
+    for i in range(r, m):
+        inconsistent |= aug[i]
+    solutions: list[int | None] = []
+    for u in range(m):
+        if inconsistent >> u & 1:
+            solutions.append(None)
+            continue
+        x = 0
+        for c, i in pivots:
+            if aug[i] >> u & 1:
+                x |= 1 << c
+        solutions.append(x)
+    return solutions
 
 
 def kernel_filter(basis: list[int], constraint: int) -> list[int]:

@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from . import compiler, gflow as gflow_mod, graph as graph_mod, logical, sim
-from .compiler import AdiabaticBudget, CompileError, Schedule
+from .compiler import AdiabaticBudget, CompileError, ReorderReport, Schedule
 from .gflow import Gflow
 from .graph import OpenGraph
 from .pauli import NonCliffordAngleError
@@ -87,6 +87,8 @@ def _write(out: str | None, text: str) -> None:
 
 
 def _s_grid(n_points: int) -> list[float]:
+    if n_points < 2:
+        raise CliError(f"--s-grid needs at least 2 points, got {n_points}")
     return [i / (n_points - 1) for i in range(n_points)]
 
 
@@ -96,8 +98,10 @@ def _budget(args: argparse.Namespace) -> AdiabaticBudget:
     )
 
 
-def _compile(graph: OpenGraph, gf: Gflow, args: argparse.Namespace):
-    mode = args.mode
+def _compile(args: argparse.Namespace, mode: str) -> tuple[Schedule, ReorderReport | None]:
+    """Load ``--graph`` and ``--gflow`` and build the schedule of ``mode``."""
+    graph = _load_graph(args.graph)
+    gf = _load_gflow(args.gflow, graph)
     order = None
     if args.order:
         order = [int(x) - 1 for x in args.order.split(",")]
@@ -195,9 +199,7 @@ def cmd_gflow_zigzag(args) -> int:
 
 
 def cmd_compile(args) -> int:
-    g = _load_graph(args.graph)
-    gf = _load_gflow(args.gflow, g)
-    schedule, report = _compile(g, gf, args)
+    schedule, report = _compile(args, args.mode)
     doc = _schedule_doc(schedule)
     doc["hamiltonian_degree"] = compiler.hamiltonian_degree(schedule)
     if report is not None:
@@ -232,10 +234,8 @@ def _reorder_doc(report) -> dict:
 
 
 def cmd_gapscan(args) -> int:
-    g = _load_graph(args.graph)
-    gf = _load_gflow(args.gflow, g)
-    schedule, _ = _compile(g, gf, args)
     grid = _s_grid(args.s_grid)
+    schedule, _ = _compile(args, args.mode)
     lines = []
     levels = args.levels
     header = (
@@ -257,10 +257,21 @@ def cmd_gapscan(args) -> int:
     return 0
 
 
+def _is_chain(g: OpenGraph) -> bool:
+    """The layout of ``chain:N``: path 1-2-...-N, input 1, output N."""
+    n = g.n_vertices
+    return (g.inputs, g.outputs) == ((0,), (n - 1,)) and g.edges == frozenset(
+        (v, v + 1) for v in range(n - 1)
+    )
+
+
 def cmd_evolve(args) -> int:
-    g = _load_graph(args.graph)
-    gf = _load_gflow(args.gflow, g)
-    schedule, report = _compile(g, gf, args)
+    schedule, report = _compile(args, args.mode)
+    g = schedule.graph
+    if args.target == "chain" and not _is_chain(g):
+        raise CliError(
+            "--target chain applies only to chains (path 1-2-...-N, input 1, output N)"
+        )
     res = sim.evolve(schedule, args.tau)
     doc = {
         "mode": args.mode,
@@ -287,33 +298,25 @@ def cmd_evolve(args) -> int:
 
 
 def cmd_reorder(args) -> int:
-    g = _load_graph(args.graph)
-    gf = _load_gflow(args.gflow, g)
-    order = [int(x) - 1 for x in args.order.split(",")]
-    doc: dict = {"order": [v + 1 for v in order], "mode": args.mode, "seed": args.seed}
-    try:
-        if args.mode == "fixed":
-            schedule, report = compiler.compile_reordered_fixed(g, gf, order, args.gamma)
-            doc["report"] = _reorder_doc(report)
-        elif args.mode == "strip":
-            schedule = compiler.compile_reordered_strip(g, gf, order, args.gamma)
-            doc["report"] = None
-        else:
-            raise CliError(f"unknown reorder mode {args.mode!r}")
-    except (CompileError, NonCliffordAngleError) as exc:
-        raise CliError(str(exc)) from exc
+    schedule, report = _compile(args, f"reorder-{args.mode}")
+    doc: dict = {
+        "order": [int(x) for x in args.order.split(",")],
+        "mode": args.mode,
+        "seed": args.seed,
+        "report": None if report is None else _reorder_doc(report),
+    }
     if args.tau:
-        taus = [float(t) for t in args.tau.split(",")]
-        rows = sim.leakage_experiment(schedule, taus)
-        doc["leakage"] = [
-            {"tau": t, "leakage": l, "fidelity": f} for t, l, f in rows
-        ]
+        rows = []
+        for tau in (float(t) for t in args.tau.split(",")):
+            res = sim.evolve(schedule, tau)
+            rows.append({"tau": tau, "leakage": res.leakage, "fidelity": res.fidelity})
+        doc["leakage"] = rows
         if args.leakage_csv:
             lines = ["tau,leakage,fidelity"]
-            lines += [f"{t:.12g},{l:.12g},{f:.12g}" for t, l, f in rows]
+            lines += [f"{r['tau']:.12g},{r['leakage']:.12g},{r['fidelity']:.12g}" for r in rows]
             Path(args.leakage_csv).write_text("\n".join(lines) + "\n")
     _write(args.out, json.dumps(doc, indent=2))
-    if args.mode == "fixed" and not doc["report"]["feasible"]:
+    if report is not None and not report.feasible:
         return 1
     return 0
 
@@ -327,7 +330,10 @@ def cmd_mbqc(args) -> int:
         if len(amps) != 1 << k:
             raise CliError(f"input state needs {1 << k} amplitudes")
         state = np.array(amps, dtype=complex)
-        state = state / np.linalg.norm(state)
+        norm = np.linalg.norm(state)
+        if not 0.0 < norm < math.inf:
+            raise CliError(f"input state needs a finite nonzero norm, got {norm}")
+        state = state / norm
     else:
         state = np.zeros(1 << k, dtype=complex)
         state[0] = 1.0
@@ -345,9 +351,8 @@ def cmd_mbqc(args) -> int:
 
 
 def cmd_bounds(args) -> int:
-    g = _load_graph(args.graph)
-    gf = _load_gflow(args.gflow, g)
-    schedule, _ = _compile(g, gf, args)
+    grid = _s_grid(args.s_grid)
+    schedule, _ = _compile(args, args.mode)
     budget = _budget(args)
     lines = ["step,u_size,gap_min,hdot_norm,tau_bound"]
     for k, step in enumerate(schedule.steps):
@@ -356,7 +361,6 @@ def cmd_bounds(args) -> int:
             hdot = compiler.step_norm_hdot(step, args.gamma)
             tau = compiler.runtime_bound(step, budget)
         else:
-            grid = _s_grid(args.s_grid)
             scan = sim.spectral_scan(schedule, k, grid)
             gap_min = float(min(scan.gap))
             a, b = sim.step_endpoint_matrices(schedule, k)
@@ -386,20 +390,23 @@ def cmd_gadget(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(p: argparse.ArgumentParser, gflow_required: bool = True) -> None:
+def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--graph", required=True, help="graph file or generator spec")
     p.add_argument(
         "--gflow",
-        required=gflow_required,
         default="find",
         help="gflow file, 'find', or 'zigzag:R' (default: find)",
     )
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--out", default=None, help="output path (default: stdout)")
+
+
+def _add_schedule(p: argparse.ArgumentParser) -> None:
+    _add_common(p)
     p.add_argument("--mode", default="stepwise",
                    choices=["stepwise", "layered", "onestep", "reorder-fixed", "reorder-strip"])
     p.add_argument("--order", default=None, help="1-based vertex order, e.g. 3,1,2")
     p.add_argument("--gamma", type=float, default=1.0)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default=None, help="output path (default: stdout)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -435,46 +442,40 @@ def build_parser() -> argparse.ArgumentParser:
     fz.set_defaults(func=cmd_gflow_zigzag)
 
     c = sub.add_parser("compile", help="build a schedule and print it")
-    _add_common(c, gflow_required=False)
+    _add_schedule(c)
     c.set_defaults(func=cmd_compile)
 
     gs = sub.add_parser("gapscan", help="exact spectra across the interpolation")
-    _add_common(gs, gflow_required=False)
+    _add_schedule(gs)
     gs.add_argument("--step", type=int, default=0, help="1-based step (default: all)")
     gs.add_argument("--s-grid", type=int, default=101, dest="s_grid")
     gs.add_argument("--levels", type=int, default=6)
     gs.set_defaults(func=cmd_gapscan)
 
     ev = sub.add_parser("evolve", help="integrate a schedule, extract the logical unitary")
-    _add_common(ev, gflow_required=False)
+    _add_schedule(ev)
     ev.add_argument("--tau", type=float, default=200.0)
     ev.add_argument("--target", choices=["none", "chain"], default="none")
     ev.set_defaults(func=cmd_evolve)
 
     ro = sub.add_parser("reorder", help="reordered schedules: feasibility and leakage")
-    ro.add_argument("--graph", required=True)
-    ro.add_argument("--gflow", default="find")
+    _add_common(ro)
     ro.add_argument("--order", required=True)
     ro.add_argument("--mode", choices=["fixed", "strip"], default="fixed")
     ro.add_argument("--tau", default=None, help="comma-separated taus for a leakage table")
     ro.add_argument("--leakage-csv", default=None, dest="leakage_csv",
                     help="also write the leakage table as CSV (tau,leakage,fidelity)")
     ro.add_argument("--gamma", type=float, default=1.0)
-    ro.add_argument("--seed", type=int, default=0)
-    ro.add_argument("--out", default=None)
     ro.set_defaults(func=cmd_reorder)
 
     mb = sub.add_parser("mbqc", help="measurement-pattern reference simulation")
-    mb.add_argument("--graph", required=True)
-    mb.add_argument("--gflow", default="find")
+    _add_common(mb)
     mb.add_argument("--input", default=None, help="comma-separated complex amplitudes")
     mb.add_argument("--outcomes", default="zeros", help="zeros | random")
-    mb.add_argument("--seed", type=int, default=0)
-    mb.add_argument("--out", default=None)
     mb.set_defaults(func=cmd_mbqc)
 
     bo = sub.add_parser("bounds", help="per-step runtime bounds as CSV")
-    _add_common(bo, gflow_required=False)
+    _add_schedule(bo)
     bo.add_argument("--delta", type=float, default=1.0)
     bo.add_argument("--epsilon", type=float, default=0.01)
     bo.add_argument("--c-delta", type=float, default=1.0, dest="c_delta")

@@ -9,7 +9,7 @@ reported in units of gamma.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 from . import _gf2
@@ -48,6 +48,7 @@ class ScheduleStep:
     introduced: dict[int, RotatedPauliOp]
     static_terms: tuple[RotatedPauliOp, ...]
     strip: bool = False
+    _commuting: bool | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def replaced_vertices(self) -> tuple[int, ...]:
@@ -58,17 +59,20 @@ class ScheduleStep:
         """Number of simultaneous replacements |U|."""
         return len(self.introduced)
 
-    def all_terms(self, s_removed: bool = True, s_introduced: bool = True) -> list[RotatedPauliOp]:
-        terms = list(self.static_terms)
-        if s_removed:
-            terms += list(self.removed.values())
-        if s_introduced:
-            terms += list(self.introduced.values())
-        return terms
+    def all_terms(self) -> list[RotatedPauliOp]:
+        return [*self.static_terms, *self.removed.values(), *self.introduced.values()]
 
     def is_commuting_replacement(self) -> bool:
         """Commuting-replacement form: each removed/introduced pair anticommutes,
-        and every other pairing of step terms commutes."""
+        and every other pairing of step terms commutes.
+
+        The verdict is computed on the first call and cached on the step.
+        """
+        if self._commuting is None:
+            object.__setattr__(self, "_commuting", self._check_commuting_replacement())
+        return self._commuting
+
+    def _check_commuting_replacement(self) -> bool:
         if self.strip or set(self.removed) != set(self.introduced):
             return False
         items = sorted(self.removed)

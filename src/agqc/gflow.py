@@ -193,9 +193,7 @@ def find_gflow(graph: OpenGraph) -> Gflow | None:
                     row |= 1 << j
             rows.append(row)
         found: dict[int, frozenset[int]] = {}
-        for u in targets:
-            rhs = [1 if w == u else 0 for w in targets]
-            sol = _gf2.solve(rows, rhs, len(candidates))
+        for u, sol in zip(targets, _gf2.solve_unit_columns(rows, len(candidates))):
             if sol is not None:
                 found[u] = frozenset(
                     candidates[j] for j in range(len(candidates)) if sol >> j & 1

@@ -284,12 +284,13 @@ def graph_from_json(text: str) -> OpenGraph:
     for key in ("n", "edges", "inputs", "outputs", "angles"):
         if key not in doc:
             raise GraphFormatError(f"missing field '{key}'")
+    # JSON true/false arrive as bool, a subclass of int: reject them explicitly
     n = doc["n"]
-    if not isinstance(n, int) or n <= 0:
+    if isinstance(n, bool) or not isinstance(n, int) or n <= 0:
         raise GraphFormatError("'n' must be a positive integer")
 
     def vertex(label: object) -> int:
-        if not isinstance(label, int) or not 1 <= label <= n:
+        if isinstance(label, bool) or not isinstance(label, int) or not 1 <= label <= n:
             raise GraphFormatError(f"vertex label {label!r} out of range 1..{n}")
         return label - 1
 
@@ -308,7 +309,7 @@ def graph_from_json(text: str) -> OpenGraph:
     outputs = [vertex(v) for v in doc["outputs"]]
     angles = {}
     for label, theta in doc["angles"].items():
-        if not isinstance(theta, (int, float)):
+        if isinstance(theta, bool) or not isinstance(theta, (int, float)):
             raise GraphFormatError(f"angle for vertex {label} must be a number")
         angles[vertex(int(label))] = float(theta)
     planes = {}

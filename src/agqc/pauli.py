@@ -88,9 +88,6 @@ class PauliString:
         )
         return PauliString(self.n, x3, z3, exp)
 
-    def __mul__(self, other: PauliString) -> PauliString:
-        return self.mul(other)
-
     def anticommutes(self, other: PauliString) -> bool:
         """Symplectic parity: True when the two strings anticommute."""
         return bool(
@@ -103,10 +100,13 @@ class PauliString:
     def render(self) -> str:
         """Canonical text form, 1-based sites, e.g. ``+1 . Z1 X2 Z3``."""
         sign = {0: "+1", 1: "+i", 2: "-1", 3: "-i"}[self.phase_exp]
-        letters = " ".join(
-            f"{self.letter(v)}{v + 1}" for v in range(self.n) if self.letter(v) != "I"
-        )
-        return f"{sign} . {letters}" if letters else f"{sign} . I"
+        sites = []
+        mask = self.x | self.z
+        while mask:
+            v = (mask & -mask).bit_length() - 1
+            sites.append(f"{self.letter(v)}{v + 1}")
+            mask &= mask - 1
+        return f"{sign} . {' '.join(sites)}" if sites else f"{sign} . I"
 
 
 def identity(n: int) -> PauliString:
@@ -217,9 +217,6 @@ class RotatedPauliOp:
             combined[v] = combined.get(v, 0.0) + adj
         return RotatedPauliOp.from_parts(self.pauli.mul(other.pauli), combined)
 
-    def __mul__(self, other: RotatedPauliOp) -> RotatedPauliOp:
-        return self.mul(other)
-
     def negated(self) -> RotatedPauliOp:
         return RotatedPauliOp(self.pauli.negated(), self.twist)
 
@@ -247,11 +244,6 @@ class RotatedPauliOp:
             return base
         tw = ", ".join(f"{v + 1}: {a:.4f}" for v, a in self.twist)
         return f"{base} . twist{{{tw}}}"
-
-
-def multiply(a: RotatedPauliOp, b: RotatedPauliOp) -> RotatedPauliOp:
-    """Product ``a * b`` in canonical form."""
-    return a.mul(b)
 
 
 def commutes(a: RotatedPauliOp, b: RotatedPauliOp) -> Commutation:
@@ -306,11 +298,6 @@ def build_T(graph: OpenGraph, gf: Gflow, v: int) -> RotatedPauliOp:
 def stabilizer_set(graph: OpenGraph, gf: Gflow) -> dict[int, RotatedPauliOp]:
     """All ``T_v`` keyed by vertex, in measurement order (layer, then index)."""
     return {v: build_T(graph, gf, v) for v in gf.measurement_order()}
-
-
-def support(op: RotatedPauliOp | PauliString) -> frozenset[int]:
-    """Sites acted on non-trivially (letter != I or twist present)."""
-    return op.support
 
 
 def one_step_update(
@@ -378,8 +365,8 @@ def _parity(v: np.ndarray) -> np.ndarray:
     return v & 1
 
 
-def apply_op(op: RotatedPauliOp | PauliString, state: np.ndarray) -> np.ndarray:
-    """Apply the operator to a state vector (or stacked columns) in O(2^n).
+def _action(op: RotatedPauliOp | PauliString) -> tuple[np.ndarray, np.ndarray]:
+    """``(rows, coeff)`` with ``op |c> = coeff[c] |rows[c]>`` for every basis index c.
 
     Basis convention: bit v of the index is the computational state of
     vertex v.
@@ -387,16 +374,21 @@ def apply_op(op: RotatedPauliOp | PauliString, state: np.ndarray) -> np.ndarray:
     if isinstance(op, PauliString):
         op = RotatedPauliOp.from_pauli(op)
     p = op.pauli
-    dim = 1 << p.n
-    if state.shape[0] != dim:
-        raise ValueError(f"state dimension {state.shape[0]} != 2**{p.n}")
-    idx = np.arange(dim, dtype=np.int64)
-    coeff = np.full(dim, p.phase * (1j) ** ((p.x & p.z).bit_count()), dtype=complex)
+    idx = np.arange(1 << p.n, dtype=np.int64)
+    coeff = np.full(idx.shape, p.phase * (1j) ** ((p.x & p.z).bit_count()), dtype=complex)
     coeff *= 1.0 - 2.0 * _parity(idx & p.z)
     rows = idx ^ p.x
     for v, a in op.twist:
         bit = rows >> v & 1
         coeff = coeff * np.where(bit, np.exp(1j * a), np.exp(-1j * a))
+    return rows, coeff
+
+
+def apply_op(op: RotatedPauliOp | PauliString, state: np.ndarray) -> np.ndarray:
+    """Apply the operator to a state vector (or stacked columns) in O(2^n)."""
+    if state.shape[0] != 1 << op.n:
+        raise ValueError(f"state dimension {state.shape[0]} != 2**{op.n}")
+    rows, coeff = _action(op)
     out = np.zeros_like(state, dtype=complex)
     out[rows] = (coeff[:, None] * state) if state.ndim == 2 else coeff * state
     return out
@@ -404,19 +396,10 @@ def apply_op(op: RotatedPauliOp | PauliString, state: np.ndarray) -> np.ndarray:
 
 def to_matrix(op: RotatedPauliOp | PauliString) -> np.ndarray:
     """Dense matrix of the operator (exact, one nonzero per column)."""
-    if isinstance(op, PauliString):
-        op = RotatedPauliOp.from_pauli(op)
-    p = op.pauli
-    dim = 1 << p.n
-    idx = np.arange(dim, dtype=np.int64)
-    coeff = np.full(dim, p.phase * (1j) ** ((p.x & p.z).bit_count()), dtype=complex)
-    coeff *= 1.0 - 2.0 * _parity(idx & p.z)
-    rows = idx ^ p.x
-    for v, a in op.twist:
-        bit = rows >> v & 1
-        coeff = coeff * np.where(bit, np.exp(1j * a), np.exp(-1j * a))
+    rows, coeff = _action(op)
+    dim = rows.shape[0]
     mat = np.zeros((dim, dim), dtype=complex)
-    mat[rows, idx] = coeff
+    mat[rows, np.arange(dim)] = coeff
     return mat
 
 

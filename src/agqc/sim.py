@@ -1,6 +1,6 @@
 """Desk-scale exact numerics for schedules: dense Hamiltonians, spectral
 scans, Schrodinger evolution with logical-unitary extraction, conserved
-operator certification, leakage sweeps, and an MBQC reference simulation.
+operator certification, and an MBQC reference simulation.
 
 Everything here is dense and deterministic.  The basis convention is that
 bit v of a state index is the computational basis state of vertex v.
@@ -304,7 +304,7 @@ def evolve(
 
 
 # ---------------------------------------------------------------------------
-# conserved operators and leakage sweeps
+# conserved operators
 
 
 @dataclass(frozen=True)
@@ -341,19 +341,6 @@ def conserved_operator_check(
         tol = 1e-9 * schedule.gamma * max(1, len(terms))
         out.append(ConservedCheck(cand, symbolic, worst, worst < tol))
     return out
-
-
-def leakage_experiment(
-    schedule: Schedule,
-    tau_list: Sequence[float],
-    dt_max: float = 0.25,
-) -> list[tuple[float, float, float]]:
-    """Rows (tau_per_step, leakage, fidelity) for each requested tau."""
-    rows = []
-    for tau in tau_list:
-        res = evolve(schedule, tau, dt_max=dt_max)
-        rows.append((float(tau), res.leakage, res.fidelity))
-    return rows
 
 
 # ---------------------------------------------------------------------------

@@ -181,3 +181,52 @@ def test_gadget_subcommand(capsys):
 def test_onestep_non_clifford_is_exit_2(capsys):
     code = main(["compile", "--graph", "chain:4:0,1.0,0,0", "--mode", "onestep"])
     assert code == 2
+
+
+def run_err(capsys, *args):
+    code = main(list(args))
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("points", ["1", "0", "-3"])
+@pytest.mark.parametrize(
+    "command",
+    [
+        ("gapscan", "--graph", "chain:3"),
+        ("bounds", "--graph", "chain:4", "--mode", "reorder-fixed", "--order", "3,1,2"),
+    ],
+)
+def test_s_grid_below_two_points_is_exit_2(capsys, command, points):
+    code, out, err = run_err(capsys, *command, "--s-grid", points)
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and "--s-grid" in err
+
+
+def test_mbqc_zero_norm_input_is_exit_2(capsys):
+    code, out, err = run_err(capsys, "mbqc", "--graph", "chain:3", "--input", "0,0")
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and "norm" in err
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        '{"n": true, "edges": [], "inputs": [], "outputs": [1], "angles": {}}',
+        '{"n": 2, "edges": [[true, 2]], "inputs": [1], "outputs": [2], "angles": {"1": 0.0}}',
+        '{"n": 2, "edges": [[1, 2]], "inputs": [true], "outputs": [2], "angles": {"1": 0.0}}',
+        '{"n": 2, "edges": [[1, 2]], "inputs": [1], "outputs": [2], "angles": {"1": false}}',
+    ],
+)
+def test_graph_file_with_json_bool_is_exit_2(tmp_path, capsys, doc):
+    path = tmp_path / "g.json"
+    path.write_text(doc)
+    code, out, err = run_err(capsys, "graph", "validate", "--graph", str(path))
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1
+
+
+def test_evolve_chain_target_on_non_chain_is_exit_2(capsys):
+    code, out, err = run_err(capsys, "evolve", "--graph", "cnot", "--target", "chain")
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and "only to chains" in err

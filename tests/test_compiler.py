@@ -366,3 +366,22 @@ def test_in_order_steps_satisfy_lemma_preconditions():
     for sched in cases:
         for st in sched.steps:
             assert st.is_commuting_replacement()
+
+
+def test_commuting_replacement_verdict_is_computed_once(monkeypatch):
+    g = generate_chain(4, [0.0] * 4)
+    sched = compile_stepwise(g, chain_gflow(4))
+    calls = []
+
+    def counting(a, b):
+        calls.append(1)
+        return commutes(a, b)
+
+    monkeypatch.setattr("agqc.compiler.commutes", counting)
+    step = sched.steps[0]
+    assert step.is_commuting_replacement()
+    first = len(calls)
+    assert first > 0
+    assert step.is_commuting_replacement()
+    assert step_norm_hdot(step) == 1.0
+    assert len(calls) == first

@@ -1,6 +1,10 @@
+import itertools
 import math
 
+import numpy as np
 import pytest
+
+from agqc import _gf2
 
 from agqc.gflow import (
     Gflow,
@@ -283,3 +287,38 @@ def test_cnot_graph_find_gflow_rowwise():
         4: frozenset({5}),
     }
     assert gf.depth == 2
+
+
+def test_solve_unit_columns_matches_per_column_bruteforce():
+    rng = np.random.default_rng(1309)
+    inconsistent = 0
+    for _ in range(200):
+        m = int(rng.integers(1, 6))
+        n_cols = int(rng.integers(1, 6))
+        rows = [int(rng.integers(1 << n_cols)) for _ in range(m)]
+
+        def image(x):
+            return sum(((row & x).bit_count() & 1) << i for i, row in enumerate(rows))
+
+        # pivot columns of an ascending elimination: those outside the span
+        # of the columns before them; free variables stay 0
+        pivots, span = [], {0}
+        for c in range(n_cols):
+            col = image(1 << c)
+            if col not in span:
+                pivots.append(c)
+                span |= {s ^ col for s in span}
+        sols = _gf2.solve_unit_columns(rows, n_cols)
+        assert len(sols) == m
+        for u, sol in enumerate(sols):
+            target = 1 << u
+            if not any(image(x) == target for x in range(1 << n_cols)):
+                assert sol is None
+                inconsistent += 1
+                continue
+            on_pivots = [
+                sum(1 << c for c, b in zip(pivots, bits) if b)
+                for bits in itertools.product((0, 1), repeat=len(pivots))
+            ]
+            assert [x for x in on_pivots if image(x) == target] == [sol]
+    assert inconsistent > 0

@@ -15,7 +15,6 @@ from agqc.pauli import (
     commutes,
     correction_operator,
     identity,
-    multiply,
     one_step_update,
     single,
     stabilizer_generator,
@@ -48,7 +47,7 @@ def random_rotated(rng, n, max_twists=2) -> RotatedPauliOp:
 def test_multiply_z_times_stabilizer():
     # Z1 * (Z1 X2 Z3) = X2 Z3
     n = 3
-    prod = multiply(rop(single(n, 0, "Z")), rop(PauliString(n, x=0b010, z=0b101)))
+    prod = rop(single(n, 0, "Z")).mul(rop(PauliString(n, x=0b010, z=0b101)))
     assert prod == rop(PauliString(n, x=0b010, z=0b100))
 
 
@@ -66,7 +65,7 @@ def test_hermitian_pauli_squares_to_identity():
 
 def test_multiply_universe_mismatch():
     with pytest.raises(ValueError):
-        multiply(rop(identity(2)), rop(identity(3)))
+        rop(identity(2)).mul(rop(identity(3)))
 
 
 def test_group_axioms_random(rng):
@@ -299,3 +298,12 @@ def test_rendering_canonical_string():
     assert op.render() == "+1 . Z1 X2 Z3 . twist{2: 0.7854}"
     assert rop(identity(3)).render() == "+1 . I"
     assert single(2, 1, "Y", 3).render() == "-i . Y2"
+
+
+def test_render_matches_per_site_scan(rng):
+    for _ in range(200):
+        n = int(rng.integers(1, 9))
+        p = PauliString(n, int(rng.integers(1 << n)), int(rng.integers(1 << n)), int(rng.integers(4)))
+        sites = " ".join(f"{p.letter(v)}{v + 1}" for v in range(n) if p.letter(v) != "I")
+        sign = ("+1", "+i", "-1", "-i")[p.phase_exp]
+        assert p.render() == f"{sign} . {sites or 'I'}"

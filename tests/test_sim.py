@@ -30,7 +30,6 @@ from agqc.sim import (
     assemble,
     conserved_operator_check,
     evolve,
-    leakage_experiment,
     mbqc_logical_unitary,
     mbqc_reference_run,
     spectral_scan,
@@ -267,25 +266,23 @@ def test_conserved_identity_trivially():
 def test_leakage_decreases_in_order():
     g = generate_chain(4, [0.0, 0.9, 0.3, 0.0])
     sched = compile_stepwise(g, chain_gflow(4))
-    rows = leakage_experiment(sched, [15.0, 150.0])
-    assert rows[0][1] > rows[1][1]
-    assert rows[1][1] < 1e-3
-    for tau, leak, fid in rows:
-        assert fid == pytest.approx(1.0 - leak)
+    rows = [evolve(sched, tau) for tau in (15.0, 150.0)]
+    assert rows[0].leakage > rows[1].leakage
+    assert rows[1].leakage < 1e-3
+    for res in rows:
+        assert res.fidelity == pytest.approx(1.0 - res.leakage)
 
 
 def test_leakage_plateau_for_unprotected_reordering():
     g = generate_chain(4, [0.0] * 4)
     sched, _ = compile_reordered_fixed(g, chain_gflow(4), [2, 0, 1])
-    rows = leakage_experiment(sched, [30.0, 300.0])
-    assert all(leak > 0.05 for _, leak, _ in rows)
+    assert all(evolve(sched, tau).leakage > 0.05 for tau in (30.0, 300.0))
 
 
 def test_leakage_vanishes_for_strip_reordering():
     g = generate_chain(4, [0.0] * 4)
     sched = compile_reordered_strip(g, chain_gflow(4), [2, 0, 1])
-    rows = leakage_experiment(sched, [150.0])
-    assert rows[0][1] < 1e-3
+    assert evolve(sched, 150.0).leakage < 1e-3
 
 
 # --- MBQC reference ---------------------------------------------------------
