@@ -285,6 +285,10 @@ def cmd_evolve(args) -> int:
             if res.logical_unitary is not None
             else None
         ),
+        "propagation": [
+            {"step": k, "method": p.method, "n_sub": p.n_sub}
+            for k, p in enumerate(res.propagation, start=1)
+        ],
     }
     if report is not None:
         doc["reorder_report"] = _reorder_doc(report)

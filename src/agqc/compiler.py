@@ -85,7 +85,11 @@ class ScheduleStep:
                 if v != w:
                     if commutes(self.removed[v], self.introduced[w]) is not Commutation.COMMUTE:
                         return False
-                    if j > i and commutes(self.removed[v], self.removed[w]) is not Commutation.COMMUTE:
+                    if j > i and (
+                        commutes(self.removed[v], self.removed[w]) is not Commutation.COMMUTE
+                        or commutes(self.introduced[v], self.introduced[w])
+                        is not Commutation.COMMUTE
+                    ):
                         return False
         for st in self.static_terms:
             for m in movers:

@@ -257,9 +257,16 @@ def gflow_from_json(text: str) -> Gflow:
         raise GflowFormatError("both 'g' and 'layer' are required")
     try:
         g = {
-            int(v) - 1: frozenset(int(w) - 1 for w in ws) for v, ws in doc["g"].items()
+            int(v) - 1: frozenset(_json_int(w) - 1 for w in ws) for v, ws in doc["g"].items()
         }
-        layer = {int(v) - 1: int(k) for v, k in doc["layer"].items()}
-    except (TypeError, ValueError) as exc:
+        layer = {int(v) - 1: _json_int(k) for v, k in doc["layer"].items()}
+    except (TypeError, ValueError, AttributeError) as exc:
         raise GflowFormatError(f"malformed entry: {exc}") from exc
     return Gflow(g, layer)
+
+
+def _json_int(value: object) -> int:
+    # JSON true/false arrive as bool, a subclass of int: reject them explicitly
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"expected an integer, got {json.dumps(value)}")
+    return value

@@ -249,9 +249,16 @@ class RotatedPauliOp:
 def commutes(a: RotatedPauliOp, b: RotatedPauliOp) -> Commutation:
     """Classify the commutator of two rotated operators.
 
-    Exact: compares ``ab`` with ``ba`` in canonical form.  ``NEITHER`` can
-    occur only when a twist overlaps an anticommuting support.
+    Twist-free operands are decided by the symplectic parity of their Pauli
+    parts; otherwise ``ab`` is compared with ``ba`` in canonical form.
+    ``NEITHER`` can occur only when a twist overlaps an anticommuting support.
     """
+    if not a.twist and not b.twist:
+        if a.n != b.n:
+            raise ValueError("vertex universes differ")
+        if a.pauli.anticommutes(b.pauli):
+            return Commutation.ANTICOMMUTE
+        return Commutation.COMMUTE
     ab = a.mul(b)
     ba = b.mul(a)
     if ab == ba:

@@ -2,8 +2,16 @@
 scans, Schrodinger evolution with logical-unitary extraction, conserved
 operator certification, and an MBQC reference simulation.
 
-Everything here is dense and deterministic.  The basis convention is that
-bit v of a state index is the computational basis state of vertex v.
+Everything here is deterministic.  Spectra, conserved-operator checks and
+the final ground projection are dense.  :func:`evolve` picks a propagator
+per step from the step's algebra: a commuting replacement of Hermitian
+involutions with pairwise commuting static terms ("pair") splits into one
+two-level problem per replaced vertex, all sharing the same 2x2
+propagator, which is applied with Pauli actions and never forms a matrix;
+every other step ("dense") runs the CF4 integrator on the full
+``2^n x 2^n`` Hamiltonian.  Both use the same substep grid, so they agree
+to roundoff.  The basis convention is that bit v of a state index is the
+computational basis state of vertex v.
 """
 
 from __future__ import annotations
@@ -15,7 +23,7 @@ from typing import Iterable, Sequence
 import numpy as np
 import scipy.linalg
 
-from .compiler import Schedule
+from .compiler import Schedule, ScheduleStep
 from .gflow import Gflow
 from .graph import OpenGraph
 from .logical import LogicalFrame, final_frame, initial_frame
@@ -185,6 +193,16 @@ def _terms_commute(terms: Sequence[RotatedPauliOp]) -> bool:
 
 
 @dataclass(frozen=True)
+class StepPropagation:
+    """How :func:`evolve` integrated one step: ``method`` is ``"pair"`` or
+    ``"dense"`` (see the module docstring) and ``n_sub`` the number of CF4
+    substeps."""
+
+    method: str
+    n_sub: int
+
+
+@dataclass(frozen=True)
 class EvolutionResult:
     """Outcome of integrating a schedule.
 
@@ -197,6 +215,7 @@ class EvolutionResult:
     meaningful).  ``leakage`` is the mean weight outside the final ground
     subspace and ``fidelity`` its complement.  ``unitarity_defect`` is the
     2-norm distance between the overlap matrix and its unitary part.
+    ``propagation`` records the method of each step, in schedule order.
     """
 
     final_states: np.ndarray
@@ -206,6 +225,7 @@ class EvolutionResult:
     fidelity: float
     tau_used: tuple[float, ...]
     unitarity_defect: float
+    propagation: tuple[StepPropagation, ...]
 
 
 def _expmi(h: np.ndarray) -> np.ndarray:
@@ -214,21 +234,91 @@ def _expmi(h: np.ndarray) -> np.ndarray:
     return (v * np.exp(-1j * w)) @ v.conj().T
 
 
+def _n_substeps(tau: float, dt_max: float) -> int:
+    return max(8, int(math.ceil(tau / dt_max)))
+
+
+def _cf4_nodes(n_sub: int) -> Iterable[tuple[float, float]]:
+    """The two Gauss nodes ``(s1, s2)`` of each of ``n_sub`` equal substeps of [0, 1]."""
+    for j in range(n_sub):
+        s0 = j / n_sub
+        yield s0 + (0.5 - _CF4_NODE) / n_sub, s0 + (0.5 + _CF4_NODE) / n_sub
+
+
 def _propagate_step(
     a: np.ndarray, b: np.ndarray, psi: np.ndarray, tau: float, dt_max: float
 ) -> np.ndarray:
     """CF4 Magnus integration of H(s) = A + sB, s ramping 0 -> 1 over tau."""
-    n_sub = max(8, int(math.ceil(tau / dt_max)))
+    n_sub = _n_substeps(tau, dt_max)
     dt = tau / n_sub
-    for j in range(n_sub):
-        s0 = j / n_sub
-        s1 = s0 + (0.5 - _CF4_NODE) / n_sub
-        s2 = s0 + (0.5 + _CF4_NODE) / n_sub
+    for s1, s2 in _cf4_nodes(n_sub):
         h1 = a + s1 * b
         h2 = a + s2 * b
         psi = _expmi(dt * (_CF4_A2 * h1 + _CF4_A1 * h2)) @ (
             _expmi(dt * (_CF4_A1 * h1 + _CF4_A2 * h2)) @ psi
         )
+    return psi
+
+
+def _is_pair_step(step: ScheduleStep) -> bool:
+    """A commuting replacement of Hermitian involutions whose static terms
+    commute pairwise: each (removed, introduced) pair then spans its own
+    copy of the Pauli algebra of (sigma_z, sigma_x), and the static part is
+    a product of commuting phases."""
+    return (
+        step.is_commuting_replacement()
+        and all(op.mul(op).is_identity() for op in step.all_terms())
+        and _terms_commute(step.static_terms)
+    )
+
+
+def _pair_coefficients(
+    gamma: float, tau: float, dt_max: float
+) -> tuple[complex, complex, complex, complex]:
+    """``(c0, c1, c2, c3)`` with ``U = c0 + c1 sz + c2 sx + c3 sz sx`` the CF4
+    propagator of ``h(s) = -gamma [(1-s) sz + s sx]`` over tau, on the
+    substep grid of :func:`_propagate_step`.
+
+    Each substep exponential ``exp(-i (a sz + b sx))`` is taken in closed
+    form, ``cos r - i sin r (a sz + b sx) / r`` with ``r = hypot(a, b)``.
+    """
+    n_sub = _n_substeps(tau, dt_max)
+    g = gamma * tau / n_sub
+    u00, u01, u10, u11 = 1.0 + 0j, 0j, 0j, 1.0 + 0j
+    for s1, s2 in _cf4_nodes(n_sub):
+        for w1, w2 in ((_CF4_A1, _CF4_A2), (_CF4_A2, _CF4_A1)):
+            a = -g * (w1 * (1.0 - s1) + w2 * (1.0 - s2))
+            b = -g * (w1 * s1 + w2 * s2)
+            r = math.hypot(a, b)
+            k = math.sin(r) / r if r else 1.0
+            c = math.cos(r)
+            e00, e01, e11 = complex(c, -k * a), complex(0.0, -k * b), complex(c, k * a)
+            u00, u01, u10, u11 = (
+                e00 * u00 + e01 * u10,
+                e00 * u01 + e01 * u11,
+                e01 * u00 + e11 * u10,
+                e01 * u01 + e11 * u11,
+            )
+    return (u00 + u11) / 2, (u00 - u11) / 2, (u01 + u10) / 2, (u01 - u10) / 2
+
+
+def _propagate_pair_step(
+    step: ScheduleStep,
+    coeffs: tuple[complex, complex, complex, complex],
+    gamma_tau: float,
+    psi: np.ndarray,
+) -> np.ndarray:
+    """Apply ``prod_v (c0 + c1 R_v + c2 I_v + c3 R_v I_v)`` and
+    ``exp(i gamma tau S) = cos(gamma tau) + i sin(gamma tau) S`` for every
+    static term S; all factors commute on a pair step."""
+    c0, c1, c2, c3 = coeffs
+    for v in sorted(step.removed):
+        r_v = step.removed[v]
+        i_psi = apply_op(step.introduced[v], psi)
+        psi = c0 * psi + c1 * apply_op(r_v, psi) + c2 * i_psi + c3 * apply_op(r_v, i_psi)
+    cos, isin = math.cos(gamma_tau), 1j * math.sin(gamma_tau)
+    for st in step.static_terms:
+        psi = cos * psi + isin * apply_op(st, psi)
     return psi
 
 
@@ -268,9 +358,19 @@ def evolve(
     first = schedule.steps[0]
     initial_terms = list(first.static_terms) + list(first.removed.values())
     psi = logical_basis_from_ops(initial_terms, frame_in, graph.n_vertices)
-    for k in range(len(schedule.steps)):
-        a, b = step_endpoint_matrices(schedule, k)
-        psi = _propagate_step(a, b, psi, taus[k], dt_max)
+    pair_coeffs: dict[float, tuple[complex, complex, complex, complex]] = {}
+    propagation = []
+    for k, (step, tau) in enumerate(zip(schedule.steps, taus)):
+        if _is_pair_step(step):
+            if tau not in pair_coeffs:
+                pair_coeffs[tau] = _pair_coefficients(schedule.gamma, tau, dt_max)
+            psi = _propagate_pair_step(step, pair_coeffs[tau], schedule.gamma * tau, psi)
+            method = "pair"
+        else:
+            a, b = step_endpoint_matrices(schedule, k)
+            psi = _propagate_step(a, b, psi, tau, dt_max)
+            method = "dense"
+        propagation.append(StepPropagation(method, _n_substeps(tau, dt_max)))
 
     h_final = assemble(schedule, len(schedule.steps) - 1, 1.0)
     ground = _ground_projector_dense(h_final, tol=1e-7 * schedule.gamma)
@@ -300,6 +400,7 @@ def evolve(
         fidelity=1.0 - leakage,
         tau_used=tuple(taus),
         unitarity_defect=defect,
+        propagation=tuple(propagation),
     )
 
 

@@ -119,6 +119,19 @@ def test_evolve_json_report(capsys):
     assert np.allclose(u @ u.conj().T, np.eye(2), atol=1e-8)
 
 
+def test_evolve_report_lists_each_step_method(capsys):
+    code, out = run(capsys, "evolve", "--graph", "chain:3:0,0.7", "--tau", "50")
+    assert code == 0
+    assert json.loads(out)["propagation"] == [
+        {"step": 1, "method": "pair", "n_sub": 200},
+        {"step": 2, "method": "pair", "n_sub": 200},
+    ]
+    code, out = run(
+        capsys, "evolve", "--graph", "chain:4", "--mode", "reorder-strip", "--order", "3,1,2", "--tau", "2"
+    )
+    assert [p["method"] for p in json.loads(out)["propagation"]] == ["dense"] * 3
+
+
 def test_reorder_fixed_reports_infeasible(capsys):
     code, out = run(
         capsys, "reorder", "--graph", "chain:4", "--order", "3,1,2", "--mode", "fixed"
@@ -230,3 +243,27 @@ def test_evolve_chain_target_on_non_chain_is_exit_2(capsys):
     code, out, err = run_err(capsys, "evolve", "--graph", "cnot", "--target", "chain")
     assert code == 2 and out == ""
     assert err.count("\n") == 1 and "only to chains" in err
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        '{"g": {"1": [true], "2": [3]}, "layer": {"1": false, "2": true}}',
+        '{"g": {"1": "2", "2": [3]}, "layer": {"1": 0, "2": 1}}',
+        '{"g": [[2], [3]], "layer": {"1": 0, "2": 1}}',
+    ],
+)
+def test_malformed_gflow_file_is_exit_2(tmp_path, capsys, doc):
+    path = tmp_path / "f.json"
+    path.write_text(doc)
+    code, out, err = run_err(capsys, "gflow", "verify", "--graph", "chain:3", "--gflow", str(path))
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error:")
+
+
+def test_reorder_report_keeps_its_fields(capsys):
+    code, out = run(
+        capsys, "reorder", "--graph", "chain:4", "--order", "3,1,2", "--mode", "strip", "--tau", "10"
+    )
+    assert code == 0
+    assert list(json.loads(out)) == ["order", "mode", "seed", "report", "leakage"]

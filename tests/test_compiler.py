@@ -6,6 +6,7 @@ from agqc.compiler import (
     AdiabaticBudget,
     CompileError,
     InvalidGflowError,
+    ScheduleStep,
     compile_layered,
     compile_one_step,
     compile_reordered_fixed,
@@ -21,9 +22,13 @@ from agqc.compiler import (
 )
 from agqc.gflow import Gflow, zigzag_gflow_family
 from agqc.graph import Plane, generate_chain, generate_cluster, generate_zigzag, make_graph
-from agqc.pauli import Commutation, NonCliffordAngleError, commutes
+from agqc.pauli import Commutation, NonCliffordAngleError, RotatedPauliOp, commutes, single
 
 from conftest import chain_gflow, cluster_gflow
+
+
+def rop(p):
+    return RotatedPauliOp.from_pauli(p)
 
 
 def render_terms(step):
@@ -385,3 +390,16 @@ def test_commuting_replacement_verdict_is_computed_once(monkeypatch):
     assert step.is_commuting_replacement()
     assert step_norm_hdot(step) == 1.0
     assert len(calls) == first
+
+
+def test_anticommuting_introduced_terms_are_not_a_commuting_replacement():
+    # X1 and Z1 X2 anticommute although every other pairing is as required
+    n = 2
+    step = ScheduleStep(
+        {0: rop(single(n, 0, "Z")), 1: rop(single(n, 1, "Z"))},
+        {0: rop(single(n, 0, "X")), 1: rop(single(n, 0, "Z").mul(single(n, 1, "X")))},
+        (),
+    )
+    assert not step.is_commuting_replacement()
+    with pytest.raises(CompileError):
+        step_gap_analytic(step)

@@ -307,3 +307,39 @@ def test_render_matches_per_site_scan(rng):
         sites = " ".join(f"{p.letter(v)}{v + 1}" for v in range(n) if p.letter(v) != "I")
         sign = ("+1", "+i", "-1", "-i")[p.phase_exp]
         assert p.render() == f"{sign} . {sites or 'I'}"
+
+
+def _commutes_by_products(a: RotatedPauliOp, b: RotatedPauliOp) -> Commutation:
+    ab, ba = a.mul(b), b.mul(a)
+    if ab == ba:
+        return Commutation.COMMUTE
+    if ab == ba.negated():
+        return Commutation.ANTICOMMUTE
+    return Commutation.NEITHER
+
+
+def test_commutes_matches_two_product_comparison(rng):
+    def random_op(n, twisted):
+        p = PauliString(n, int(rng.integers(1 << n)), int(rng.integers(1 << n)), int(rng.integers(4)))
+        if not twisted:
+            return rop(p)
+        sites = [int(v) for v in rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)]
+        # a mix of general angles and Clifford ones, which fold into the Pauli part
+        return rop(p, {v: float(rng.choice([rng.uniform(-3, 3), math.pi / 2, math.pi])) for v in sites})
+
+    seen = set()
+    for _ in range(600):
+        n = int(rng.integers(1, 7))
+        a = random_op(n, rng.random() < 0.4)
+        b = random_op(n, rng.random() < 0.4)
+        got = commutes(a, b)
+        assert got is _commutes_by_products(a, b)
+        assert commutes(b, a) is got
+        seen.add((bool(a.twist or b.twist), got))
+    assert {(False, Commutation.COMMUTE), (False, Commutation.ANTICOMMUTE)} <= seen
+    assert (True, Commutation.NEITHER) in seen
+
+
+def test_commutes_rejects_mismatched_universes():
+    with pytest.raises(ValueError):
+        commutes(rop(single(2, 0, "X")), rop(single(3, 0, "Z")))

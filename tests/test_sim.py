@@ -14,8 +14,9 @@ from agqc.compiler import (
     delta1_gap,
     step_gap_analytic,
 )
-from agqc.gflow import find_gflow, zigzag_gflow_family
-from agqc.graph import generate_chain, generate_cnot_graph, generate_zigzag
+from agqc.gflow import Gflow, find_gflow, zigzag_gflow_family
+from agqc.graph import generate_chain, generate_cluster, generate_cnot_graph, generate_zigzag, make_graph
+from agqc.logical import initial_frame
 from agqc.logical import chain_unitary, compare
 from agqc.pauli import (
     PauliString,
@@ -30,14 +31,19 @@ from agqc.sim import (
     assemble,
     conserved_operator_check,
     evolve,
+    logical_basis_from_ops,
     mbqc_logical_unitary,
     mbqc_reference_run,
     spectral_scan,
     step_endpoint_matrices,
+    _ground_projector_dense,
+    _is_pair_step,
+    _pair_coefficients,
+    _propagate_pair_step,
     _propagate_step,
 )
 
-from conftest import chain_gflow
+from conftest import chain_gflow, cluster_gflow
 
 
 def rop(p):
@@ -237,6 +243,113 @@ def test_evolve_rejects_bad_tau():
         evolve(sched, -1.0)
     with pytest.raises(ValueError):
         evolve(sched, [10.0])
+
+
+# --- per-step propagation method --------------------------------------------
+
+
+def _random_states(rng, n, cols=3):
+    psi = rng.standard_normal((1 << n, cols)) + 1j * rng.standard_normal((1 << n, cols))
+    return psi / np.linalg.norm(psi, axis=0)
+
+
+def _pair_oracle_cases():
+    rng = np.random.default_rng(2010)
+    cases = []
+    for n in range(3, 9):
+        angles = [float(a) for a in rng.uniform(0, 2 * math.pi, n)]
+        g = generate_chain(n, angles)
+        cases += [pytest.param(compile_stepwise(g, chain_gflow(n)), id=f"chain{n}-stepwise"),
+                  pytest.param(compile_layered(g, chain_gflow(n), gamma=0.7), id=f"chain{n}-layered")]
+        clifford = generate_chain(n, [k * math.pi / 2 for k in rng.integers(0, 4, n)])
+        cases.append(pytest.param(compile_one_step(clifford, chain_gflow(n)), id=f"chain{n}-onestep"))
+    for u in (2, 3, 4):
+        g = generate_zigzag(u)
+        for r in (1, u):
+            cases.append(pytest.param(compile_layered(g, zigzag_gflow_family(u, r)), id=f"zigzag{u}-r{r}"))
+    for name, g, gf in (
+        ("cluster2x2", generate_cluster(2, 2), cluster_gflow(2, 2)),
+        ("cluster2x3", generate_cluster(2, 3), cluster_gflow(2, 3)),
+        ("cnot", generate_cnot_graph(), find_gflow(generate_cnot_graph())),
+    ):
+        for mode, fn in (("stepwise", compile_stepwise), ("layered", compile_layered),
+                         ("onestep", compile_one_step)):
+            cases.append(pytest.param(fn(g, gf), id=f"{name}-{mode}"))
+    return cases
+
+
+@pytest.mark.parametrize("sched", _pair_oracle_cases())
+def test_pair_propagation_matches_dense_oracle(sched, rng):
+    tau, dt_max = 2.0, 0.25
+    coeffs = _pair_coefficients(sched.gamma, tau, dt_max)
+    for k, step in enumerate(sched.steps):
+        assert _is_pair_step(step)
+        psi = _random_states(rng, sched.n_qubits)
+        a, b = step_endpoint_matrices(sched, k)
+        want = _propagate_step(a, b, psi, tau, dt_max)
+        got = _propagate_pair_step(step, coeffs, sched.gamma * tau, psi)
+        assert np.max(np.abs(got - want)) < 1e-12, k
+
+
+def _dense_evolution(sched, taus):
+    g = sched.graph
+    first = sched.steps[0]
+    psi = logical_basis_from_ops(
+        list(first.static_terms) + list(first.removed.values()), initial_frame(g, sched.gflow), g.n_vertices
+    )
+    for k, tau in enumerate(taus):
+        a, b = step_endpoint_matrices(sched, k)
+        psi = _propagate_step(a, b, psi, tau, 0.25)
+    ground = _ground_projector_dense(assemble(sched, len(sched.steps) - 1, 1.0), 1e-7 * sched.gamma)
+    return psi, float(1.0 - np.mean(np.linalg.norm(ground.conj().T @ psi, axis=0) ** 2))
+
+
+def test_evolve_records_pair_method_and_matches_dense():
+    g = generate_chain(5, [0.0, 0.4, 1.3, 2.2, 0.0])
+    sched = compile_stepwise(g, chain_gflow(5))
+    res = evolve(sched, [20.0, 20.0, 7.0, 20.0])
+    assert [(p.method, p.n_sub) for p in res.propagation] == [
+        ("pair", 80), ("pair", 80), ("pair", 28), ("pair", 80)
+    ]
+    psi, leakage = _dense_evolution(sched, res.tau_used)
+    assert np.max(np.abs(res.final_states - psi)) < 1e-12
+    assert abs(res.leakage - leakage) < 1e-12
+
+
+def test_frustrated_and_strip_steps_stay_dense():
+    g = generate_chain(4, [0.0] * 4)
+    fixed, _ = compile_reordered_fixed(g, chain_gflow(4), [2, 0, 1])
+    strip = compile_reordered_strip(g, chain_gflow(4), [2, 0, 1])
+    # the last fixed step is an ordinary commuting replacement
+    for sched, methods in ((fixed, ["dense", "dense", "pair"]), (strip, ["dense"] * 3)):
+        res = evolve(sched, 30.0)
+        assert [p.method for p in res.propagation] == methods
+        psi, leakage = _dense_evolution(sched, res.tau_used)
+        assert np.max(np.abs(res.final_states - psi)) < 1e-12
+        assert abs(res.leakage - leakage) < 1e-12
+
+
+def test_anticommuting_introduced_terms_take_the_dense_path():
+    n = 2
+    g = make_graph(n, [(0, 1)], inputs=[], outputs=[1], angles={0: 0.0})
+    gf = Gflow({0: frozenset({1})}, {0: 0})
+    step = ScheduleStep(
+        {0: rop(single(n, 0, "Z")), 1: rop(single(n, 1, "Z"))},
+        {0: rop(single(n, 0, "X")), 1: rop(single(n, 0, "Z").mul(single(n, 1, "X")))},
+        (),
+    )
+    sched = Schedule((step,), 1.0, g, gf)
+    assert not _is_pair_step(step)
+    res = evolve(sched, 5.0)
+    assert [p.method for p in res.propagation] == ["dense"]
+    psi, leakage = _dense_evolution(sched, res.tau_used)
+    assert np.max(np.abs(res.final_states - psi)) < 1e-12
+    assert abs(res.leakage - leakage) < 1e-12
+    # the two-level factorization would be wrong on this step
+    psi0 = _random_states(np.random.default_rng(7), n)
+    a, b = step_endpoint_matrices(sched, 0)
+    pair = _propagate_pair_step(step, _pair_coefficients(1.0, 5.0, 0.25), 5.0, psi0)
+    assert np.max(np.abs(pair - _propagate_step(a, b, psi0, 5.0, 0.25))) > 1e-3
 
 
 # --- conserved operators ----------------------------------------------------
