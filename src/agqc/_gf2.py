@@ -74,3 +74,36 @@ def in_span(basis: list[int], target: int) -> bool:
             x ^= pivot
         work.remove(pivot)
     return x == 0
+
+
+def symplectic_product(a: int, b: int, n: int) -> int:
+    """``<a, b> = x_a . z_b + z_a . x_b`` (mod 2) for vectors ``x | z << n``:
+    1 exactly when the two Pauli strings anticommute."""
+    mask = (1 << n) - 1
+    return ((a & (b >> n) & mask) ^ ((a >> n) & b & mask)).bit_count() & 1
+
+
+def maximal_isotropic(basis: list[int], n: int) -> list[int]:
+    """Basis of a maximal isotropic subspace of ``span(basis)``: a largest set
+    of independent, pairwise commuting Pauli strings in the span.
+
+    Symplectic Gram-Schmidt: a vector with a partner ``b`` (``<a, b> = 1``)
+    makes a hyperbolic pair, of which ``a`` is kept and the rest of the work
+    list is made orthogonal to both; a vector with no partner lies in the
+    radical and is kept too.
+    """
+    work = list(basis)
+    chosen = []
+    while work:
+        a = work.pop()
+        b = next((w for w in work if symplectic_product(a, w, n)), None)
+        if b is not None:
+            work.remove(b)
+            work = [
+                w
+                ^ (a if symplectic_product(w, b, n) else 0)
+                ^ (b if symplectic_product(w, a, n) else 0)
+                for w in work
+            ]
+        chosen.append(a)
+    return chosen

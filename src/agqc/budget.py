@@ -1,0 +1,38 @@
+"""The simulator's memory budget.
+
+Every method that allocates state- or matrix-sized arrays checks its own
+estimate against :data:`MEMORY_BUDGET` before allocating.  An estimate over
+budget raises :class:`SizeCapError`, which the CLI reports as exit 2.
+"""
+
+from __future__ import annotations
+
+#: Bytes that the arrays of one simulation may hold at once.
+MEMORY_BUDGET = 1 << 30
+
+#: Bytes of one stacked chunk of block columns, exponentials or spectra.
+CHUNK_BYTES = 1 << 18
+
+
+class SizeCapError(ValueError):
+    """The request would allocate past :data:`MEMORY_BUDGET`."""
+
+
+def check_bytes(n_bytes: int, what: str) -> None:
+    if n_bytes > MEMORY_BUDGET:
+        raise SizeCapError(
+            f"{what} need ~{n_bytes / 2**20:.0f} MiB, over the "
+            f"{MEMORY_BUDGET / 2**20:.0f} MiB memory budget"
+        )
+
+
+def check_dense(n: int) -> None:
+    """Six dense ``2^n x 2^n`` complex matrices alive at once (assembly,
+    dense propagation, dense ground projection)."""
+    check_bytes(6 * 16 << 2 * n, f"dense {n}-qubit matrices")
+
+
+def check_vectors(n: int, columns: int) -> None:
+    """``columns`` ``2^n``-entry state vectors plus their Pauli-action
+    temporaries."""
+    check_bytes((2 * columns + 4) * 16 << n, f"{columns} {n}-qubit state vectors")

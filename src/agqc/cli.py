@@ -286,7 +286,7 @@ def cmd_evolve(args) -> int:
             else None
         ),
         "propagation": [
-            {"step": k, "method": p.method, "n_sub": p.n_sub}
+            {"step": k, "method": p.method, "n_sub": p.n_sub, "dim": p.dim}
             for k, p in enumerate(res.propagation, start=1)
         ],
     }
@@ -367,8 +367,7 @@ def cmd_bounds(args) -> int:
         else:
             scan = sim.spectral_scan(schedule, k, grid)
             gap_min = float(min(scan.gap))
-            a, b = sim.step_endpoint_matrices(schedule, k)
-            hdot = float(np.linalg.norm(b, 2))
+            hdot = sim.step_hdot_norm(schedule, k)
             tau = compiler.runtime_bound(step, budget, gap=gap_min, hdot_norm=hdot)
         lines.append(f"{k + 1},{step.u_size},{gap_min:.12g},{hdot:.12g},{tau:.12g}")
     _write(args.out, "\n".join(lines))

@@ -27,6 +27,11 @@ from .pauli import (
 )
 
 
+#: Relative tolerance (in units of gamma) below which two levels count as
+#: degenerate, and below which a gap counts as closed.
+DEGENERACY_TOL = 1e-9
+
+
 class CompileError(ValueError):
     """A schedule cannot be built from the given inputs."""
 
@@ -61,6 +66,15 @@ class ScheduleStep:
 
     def all_terms(self) -> list[RotatedPauliOp]:
         return [*self.static_terms, *self.removed.values(), *self.introduced.values()]
+
+    def endpoint_weights(self, gamma: float) -> list[tuple[RotatedPauliOp, float, float]]:
+        """``(term, a, b)`` for every term, in :meth:`all_terms` order, with
+        ``H(s) = A + sB = sum (a + s b) term``."""
+        return (
+            [(op, -gamma, 0.0) for op in self.static_terms]
+            + [(op, -gamma, gamma) for op in self.removed.values()]
+            + [(op, 0.0, -gamma) for op in self.introduced.values()]
+        )
 
     def is_commuting_replacement(self) -> bool:
         """Commuting-replacement form: each removed/introduced pair anticommutes,
@@ -504,8 +518,10 @@ def runtime_bound(
     """Adiabatic runtime bound ``c ||dH||^{1+d} / (eps gap^{2+d})``.
 
     With no explicit gap, the step must be a commuting replacement and the
-    bound reduces exactly to ``tau0 * |U|^{1+delta}``.  A non-positive gap
-    reports an infinite bound (the reordering failure mode).
+    bound reduces exactly to ``tau0 * |U|^{1+delta}``.  A gap below
+    ``DEGENERACY_TOL * gamma`` is closed (a numerical scan returns roundoff,
+    not 0, at a degenerate crossing) and reports an infinite bound (the
+    reordering failure mode).
     """
     if gap is None:
         if not step.is_commuting_replacement():
@@ -514,7 +530,7 @@ def runtime_bound(
                 "numerical spectral scan"
             )
         return budget.tau0 * step.u_size ** (1.0 + budget.delta)
-    if gap <= 0.0:
+    if gap < DEGENERACY_TOL * budget.gamma:
         return math.inf
     if hdot_norm is None:
         hdot_norm = step_norm_hdot(step, budget.gamma)

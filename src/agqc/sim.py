@@ -1,17 +1,27 @@
-"""Desk-scale exact numerics for schedules: dense Hamiltonians, spectral
+"""Desk-scale exact numerics for schedules: step Hamiltonians, spectral
 scans, Schrodinger evolution with logical-unitary extraction, conserved
 operator certification, and an MBQC reference simulation.
 
-Everything here is deterministic.  Spectra, conserved-operator checks and
-the final ground projection are dense.  :func:`evolve` picks a propagator
-per step from the step's algebra: a commuting replacement of Hermitian
-involutions with pairwise commuting static terms ("pair") splits into one
-two-level problem per replaced vertex, all sharing the same 2x2
-propagator, which is applied with Pauli actions and never forms a matrix;
-every other step ("dense") runs the CF4 integrator on the full
-``2^n x 2^n`` Hamiltonian.  Both use the same substep grid, so they agree
-to roundoff.  The basis convention is that bit v of a state index is the
-computational basis state of vertex v.
+Everything here is deterministic.  :func:`evolve` picks a propagator per
+step from the step's algebra, the smallest exact one that applies:
+
+* ``"pair"``: a commuting replacement of Hermitian involutions with
+  pairwise commuting static terms splits into one two-level problem per
+  replaced vertex, all sharing the same 2x2 propagator, which is applied
+  with Pauli actions and never forms a matrix;
+* ``"blocks"``: when every term is a Pauli string conjugated by one
+  per-site Z-rotation frame, a maximal set of commuting Pauli operators
+  that commute with every term splits ``H(s) = A + sB`` exactly into
+  ``2^m`` blocks of dimension ``2^(n-m)``, which are propagated (and, in
+  :func:`spectral_scan`, diagonalized) block by block;
+* ``"dense"``: anything else (a twist that leaves a pair of terms neither
+  commuting nor anticommuting) runs on the full ``2^n x 2^n`` Hamiltonian.
+
+All three use the same CF4 substep grid, so they agree to roundoff; the
+dense functions double as the test oracle.  Sizes are limited by the byte
+budget of :mod:`agqc.budget`, checked before allocating.  The basis
+convention is that bit v of a state index is the computational basis
+state of vertex v.
 """
 
 from __future__ import annotations
@@ -23,7 +33,9 @@ from typing import Iterable, Sequence
 import numpy as np
 import scipy.linalg
 
-from .compiler import Schedule, ScheduleStep
+from ._linalg import expmi
+from .budget import SizeCapError, check_dense, check_vectors
+from .compiler import DEGENERACY_TOL, Schedule, ScheduleStep
 from .gflow import Gflow
 from .graph import OpenGraph
 from .logical import LogicalFrame, final_frame, initial_frame
@@ -37,12 +49,7 @@ from .pauli import (
     projector_apply,
     to_matrix,
 )
-
-#: Hard cap on dense operators.
-MAX_QUBITS = 14
-
-#: Relative tolerance (in units of gamma) for counting degenerate levels.
-DEGENERACY_TOL = 1e-9
+from .sectors import StepBlocks, step_blocks
 
 #: Fixed seed of the reference vector used to pin logical basis states.
 _BASIS_SEED = 2010
@@ -54,35 +61,17 @@ _CF4_A1 = 0.25 + _CF4_NODE
 _CF4_A2 = 0.25 - _CF4_NODE
 
 
-class SizeCapError(ValueError):
-    """The request exceeds the dense-simulation qubit cap."""
-
-
-def _check_cap(n: int) -> None:
-    if n > MAX_QUBITS:
-        raise SizeCapError(f"{n} qubits exceeds the dense cap of {MAX_QUBITS}")
-
-
-def _term_matrix_sum(terms: Iterable[RotatedPauliOp], n: int) -> np.ndarray:
-    total = np.zeros((1 << n, 1 << n), dtype=complex)
-    for op in terms:
-        total += to_matrix(op)
-    return total
-
-
 def step_endpoint_matrices(
     schedule: Schedule, step_index: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """(A, B) with H(s) = A + s B for the given step, including -gamma."""
-    _check_cap(schedule.n_qubits)
-    step = schedule.steps[step_index]
-    n = schedule.n_qubits
-    g = schedule.gamma
-    static = _term_matrix_sum(step.static_terms, n)
-    removed = _term_matrix_sum(step.removed.values(), n)
-    introduced = _term_matrix_sum(step.introduced.values(), n)
-    a = -g * (static + removed)
-    b = -g * (introduced - removed)
+    check_dense(schedule.n_qubits)
+    a = np.zeros((1 << schedule.n_qubits,) * 2, dtype=complex)
+    b = np.zeros_like(a)
+    for op, wa, wb in schedule.steps[step_index].endpoint_weights(schedule.gamma):
+        m = to_matrix(op)
+        a += wa * m
+        b += wb * m
     return a, b
 
 
@@ -90,6 +79,16 @@ def assemble(schedule: Schedule, step_index: int, s: float) -> np.ndarray:
     """Dense ``H(s) = -gamma [sum static + (1-s) sum removed + s sum introduced]``."""
     a, b = step_endpoint_matrices(schedule, step_index)
     return a + s * b
+
+
+def step_hdot_norm(schedule: Schedule, step_index: int) -> float:
+    """``||dH/ds||_2 = ||B||_2`` of one step: the largest block norm, or the
+    dense norm when the step has no block form."""
+    blocks = step_blocks(schedule, step_index)
+    if blocks is not None:
+        return blocks.hdot_norm()
+    _, b = step_endpoint_matrices(schedule, step_index)
+    return float(np.linalg.norm(b, 2))
 
 
 @dataclass(frozen=True)
@@ -109,6 +108,16 @@ class SpectralScan:
     ground_degeneracy: tuple[int, ...]
 
 
+def _spectra(schedule: Schedule, step_index: int, s_grid: Sequence[float]) -> np.ndarray:
+    """Sorted eigenvalues of H(s), one row per grid point: the union of the
+    block spectra, or dense ``eigvalsh`` when the step has no block form."""
+    blocks = step_blocks(schedule, step_index)
+    if blocks is not None:
+        return blocks.spectra(s_grid)
+    a, b = step_endpoint_matrices(schedule, step_index)
+    return np.array([np.linalg.eigvalsh(a + s * b) for s in s_grid])
+
+
 def spectral_scan(
     schedule: Schedule,
     step_index: int,
@@ -116,8 +125,8 @@ def spectral_scan(
     n_levels: int | None = None,
 ) -> SpectralScan:
     """Diagonalize the step Hamiltonian on a grid of interpolation points."""
-    a, b = step_endpoint_matrices(schedule, step_index)
-    dim = a.shape[0]
+    spectra = _spectra(schedule, step_index, s_grid)
+    dim = spectra.shape[1]
     logical_dim = 1 << len(schedule.graph.inputs)
     keep = dim if n_levels is None else min(n_levels, dim)
     tol = DEGENERACY_TOL * schedule.gamma
@@ -125,8 +134,7 @@ def spectral_scan(
     gaps = np.empty(len(s_grid))
     gaps_deg = np.empty(len(s_grid))
     degeneracy = []
-    for i, s in enumerate(s_grid):
-        evals = np.linalg.eigvalsh(a + s * b)
+    for i, evals in enumerate(spectra):
         energies[i] = evals[:keep]
         deg = int(np.sum(evals - evals[0] < tol))
         degeneracy.append(deg)
@@ -154,6 +162,8 @@ def logical_basis_from_ops(
     by the frame: |0...0>_L is the +1 eigenstate of every Z_L, and X_L
     products generate the rest, fixing all relative phases.
     """
+    k = len(frame.pairs)
+    check_vectors(n, 1 << k)
     dim = 1 << n
     v = _seeded_vector(dim)
     v = projector_apply(stabilizing, v)
@@ -162,7 +172,6 @@ def logical_basis_from_ops(
     if norm < 1e-9:
         raise ValueError("reference vector annihilated; stabilizing set inconsistent?")
     v = v / norm
-    k = len(frame.pairs)
     basis = np.empty((dim, 1 << k), dtype=complex)
     for b in range(1 << k):
         col = v
@@ -177,6 +186,25 @@ def _ground_projector_dense(h: np.ndarray, tol: float) -> np.ndarray:
     evals, evecs = np.linalg.eigh(h)
     cols = evecs[:, evals - evals[0] < tol]
     return cols
+
+
+def _ground_components(
+    schedule: Schedule, finals: list[RotatedPauliOp], commuting: bool, psi: np.ndarray
+) -> np.ndarray:
+    """``psi`` in the ground space of the final Hamiltonian, column by column
+    (as ground-space coordinates or as projected vectors: same norms).
+
+    When the final terms are commuting involutions and their joint +1 space
+    holds the projected seeded vector, that space is the ground space and
+    ``prod (1 + t)/2`` projects onto it; otherwise the final Hamiltonian is
+    diagonalized densely.
+    """
+    if commuting and all(op.mul(op).is_identity() for op in finals):
+        seeded = projector_apply(finals, _seeded_vector(1 << schedule.n_qubits))
+        if np.linalg.norm(seeded) >= 1e-9:
+            return projector_apply(finals, psi)
+    h_final = assemble(schedule, len(schedule.steps) - 1, 1.0)
+    return _ground_projector_dense(h_final, tol=1e-7 * schedule.gamma).conj().T @ psi
 
 
 def _final_terms(schedule: Schedule) -> list[RotatedPauliOp]:
@@ -194,12 +222,14 @@ def _terms_commute(terms: Sequence[RotatedPauliOp]) -> bool:
 
 @dataclass(frozen=True)
 class StepPropagation:
-    """How :func:`evolve` integrated one step: ``method`` is ``"pair"`` or
-    ``"dense"`` (see the module docstring) and ``n_sub`` the number of CF4
-    substeps."""
+    """How :func:`evolve` integrated one step: ``method`` is ``"pair"``,
+    ``"blocks"`` or ``"dense"`` (see the module docstring), ``n_sub`` the
+    number of CF4 substeps and ``dim`` the dimension of the matrices
+    exponentiated: 2, the block dimension, or ``2^n``."""
 
     method: str
     n_sub: int
+    dim: int
 
 
 @dataclass(frozen=True)
@@ -228,12 +258,6 @@ class EvolutionResult:
     propagation: tuple[StepPropagation, ...]
 
 
-def _expmi(h: np.ndarray) -> np.ndarray:
-    """exp(-i h) for Hermitian h, unitary to roundoff."""
-    w, v = np.linalg.eigh(h)
-    return (v * np.exp(-1j * w)) @ v.conj().T
-
-
 def _n_substeps(tau: float, dt_max: float) -> int:
     return max(8, int(math.ceil(tau / dt_max)))
 
@@ -254,10 +278,22 @@ def _propagate_step(
     for s1, s2 in _cf4_nodes(n_sub):
         h1 = a + s1 * b
         h2 = a + s2 * b
-        psi = _expmi(dt * (_CF4_A2 * h1 + _CF4_A1 * h2)) @ (
-            _expmi(dt * (_CF4_A1 * h1 + _CF4_A2 * h2)) @ psi
+        psi = expmi(dt * (_CF4_A2 * h1 + _CF4_A1 * h2)) @ (
+            expmi(dt * (_CF4_A1 * h1 + _CF4_A2 * h2)) @ psi
         )
     return psi
+
+
+def _propagate_blocks(
+    blocks: StepBlocks, psi: np.ndarray, tau: float, dt_max: float
+) -> np.ndarray:
+    """:func:`_propagate_step` block by block: the same CF4 exponentials
+    ``dt (A1 h(s1) + A2 h(s2))`` then ``dt (A2 h(s1) + A1 h(s2))`` per
+    substep, written as ``dt (A/2 + w B)`` since A1 + A2 = 1/2."""
+    n_sub = _n_substeps(tau, dt_max)
+    nodes = np.array(list(_cf4_nodes(n_sub)))
+    weights = nodes @ np.array([[_CF4_A1, _CF4_A2], [_CF4_A2, _CF4_A1]])
+    return blocks.propagate(psi, tau / n_sub, weights.reshape(-1))
 
 
 def _is_pair_step(step: ScheduleStep) -> bool:
@@ -341,7 +377,7 @@ def evolve(
     Requires ``|inputs| == |outputs|`` for unitary extraction.
     """
     graph = schedule.graph
-    _check_cap(graph.n_vertices)
+    n = graph.n_vertices
     if not schedule.steps:
         raise ValueError("empty schedule")
     taus = (
@@ -365,30 +401,30 @@ def evolve(
             if tau not in pair_coeffs:
                 pair_coeffs[tau] = _pair_coefficients(schedule.gamma, tau, dt_max)
             psi = _propagate_pair_step(step, pair_coeffs[tau], schedule.gamma * tau, psi)
-            method = "pair"
+            method, dim = "pair", 2
+        elif (blocks := step_blocks(schedule, k)) is not None:
+            psi = _propagate_blocks(blocks, psi, tau, dt_max)
+            method, dim = "blocks", blocks.dim
         else:
             a, b = step_endpoint_matrices(schedule, k)
             psi = _propagate_step(a, b, psi, tau, dt_max)
-            method = "dense"
-        propagation.append(StepPropagation(method, _n_substeps(tau, dt_max)))
+            method, dim = "dense", 1 << n
+        propagation.append(StepPropagation(method, _n_substeps(tau, dt_max), dim))
 
-    h_final = assemble(schedule, len(schedule.steps) - 1, 1.0)
-    ground = _ground_projector_dense(h_final, tol=1e-7 * schedule.gamma)
-    weights = np.linalg.norm(ground.conj().T @ psi, axis=0) ** 2
+    finals = _final_terms(schedule)
+    commuting = _terms_commute(finals)
+    weights = np.linalg.norm(_ground_components(schedule, finals, commuting, psi), axis=0) ** 2
     leakage = float(1.0 - np.mean(weights))
 
     logical_unitary = None
     overlap = None
     defect = math.nan
-    if len(graph.inputs) == len(graph.outputs):
-        finals = _final_terms(schedule)
-        if _terms_commute(finals):
-            frame_out = final_frame(graph)
-            ref = logical_basis_from_ops(finals, frame_out, graph.n_vertices)
-            overlap = ref.conj().T @ psi
-            u, _ = scipy.linalg.polar(overlap)
-            logical_unitary = u
-            defect = float(np.linalg.norm(overlap - u, 2))
+    if commuting and len(graph.inputs) == len(graph.outputs):
+        ref = logical_basis_from_ops(finals, final_frame(graph), n)
+        overlap = ref.conj().T @ psi
+        u, _ = scipy.linalg.polar(overlap)
+        logical_unitary = u
+        defect = float(np.linalg.norm(overlap - u, 2))
     if initial is not None:
         initial = np.asarray(initial, dtype=complex)
         psi = psi @ initial.reshape(-1, 1)
@@ -477,8 +513,8 @@ def mbqc_reference_run(
     of the outcome sequence; ``outcomes`` may be "zeros", "random", or an
     explicit bit sequence.
     """
-    _check_cap(graph.n_vertices)
     n = graph.n_vertices
+    check_vectors(n, 2)
     dim = 1 << n
     inputs = graph.inputs
     input_state = np.asarray(input_state, dtype=complex).reshape(-1)

@@ -123,13 +123,13 @@ def test_evolve_report_lists_each_step_method(capsys):
     code, out = run(capsys, "evolve", "--graph", "chain:3:0,0.7", "--tau", "50")
     assert code == 0
     assert json.loads(out)["propagation"] == [
-        {"step": 1, "method": "pair", "n_sub": 200},
-        {"step": 2, "method": "pair", "n_sub": 200},
+        {"step": 1, "method": "pair", "n_sub": 200, "dim": 2},
+        {"step": 2, "method": "pair", "n_sub": 200, "dim": 2},
     ]
     code, out = run(
         capsys, "evolve", "--graph", "chain:4", "--mode", "reorder-strip", "--order", "3,1,2", "--tau", "2"
     )
-    assert [p["method"] for p in json.loads(out)["propagation"]] == ["dense"] * 3
+    assert [(p["method"], p["dim"]) for p in json.loads(out)["propagation"]] == [("blocks", 2)] * 3
 
 
 def test_reorder_fixed_reports_infeasible(capsys):
@@ -267,3 +267,28 @@ def test_reorder_report_keeps_its_fields(capsys):
     )
     assert code == 0
     assert list(json.loads(out)) == ["order", "mode", "seed", "report", "leakage"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["reorder", "--graph", "chain:4", "--order", "3,1,2", "--mode", "fixed", "--tau", "10,200"],
+        ["reorder", "--graph", "chain:4", "--order", "3,1,2", "--mode", "strip", "--tau", "10,200"],
+        ["gapscan", "--graph", "chain:4", "--mode", "reorder-fixed", "--order", "3,1,2", "--s-grid", "11"],
+        ["gapscan", "--graph", "chain:6:0,0.3,1.1,2.5,0.2,0", "--s-grid", "11"],
+    ],
+)
+def test_simulating_commands_repeat_byte_for_byte(capsys, argv):
+    first = run(capsys, *argv)
+    assert first[0] in (0, 1)
+    assert run(capsys, *argv) == first
+
+
+def test_memory_budget_overrun_is_exit_2(monkeypatch, capsys):
+    from agqc import budget
+
+    monkeypatch.setattr(budget, "MEMORY_BUDGET", 1024)
+    code = main(["reorder", "--graph", "chain:4", "--order", "3,1,2", "--mode", "strip", "--tau", "10"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and "memory budget" in err and err.count("\n") == 1

@@ -314,6 +314,15 @@ def test_runtime_bound_zero_gap_is_infinite():
     assert runtime_bound(st, budget, gap=-1.0) == math.inf
 
 
+def test_runtime_bound_roundoff_gap_is_closed():
+    # a degenerate crossing scanned block by block reads ~1e-16, not 0
+    g = generate_chain(4, [0.0] * 4)
+    st = compile_stepwise(g, chain_gflow(4)).steps[0]
+    budget = AdiabaticBudget(gamma=2.0)
+    assert runtime_bound(st, budget, gap=2.6645352591e-15) == math.inf
+    assert runtime_bound(st, budget, gap=1e-6) < math.inf
+
+
 def test_runtime_bound_with_explicit_gap_reduces_to_tau0():
     g = generate_chain(4, [0.0] * 4)
     st = compile_stepwise(g, chain_gflow(4)).steps[0]

@@ -18,9 +18,12 @@ from agqc.gflow import Gflow, find_gflow, zigzag_gflow_family
 from agqc.graph import generate_chain, generate_cluster, generate_cnot_graph, generate_zigzag, make_graph
 from agqc.logical import initial_frame
 from agqc.logical import chain_unitary, compare
+from agqc import _gf2, budget, sim
 from agqc.pauli import (
+    Commutation,
     PauliString,
     RotatedPauliOp,
+    commutes,
     single,
     stabilizer_generator,
     stabilizer_set,
@@ -39,9 +42,11 @@ from agqc.sim import (
     _ground_projector_dense,
     _is_pair_step,
     _pair_coefficients,
+    _propagate_blocks,
     _propagate_pair_step,
     _propagate_step,
 )
+from agqc.sectors import conserved_generators, step_blocks, twist_frame
 
 from conftest import chain_gflow, cluster_gflow
 
@@ -103,6 +108,30 @@ def test_size_cap_enforced():
     sched = compile_layered(g, zigzag_gflow_family(8, 8))
     with pytest.raises(SizeCapError):
         assemble(sched, 0, 0.0)
+
+
+def test_memory_budget_is_checked_before_allocating(monkeypatch):
+    g = generate_chain(4, [0.0] * 4)
+    fixed, _ = compile_reordered_fixed(g, chain_gflow(4), [2, 0, 1])
+    stepwise = compile_stepwise(g, chain_gflow(4))
+    # dense: 6 matrices of 16 x 16; blocks: a 16 x 16 basis plus one chunk;
+    # pair: a few 16-entry state vectors
+    monkeypatch.setattr(budget, "MEMORY_BUDGET", 6 * 16 * 256 - 1)
+    with pytest.raises(SizeCapError):
+        step_endpoint_matrices(fixed, 0)
+    monkeypatch.setattr(budget, "MEMORY_BUDGET", 16 * 256)
+    with pytest.raises(SizeCapError):
+        step_blocks(fixed, 0)
+    with pytest.raises(SizeCapError):
+        spectral_scan(fixed, 0, [0.0, 1.0])
+    with pytest.raises(SizeCapError):
+        evolve(fixed, 1.0)
+    assert evolve(stepwise, 1.0).leakage >= 0.0
+    monkeypatch.setattr(budget, "MEMORY_BUDGET", 16 * 16)
+    with pytest.raises(SizeCapError):
+        evolve(stepwise, 1.0)
+    with pytest.raises(SizeCapError):
+        mbqc_reference_run(g, chain_gflow(4), np.array([1.0, 0.0]))
 
 
 # --- spectra ----------------------------------------------------------------
@@ -321,9 +350,12 @@ def test_frustrated_and_strip_steps_stay_dense():
     fixed, _ = compile_reordered_fixed(g, chain_gflow(4), [2, 0, 1])
     strip = compile_reordered_strip(g, chain_gflow(4), [2, 0, 1])
     # the last fixed step is an ordinary commuting replacement
-    for sched, methods in ((fixed, ["dense", "dense", "pair"]), (strip, ["dense"] * 3)):
+    for sched, methods in (
+        (fixed, [("blocks", 2), ("blocks", 2), ("pair", 2)]),
+        (strip, [("blocks", 2)] * 3),
+    ):
         res = evolve(sched, 30.0)
-        assert [p.method for p in res.propagation] == methods
+        assert [(p.method, p.dim) for p in res.propagation] == methods
         psi, leakage = _dense_evolution(sched, res.tau_used)
         assert np.max(np.abs(res.final_states - psi)) < 1e-12
         assert abs(res.leakage - leakage) < 1e-12
@@ -341,7 +373,7 @@ def test_anticommuting_introduced_terms_take_the_dense_path():
     sched = Schedule((step,), 1.0, g, gf)
     assert not _is_pair_step(step)
     res = evolve(sched, 5.0)
-    assert [p.method for p in res.propagation] == ["dense"]
+    assert [(p.method, p.dim) for p in res.propagation] == [("blocks", 4)]
     psi, leakage = _dense_evolution(sched, res.tau_used)
     assert np.max(np.abs(res.final_states - psi)) < 1e-12
     assert abs(res.leakage - leakage) < 1e-12
@@ -350,6 +382,129 @@ def test_anticommuting_introduced_terms_take_the_dense_path():
     a, b = step_endpoint_matrices(sched, 0)
     pair = _propagate_pair_step(step, _pair_coefficients(1.0, 5.0, 0.25), 5.0, psi0)
     assert np.max(np.abs(pair - _propagate_step(a, b, psi0, 5.0, 0.25))) > 1e-3
+
+
+def _block_oracle_cases():
+    rng = np.random.default_rng(2013)
+    cases = []
+    for n in (4, 5, 6):
+        for kind in ("clifford", "seeded"):
+            angles = [0.0] * n
+            if kind == "seeded":
+                angles[1:-1] = [float(a) for a in rng.uniform(0, 2 * math.pi, n - 2)]
+            g = generate_chain(n, angles)
+            order = [int(v) for v in rng.permutation(g.non_outputs)]
+            cases += [
+                pytest.param(compile_reordered_fixed(g, chain_gflow(n), order)[0], id=f"chain{n}-{kind}-fixed"),
+                pytest.param(compile_reordered_strip(g, chain_gflow(n), order), id=f"chain{n}-{kind}-strip"),
+            ]
+    for name, g, gf in (
+        ("cluster2x3", generate_cluster(2, 3), cluster_gflow(2, 3)),
+        ("cnot", generate_cnot_graph(), find_gflow(generate_cnot_graph())),
+    ):
+        order = [int(v) for v in rng.permutation(g.non_outputs)]
+        cases += [
+            pytest.param(compile_reordered_fixed(g, gf, order)[0], id=f"{name}-fixed"),
+            pytest.param(compile_reordered_strip(g, gf, order), id=f"{name}-strip"),
+        ]
+    return cases
+
+
+def _has_neither_pair(step):
+    terms = step.all_terms()
+    return any(
+        commutes(a, b) is Commutation.NEITHER for i, a in enumerate(terms) for b in terms[i + 1:]
+    )
+
+
+@pytest.mark.parametrize("sched", _block_oracle_cases())
+def test_block_propagation_matches_dense_oracle(sched, rng):
+    dt_max = 0.25
+    for k, step in enumerate(sched.steps):
+        blocks = step_blocks(sched, k)
+        if blocks is None:
+            assert _has_neither_pair(step), k
+            continue
+        psi = _random_states(rng, sched.n_qubits)
+        a, b = step_endpoint_matrices(sched, k)
+        for tau in (2.0, 10.0):
+            want = _propagate_step(a, b, psi, tau, dt_max)
+            got = _propagate_blocks(blocks, psi, tau, dt_max)
+            assert np.max(np.abs(got - want)) < 1e-12, (k, tau)
+
+
+def _twisted_stepwise_cases():
+    rng = np.random.default_rng(2009)
+    cases = []
+    for n in range(5, 9):
+        angles = [0.0] + [float(a) for a in rng.uniform(0, 2 * math.pi, n - 2)] + [0.0]
+        cases.append(pytest.param(compile_stepwise(generate_chain(n, angles), chain_gflow(n)), id=f"chain{n}-stepwise"))
+    return cases
+
+
+@pytest.mark.parametrize("sched", _block_oracle_cases() + _twisted_stepwise_cases())
+def test_block_spectra_match_dense_eigvalsh(sched):
+    grid = [0.0, 0.3, 0.5, 0.8, 1.0]
+    for k in range(len(sched.steps)):
+        scan = spectral_scan(sched, k, grid)
+        a, b = step_endpoint_matrices(sched, k)
+        want = np.array([np.linalg.eigvalsh(a + s * b) for s in grid])
+        assert np.max(np.abs(scan.energies - want)) < 1e-12, k
+        logical_dim = 1 << len(sched.graph.inputs)
+        assert np.max(np.abs(scan.gap - (want[:, logical_dim] - want[:, 0]))) < 1e-12, k
+
+
+@pytest.mark.parametrize("sched", _block_oracle_cases() + _twisted_stepwise_cases())
+def test_conserved_generators_are_a_maximal_commuting_set(sched):
+    n = sched.n_qubits
+    for k, step in enumerate(sched.steps):
+        theta = twist_frame(step.all_terms())
+        if theta is None:
+            continue
+        xgens, zgens, _ = conserved_generators(step.all_terms(), n)
+        gens = xgens + zgens
+        ops = [
+            RotatedPauliOp.from_parts(
+                PauliString(n, v & ((1 << n) - 1), v >> n),
+                {w: a for w, a in theta.items() if v >> w & 1},
+            )
+            for v in gens
+        ]
+        for c in ops:
+            assert all(commutes(c, t) is Commutation.COMMUTE for t in step.all_terms())
+            assert all(commutes(c, other) is Commutation.COMMUTE for other in ops)
+        for i, v in enumerate(gens):
+            assert not _gf2.in_span(gens[:i] + gens[i + 1:], v)
+        assert len(gens) == n - int(math.log2(step_blocks(sched, k).dim))
+
+
+@pytest.mark.parametrize("theta", [math.pi / 6, math.pi / 3])
+def test_twisted_second_site_step_falls_back_to_dense(theta):
+    g = generate_chain(4, [0.0] * 4)
+    gf = chain_gflow(4)
+    terms = stabilizer_set(g, gf)
+    intro = RotatedPauliOp.from_parts(single(4, 1, "X"), {1: theta})
+    step = ScheduleStep({1: terms[1]}, {1: intro}, (terms[0], terms[2]))
+    sched = Schedule((step,), 1.0, g, gf)
+    assert step_blocks(sched, 0) is None and _has_neither_pair(step)
+    res = evolve(sched, 5.0)
+    assert [(p.method, p.dim) for p in res.propagation] == [("dense", 16)]
+    psi, leakage = _dense_evolution(sched, res.tau_used)
+    assert np.max(np.abs(res.final_states - psi)) < 1e-12
+    assert abs(res.leakage - leakage) < 1e-12
+
+
+def test_commuting_final_terms_skip_the_dense_ground_projector(monkeypatch):
+    g = generate_chain(4, [0.0, 0.9, 0.3, 0.0])
+    sched = compile_stepwise(g, chain_gflow(4))
+    psi, leakage = _dense_evolution(sched, [15.0] * 3)
+
+    def refuse(*args):
+        raise AssertionError("dense ground projector called")
+
+    monkeypatch.setattr(sim, "_ground_projector_dense", refuse)
+    res = evolve(sched, 15.0)
+    assert abs(res.leakage - leakage) < 1e-12
 
 
 # --- conserved operators ----------------------------------------------------
