@@ -170,24 +170,29 @@ def compare(candidate: np.ndarray, target: np.ndarray) -> float:
     b = np.asarray(target, dtype=complex)
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch {a.shape} vs {b.shape}")
+
+    def dists(phis) -> np.ndarray:
+        """``||A - e^{i phi} B||_2`` for each phi, as one stacked SVD."""
+        diff = a - np.exp(1j * np.asarray(phis))[:, None, None] * b
+        return np.linalg.svd(diff, compute_uv=False)[:, 0]
+
     # coarse scan + golden-section refinement; the objective is smooth in phi
     phis = np.linspace(-math.pi, math.pi, 256, endpoint=False)
-    dists = [np.linalg.norm(a - np.exp(1j * p) * b, 2) for p in phis]
-    i0 = int(np.argmin(dists))
+    i0 = int(np.argmin(dists(phis)))
     lo = phis[i0] - 2 * math.pi / 256
     hi = phis[i0] + 2 * math.pi / 256
     golden = (math.sqrt(5.0) - 1.0) / 2.0
     for _ in range(60):
         m1 = hi - golden * (hi - lo)
         m2 = lo + golden * (hi - lo)
-        d1 = np.linalg.norm(a - np.exp(1j * m1) * b, 2)
-        d2 = np.linalg.norm(a - np.exp(1j * m2) * b, 2)
+        d1, d2 = dists([m1, m2])
         if d1 < d2:
             hi = m2
         else:
             lo = m1
-    phi = 0.5 * (lo + hi)
-    return float(np.linalg.norm(a - np.exp(1j * phi) * b, 2))
+    # the Frobenius-optimal phase arg tr(B^dag A) bounds the minimum too
+    frobenius = np.angle(np.vdot(b, a))
+    return float(np.min(dists([0.5 * (lo + hi), frobenius])))
 
 
 def frame_unitary(frame: LogicalFrame, graph: OpenGraph) -> np.ndarray:
@@ -227,7 +232,7 @@ def frame_unitary(frame: LogicalFrame, graph: OpenGraph) -> np.ndarray:
             # column-major vec: vec(U A) = (A^T x I) vec(U), vec(B U) = (I x B) vec(U)
             rows.append(np.kron(a.T, np.eye(dim)) - np.kron(np.eye(dim), b))
     m = np.vstack(rows)
-    _, svals, vh = np.linalg.svd(m)
+    _, svals, vh = np.linalg.svd(m, full_matrices=False)
     if svals[-1] > 1e-9:
         raise ValueError("frame images are not a consistent Pauli-map; no unitary")
     u = vh[-1].conj().reshape(dim, dim, order="F")

@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from . import _gf2
-from ._linalg import expmi
+from ._linalg import expmi, ordered_apply
 from .budget import CHUNK_BYTES, check_bytes
 from .compiler import Schedule
 from .graph import CLIFFORD_TOL
@@ -117,19 +117,15 @@ class StepBlocks:
     def propagate(self, psi: np.ndarray, dt: float, weights: np.ndarray) -> np.ndarray:
         """Apply ``exp(-i dt (A/2 + w B))`` for each w of ``weights`` in turn,
         block by block, with the exponentials stacked over (w x block) in
-        chunks of ``CHUNK_BYTES``."""
+        chunks of ``CHUNK_BYTES`` and multiplied in order by
+        :func:`~agqc._linalg.ordered_apply`."""
         d, n_blocks, dim = self.basis.shape
         basis = self.basis.reshape(d, d)
         c = (psi.conj().T @ basis).conj().T.reshape(n_blocks, dim, -1)
         per = self._per_chunk()
         for lo in range(0, weights.shape[0], per):
             u = expmi(dt * (0.5 * self.a + weights[lo:lo + per, None, None, None] * self.b))
-            # ordered product u[-1] ... u[1] u[0] by pairwise halving
-            while u.shape[0] > 1:
-                if u.shape[0] % 2:
-                    c, u = u[0] @ c, u[1:]
-                u = u[1::2] @ u[::2]
-            c = u[0] @ c
+            c = ordered_apply(u, c)
         return (basis @ c.reshape(d, -1)).reshape(psi.shape)
 
 

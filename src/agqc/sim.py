@@ -17,8 +17,10 @@ step from the step's algebra, the smallest exact one that applies:
 * ``"dense"``: anything else (a twist that leaves a pair of terms neither
   commuting nor anticommuting) runs on the full ``2^n x 2^n`` Hamiltonian.
 
-All three use the same CF4 substep grid, so they agree to roundoff; the
-dense functions double as the test oracle.  Sizes are limited by the byte
+All three use the same CF4 weight grid, so they agree to roundoff; the
+dense functions double as the test oracle.  Every 2x2 exponential (the
+pair problem, 2-dimensional blocks) is taken in closed form over a whole
+stack; larger ones use ``eigh``.  Sizes are limited by the byte
 budget of :mod:`agqc.budget`, checked before allocating.  The basis
 convention is that bit v of a state index is the computational basis
 state of vertex v.
@@ -28,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 import scipy.linalg
@@ -262,11 +264,14 @@ def _n_substeps(tau: float, dt_max: float) -> int:
     return max(8, int(math.ceil(tau / dt_max)))
 
 
-def _cf4_nodes(n_sub: int) -> Iterable[tuple[float, float]]:
-    """The two Gauss nodes ``(s1, s2)`` of each of ``n_sub`` equal substeps of [0, 1]."""
-    for j in range(n_sub):
-        s0 = j / n_sub
-        yield s0 + (0.5 - _CF4_NODE) / n_sub, s0 + (0.5 + _CF4_NODE) / n_sub
+def _cf4_weights(n_sub: int) -> np.ndarray:
+    """The ``2 n_sub`` weights w, in order, of the CF4 exponentials
+    ``exp(-i dt (A/2 + w B))`` over ``n_sub`` equal substeps of [0, 1]: per
+    substep with Gauss nodes s1 < s2, ``A1 s1 + A2 s2`` then
+    ``A2 s1 + A1 s2`` (``dt (A1 h(s1) + A2 h(s2))`` with A1 + A2 = 1/2)."""
+    s0 = np.arange(n_sub) / n_sub
+    nodes = np.stack([s0 + (0.5 - _CF4_NODE) / n_sub, s0 + (0.5 + _CF4_NODE) / n_sub], axis=1)
+    return (nodes @ np.array([[_CF4_A1, _CF4_A2], [_CF4_A2, _CF4_A1]])).reshape(-1)
 
 
 def _propagate_step(
@@ -275,25 +280,17 @@ def _propagate_step(
     """CF4 Magnus integration of H(s) = A + sB, s ramping 0 -> 1 over tau."""
     n_sub = _n_substeps(tau, dt_max)
     dt = tau / n_sub
-    for s1, s2 in _cf4_nodes(n_sub):
-        h1 = a + s1 * b
-        h2 = a + s2 * b
-        psi = expmi(dt * (_CF4_A2 * h1 + _CF4_A1 * h2)) @ (
-            expmi(dt * (_CF4_A1 * h1 + _CF4_A2 * h2)) @ psi
-        )
+    for w in _cf4_weights(n_sub):
+        psi = expmi(dt * (0.5 * a + w * b)) @ psi
     return psi
 
 
 def _propagate_blocks(
     blocks: StepBlocks, psi: np.ndarray, tau: float, dt_max: float
 ) -> np.ndarray:
-    """:func:`_propagate_step` block by block: the same CF4 exponentials
-    ``dt (A1 h(s1) + A2 h(s2))`` then ``dt (A2 h(s1) + A1 h(s2))`` per
-    substep, written as ``dt (A/2 + w B)`` since A1 + A2 = 1/2."""
+    """:func:`_propagate_step` block by block, on the same weight grid."""
     n_sub = _n_substeps(tau, dt_max)
-    nodes = np.array(list(_cf4_nodes(n_sub)))
-    weights = nodes @ np.array([[_CF4_A1, _CF4_A2], [_CF4_A2, _CF4_A1]])
-    return blocks.propagate(psi, tau / n_sub, weights.reshape(-1))
+    return blocks.propagate(psi, tau / n_sub, _cf4_weights(n_sub))
 
 
 def _is_pair_step(step: ScheduleStep) -> bool:
@@ -312,29 +309,12 @@ def _pair_coefficients(
     gamma: float, tau: float, dt_max: float
 ) -> tuple[complex, complex, complex, complex]:
     """``(c0, c1, c2, c3)`` with ``U = c0 + c1 sz + c2 sx + c3 sz sx`` the CF4
-    propagator of ``h(s) = -gamma [(1-s) sz + s sx]`` over tau, on the
-    substep grid of :func:`_propagate_step`.
-
-    Each substep exponential ``exp(-i (a sz + b sx))`` is taken in closed
-    form, ``cos r - i sin r (a sz + b sx) / r`` with ``r = hypot(a, b)``.
-    """
-    n_sub = _n_substeps(tau, dt_max)
-    g = gamma * tau / n_sub
-    u00, u01, u10, u11 = 1.0 + 0j, 0j, 0j, 1.0 + 0j
-    for s1, s2 in _cf4_nodes(n_sub):
-        for w1, w2 in ((_CF4_A1, _CF4_A2), (_CF4_A2, _CF4_A1)):
-            a = -g * (w1 * (1.0 - s1) + w2 * (1.0 - s2))
-            b = -g * (w1 * s1 + w2 * s2)
-            r = math.hypot(a, b)
-            k = math.sin(r) / r if r else 1.0
-            c = math.cos(r)
-            e00, e01, e11 = complex(c, -k * a), complex(0.0, -k * b), complex(c, k * a)
-            u00, u01, u10, u11 = (
-                e00 * u00 + e01 * u10,
-                e00 * u01 + e01 * u11,
-                e01 * u00 + e11 * u10,
-                e01 * u01 + e11 * u11,
-            )
+    propagator of ``h(s) = -gamma [(1-s) sz + s sx]`` over tau: the one-block
+    case of :func:`_propagate_blocks`, with ``A = -gamma sz`` and
+    ``B = -gamma (sx - sz)``."""
+    sz, sx = np.diag([1.0, -1.0]), np.array([[0.0, 1.0], [1.0, 0.0]])
+    pair = StepBlocks(np.eye(2, dtype=complex)[:, None], -gamma * sz[None], -gamma * (sx - sz)[None])
+    (u00, u01), (u10, u11) = _propagate_blocks(pair, np.eye(2, dtype=complex), tau, dt_max).tolist()
     return (u00 + u11) / 2, (u00 - u11) / 2, (u01 + u10) / 2, (u01 - u10) / 2
 
 

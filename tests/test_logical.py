@@ -231,6 +231,53 @@ def test_compare_hadamard_vs_identity():
     assert compare(H, np.eye(2)) == pytest.approx(math.sqrt(2.0), abs=1e-6)
 
 
+def _compare_by_scan(a, b):
+    """Phase scan plus golden-section refinement, one 2-norm per phase."""
+    phis = np.linspace(-math.pi, math.pi, 256, endpoint=False)
+    dists = [np.linalg.norm(a - np.exp(1j * p) * b, 2) for p in phis]
+    i0 = int(np.argmin(dists))
+    lo = phis[i0] - 2 * math.pi / 256
+    hi = phis[i0] + 2 * math.pi / 256
+    golden = (math.sqrt(5.0) - 1.0) / 2.0
+    for _ in range(60):
+        m1 = hi - golden * (hi - lo)
+        m2 = lo + golden * (hi - lo)
+        d1 = np.linalg.norm(a - np.exp(1j * m1) * b, 2)
+        d2 = np.linalg.norm(a - np.exp(1j * m2) * b, 2)
+        if d1 < d2:
+            hi = m2
+        else:
+            lo = m1
+    phi = 0.5 * (lo + hi)
+    return float(np.linalg.norm(a - np.exp(1j * phi) * b, 2))
+
+
+def _frobenius_phase_distance(a, b):
+    phi = np.angle(np.trace(b.conj().T @ a))
+    return float(np.linalg.norm(a - np.exp(1j * phi) * b, 2))
+
+
+def _compare_cases():
+    rng = np.random.default_rng(2009)
+    cases = [(H, np.eye(2))]
+    for d in (2, 4, 8):
+        for _ in range(10):
+            q, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+            noise = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+            cases.append((np.exp(1j * rng.uniform(0, 2 * math.pi)) * q + 1e-3 * noise, q))
+            a, b = (rng.standard_normal((2, d, d)) + 1j * rng.standard_normal((2, d, d)))
+            cases.append((a, b))
+    return cases
+
+
+def test_compare_never_exceeds_the_scan_or_the_frobenius_phase():
+    for a, b in _compare_cases():
+        got = compare(a, b)
+        assert got <= _compare_by_scan(a, b) + 1e-12
+        assert got <= _frobenius_phase_distance(a, b) + 1e-14
+    assert compare(H, np.eye(2)) == pytest.approx(math.sqrt(2.0), abs=1e-12)
+
+
 def test_compare_dimension_mismatch():
     with pytest.raises(ValueError):
         compare(np.eye(2), np.eye(4))

@@ -19,6 +19,7 @@ from agqc.graph import generate_chain, generate_cluster, generate_cnot_graph, ge
 from agqc.logical import initial_frame
 from agqc.logical import chain_unitary, compare
 from agqc import _gf2, budget, sim
+from agqc._linalg import expmi, matmul, ordered_apply
 from agqc.pauli import (
     Commutation,
     PauliString,
@@ -39,6 +40,10 @@ from agqc.sim import (
     mbqc_reference_run,
     spectral_scan,
     step_endpoint_matrices,
+    _CF4_A1,
+    _CF4_A2,
+    _CF4_NODE,
+    _cf4_weights,
     _ground_projector_dense,
     _is_pair_step,
     _pair_coefficients,
@@ -272,6 +277,93 @@ def test_evolve_rejects_bad_tau():
         evolve(sched, -1.0)
     with pytest.raises(ValueError):
         evolve(sched, [10.0])
+
+
+# --- two-level kernel -------------------------------------------------------
+
+
+def _expmi_eigh(h):
+    w, v = np.linalg.eigh(h)
+    return (v * np.exp(-1j * w)[..., None, :]) @ np.swapaxes(v.conj(), -1, -2)
+
+
+def _hermitian_stack(rng, m, scale):
+    x = rng.standard_normal((m, 2, 2)) + 1j * rng.standard_normal((m, 2, 2))
+    return scale * (x + np.swapaxes(x.conj(), -1, -2)) / 2
+
+
+def test_closed_form_expmi_matches_eigh_form(rng):
+    stacks = [_hermitian_stack(rng, 64, scale) for scale in (1e-170, 1e-8, 1.0, 30.0, 1e3)]
+    stacks.append(rng.standard_normal((64, 1, 1)) * np.eye(2))  # r = 0
+    stacks.append(np.zeros((3, 2, 2)))
+    stacks.append(rng.standard_normal((64, 2))[..., None] * np.eye(2))  # diagonal
+    stacks.append(1e3 * rng.standard_normal((64, 2))[..., None] * np.eye(2))
+    for h in stacks:
+        u = expmi(h)
+        assert np.all(np.isfinite(u))
+        # rounding h itself moves exp(-i h) by ~eps ||h|| in either form
+        tol = 1e-14 * np.maximum(1.0, np.linalg.norm(h, 2, axis=(1, 2)))
+        assert np.all(np.max(np.abs(u - _expmi_eigh(h)), axis=(1, 2)) <= tol)
+        defect = np.swapaxes(u.conj(), -1, -2) @ u - np.eye(2)
+        assert np.max(np.abs(defect)) < 1e-14
+    tiny = np.array([[0.0, 3e-170], [3e-170, 1e-170]])
+    assert np.max(np.abs(expmi(tiny) - np.eye(2))) < 1e-160
+
+
+def test_elementwise_product_matches_matmul(rng):
+    x = _hermitian_stack(rng, 40, 1.0).reshape(5, 8, 2, 2)
+    y = rng.standard_normal((5, 8, 2, 3)) + 1j * rng.standard_normal((5, 8, 2, 3))
+    assert np.max(np.abs(matmul(x, y) - x @ y)) < 1e-14
+    assert np.max(np.abs(matmul(x, x[::-1]) - x @ x[::-1])) < 1e-14
+    for m in (1, 2, 7, 16):
+        u = expmi(_hermitian_stack(rng, 3 * m, 1.0).reshape(m, 3, 2, 2))
+        want = y[0, :3]
+        for k in range(m):
+            want = u[k] @ want
+        assert np.max(np.abs(ordered_apply(u, y[0, :3]) - want)) < 1e-13, m
+
+
+def _cf4_nodes(n_sub):
+    for j in range(n_sub):
+        s0 = j / n_sub
+        yield s0 + (0.5 - _CF4_NODE) / n_sub, s0 + (0.5 + _CF4_NODE) / n_sub
+
+
+def test_cf4_weights_are_the_gauss_node_exponents():
+    for n_sub in (8, 9, 4000):
+        want = [w for s1, s2 in _cf4_nodes(n_sub)
+                for w in (_CF4_A1 * s1 + _CF4_A2 * s2, _CF4_A2 * s1 + _CF4_A1 * s2)]
+        assert np.max(np.abs(_cf4_weights(n_sub) - want)) < 1e-15
+
+
+def _pair_coefficients_loop(gamma, tau, dt_max):
+    """The sequential product of closed-form substep exponentials."""
+    n_sub = sim._n_substeps(tau, dt_max)
+    g = gamma * tau / n_sub
+    u00, u01, u10, u11 = 1.0 + 0j, 0j, 0j, 1.0 + 0j
+    for s1, s2 in _cf4_nodes(n_sub):
+        for w1, w2 in ((_CF4_A1, _CF4_A2), (_CF4_A2, _CF4_A1)):
+            a = -g * (w1 * (1.0 - s1) + w2 * (1.0 - s2))
+            b = -g * (w1 * s1 + w2 * s2)
+            r = math.hypot(a, b)
+            k = math.sin(r) / r if r else 1.0
+            c = math.cos(r)
+            e00, e01, e11 = complex(c, -k * a), complex(0.0, -k * b), complex(c, k * a)
+            u00, u01, u10, u11 = (
+                e00 * u00 + e01 * u10,
+                e00 * u01 + e01 * u11,
+                e01 * u00 + e11 * u10,
+                e01 * u01 + e11 * u11,
+            )
+    return (u00 + u11) / 2, (u00 - u11) / 2, (u01 + u10) / 2, (u01 - u10) / 2
+
+
+@pytest.mark.parametrize("gamma", [1.0, 0.7])
+@pytest.mark.parametrize("tau", [5.0, 200.0, 1000.0])
+def test_pair_coefficients_match_sequential_loop(gamma, tau):
+    got = _pair_coefficients(gamma, tau, 0.25)
+    want = _pair_coefficients_loop(gamma, tau, 0.25)
+    assert max(abs(x - y) for x, y in zip(got, want)) < 1e-13
 
 
 # --- per-step propagation method --------------------------------------------
