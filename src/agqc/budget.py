@@ -10,7 +10,7 @@ from __future__ import annotations
 #: Bytes that the arrays of one simulation may hold at once.
 MEMORY_BUDGET = 1 << 30
 
-#: Bytes of one stacked chunk of block columns, exponentials or spectra.
+#: Bytes of one stacked chunk of block exponentials or spectra.
 CHUNK_BYTES = 1 << 18
 
 

@@ -493,9 +493,14 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+_PARSER: argparse.ArgumentParser | None = None
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
     except CliError as exc:

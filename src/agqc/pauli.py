@@ -372,8 +372,11 @@ def _parity(v: np.ndarray) -> np.ndarray:
     return v & 1
 
 
-def _action(op: RotatedPauliOp | PauliString) -> tuple[np.ndarray, np.ndarray]:
-    """``(rows, coeff)`` with ``op |c> = coeff[c] |rows[c]>`` for every basis index c.
+def _action(
+    op: RotatedPauliOp | PauliString, idx: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(rows, coeff)`` with ``op |idx[i]> = coeff[i] |rows[i]>`` for the
+    basis indices ``idx`` (default: all of them, in order).
 
     Basis convention: bit v of the index is the computational state of
     vertex v.
@@ -381,7 +384,8 @@ def _action(op: RotatedPauliOp | PauliString) -> tuple[np.ndarray, np.ndarray]:
     if isinstance(op, PauliString):
         op = RotatedPauliOp.from_pauli(op)
     p = op.pauli
-    idx = np.arange(1 << p.n, dtype=np.int64)
+    if idx is None:
+        idx = np.arange(1 << p.n, dtype=np.int64)
     coeff = np.full(idx.shape, p.phase * (1j) ** ((p.x & p.z).bit_count()), dtype=complex)
     coeff *= 1.0 - 2.0 * _parity(idx & p.z)
     rows = idx ^ p.x

@@ -1,11 +1,11 @@
-"""Block form of a schedule step in the sectors of its conserved Pauli
-operators.
+"""Block form of a schedule step in the sectors of its conserved Pauli operators.
 
 When every term of a step is a Pauli string conjugated by one per-site
 Z-rotation frame, the Pauli strings that commute with every term form a
 GF(2) centralizer.  A maximal commuting set of ``m`` of them has ``2^m``
 joint eigenspaces of dimension ``2^(n-m)``.  Each is invariant under
-``H(s) = A + sB`` for every s, so the step splits exactly into blocks.
+``H(s) = A + sB``, so the step splits exactly into blocks, given by
+``2^n``-entry sector tables rather than a ``2^n x 2^n`` basis.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from ._linalg import expmi, ordered_apply
 from .budget import CHUNK_BYTES, check_bytes
 from .compiler import Schedule
 from .graph import CLIFFORD_TOL
-from .pauli import PauliString, RotatedPauliOp, _parity, apply_op
+from .pauli import PauliString, RotatedPauliOp, _action, _parity
 
 
 def twist_frame(terms: Sequence[RotatedPauliOp]) -> dict[int, float] | None:
@@ -36,12 +36,9 @@ def twist_frame(terms: Sequence[RotatedPauliOp]) -> dict[int, float] | None:
         p, twist = op.pauli, op.twist_map
         if p.phase_exp % 2 or any(not p.x >> v & 1 for v in twist):
             return None
-        x = p.x
-        while x:
-            v = (x & -x).bit_length() - 1
-            x &= x - 1
+        for v in range(p.n):
             a = twist.get(v, 0.0)
-            if abs(theta.setdefault(v, a) - a) > CLIFFORD_TOL:
+            if p.x >> v & 1 and abs(theta.setdefault(v, a) - a) > CLIFFORD_TOL:
                 return None
     return theta
 
@@ -61,8 +58,7 @@ def conserved_generators(
     for op in terms:
         centralizer = _gf2.kernel_filter(centralizer, op.pauli.z | op.pauli.x << n)
     gens = _gf2.maximal_isotropic(centralizer, n)
-    pivots = 0
-    row = 0
+    pivots = row = 0
     for bit in range(n):
         pick = next((i for i in range(row, len(gens)) if gens[i] >> bit & 1), None)
         if pick is None:
@@ -81,13 +77,15 @@ class StepBlocks:
     """``H(s) = A + sB`` of one step restricted to the joint eigenspaces of a
     maximal commuting set of Pauli operators that commute with every term.
 
-    Column block j of ``basis`` (shape ``(2^n, n_blocks, dim)``) is an
-    orthonormal basis of one joint eigenspace; ``a[j]`` and ``b[j]`` are A
-    and B in it.  The blocks together span the whole space, so the spectrum
-    of H(s) is the union of the block spectra.
+    ``a[j]`` and ``b[j]`` are A and B in block j.  Basis index i is entry
+    ``dest[i]``, with phase ``phase[i]``, of the sector array ``(Z label, S,
+    representative)``, S labelling products of the ``k`` X-type generators;
+    a Walsh-Hadamard transform over S gives block coordinates.
     """
 
-    basis: np.ndarray
+    phase: np.ndarray
+    dest: np.ndarray
+    k: int
     a: np.ndarray
     b: np.ndarray
 
@@ -95,50 +93,63 @@ class StepBlocks:
     def dim(self) -> int:
         return self.a.shape[1]
 
-    def _per_chunk(self) -> int:
-        """How many stacked copies of the block matrices one chunk holds."""
-        return max(1, CHUNK_BYTES // (64 * self.a.size))
+    def _stacks(self, wa: float, wb: np.ndarray):
+        """``wa A + w B`` for each w of ``wb``, in stacks of ~``CHUNK_BYTES``."""
+        per = max(1, CHUNK_BYTES // (64 * self.a.size))
+        for lo in range(0, wb.shape[0], per):
+            yield wa * self.a + wb[lo:lo + per, None, None, None] * self.b
+
+    def _walsh(self, f: np.ndarray) -> np.ndarray:
+        """The normalized, self-inverse Walsh-Hadamard transform over S, in k passes."""
+        f = f.reshape(self.a.shape[0] >> self.k, 1 << self.k, -1) * 2.0 ** (-0.5 * self.k)
+        for i in range(self.k):
+            lo, hi = f.reshape(f.shape[0], -1, 2, 1 << i, f.shape[2]).swapaxes(0, 2)
+            lo[...], hi[...] = lo + hi, lo - hi
+        return f
+
+    def to_blocks(self, psi: np.ndarray) -> np.ndarray:
+        """Block coordinates ``(n_blocks, dim, columns)`` of the columns of psi."""
+        f = np.empty((psi.shape[0], psi.size // psi.shape[0]), dtype=complex)
+        f[self.dest] = self.phase.conj()[:, None] * psi.reshape(f.shape)
+        return self._walsh(f).reshape(self.a.shape[0], self.dim, -1)
+
+    def from_blocks(self, c: np.ndarray) -> np.ndarray:
+        """The inverse of :meth:`to_blocks`, as ``(2^n, columns)``."""
+        return self.phase[:, None] * self._walsh(c).reshape(self.dest.shape[0], -1)[self.dest]
 
     def hdot_norm(self) -> float:
         """``||B||_2``, the largest block norm."""
         return float(np.max(np.linalg.norm(self.b, 2, axis=(1, 2))))
 
     def spectra(self, s_grid: Sequence[float]) -> np.ndarray:
-        """Sorted eigenvalues of ``A + sB``, one row per grid point: the
-        union of the block spectra."""
+        """Sorted eigenvalues of ``A + sB`` (the union of the block spectra), one row per s."""
         s = np.asarray(s_grid, dtype=float)
-        per = self._per_chunk()
-        rows = [
-            np.linalg.eigvalsh(self.a + s[lo:lo + per, None, None, None] * self.b)
-            for lo in range(0, s.shape[0], per)
-        ]
-        return np.sort(np.concatenate(rows).reshape(s.shape[0], -1), axis=1)
+        rows = np.concatenate([np.linalg.eigvalsh(h) for h in self._stacks(1.0, s)])
+        return np.sort(rows.reshape(s.shape[0], -1), axis=1)
 
     def propagate(self, psi: np.ndarray, dt: float, weights: np.ndarray) -> np.ndarray:
         """Apply ``exp(-i dt (A/2 + w B))`` for each w of ``weights`` in turn,
-        block by block, with the exponentials stacked over (w x block) in
-        chunks of ``CHUNK_BYTES`` and multiplied in order by
-        :func:`~agqc._linalg.ordered_apply`."""
-        d, n_blocks, dim = self.basis.shape
-        basis = self.basis.reshape(d, d)
-        c = (psi.conj().T @ basis).conj().T.reshape(n_blocks, dim, -1)
-        per = self._per_chunk()
-        for lo in range(0, weights.shape[0], per):
-            u = expmi(dt * (0.5 * self.a + weights[lo:lo + per, None, None, None] * self.b))
-            c = ordered_apply(u, c)
-        return (basis @ c.reshape(d, -1)).reshape(psi.shape)
+        block by block, with the exponentials stacked over (w x block) and
+        multiplied in order by :func:`~agqc._linalg.ordered_apply`."""
+        c = self.to_blocks(psi)
+        for h in self._stacks(0.5, weights):
+            c = ordered_apply(expmi(dt * h), c)
+        return self.from_blocks(c).reshape(psi.shape)
 
 
 def step_blocks(schedule: Schedule, step_index: int) -> StepBlocks | None:
     """The block form of one step, or None when its terms admit no common
     Z-rotation frame (see :func:`twist_frame`).
 
-    In the untwisted frame block columns are ``prod_i (1 +- g_i)/2 |b>``,
-    normalized, over the X-type generators ``g_i`` and computational states
-    ``|b>`` with every pivot bit 0; the Z-type generators take a definite
-    value on each ``|b>``.  The basis is built once, in chunks of blocks,
-    and the block Hamiltonians come from Pauli actions on those columns;
-    no ``2^n x 2^n`` Hamiltonian is formed.
+    In the untwisted frame the block basis is ``|c(r, sigma)> = 2^(-k/2)
+    sum_S (-1)^|sigma & S| g_S |r>`` over the X-type generators ``g_i`` and
+    the ``|r>`` with pivot bits 0.  One pass per ``g_i`` gives each index j
+    its S(j), r(j) and ``omega(j)`` with ``g_S(j)|r(j)> = omega(j)|j>``; a
+    Pauli term with ``P|r> = coef |j'>`` is then the phased permutation
+    ``P|c(r, sigma)> = coef conj(omega(j')) (-1)^|sigma & S(j')| |c(r(j'),
+    sigma)>``, where ``S(j') = S(x_P)`` since r has no pivot bits, scattered
+    for all ``2^n`` pairs (r, sigma) at once.  Blocks run by Z label, then
+    sigma; representatives ascend within a block.
     """
     step = schedule.steps[step_index]
     n = schedule.n_qubits
@@ -149,39 +160,28 @@ def step_blocks(schedule: Schedule, step_index: int) -> StepBlocks | None:
     xgens, zgens, pivots = conserved_generators(terms, n)
     k = len(xgens)
     dim, d = 1 << (n - k - len(zgens)), 1 << n
-    n_blocks = d // dim
-    per = max(1, CHUNK_BYTES // (64 * d * dim))
-    check_bytes((16 << 2 * n) + 64 * d * dim * per, f"{n}-qubit block basis and chunk")
-
+    check_bytes(((160 + 96 * dim) << n) + CHUNK_BYTES, f"{n}-qubit sector tables and blocks")
     idx = np.arange(d, dtype=np.int64)
+    rep, omega_c, label, zlabel = idx.copy(), np.ones(d, dtype=complex), 0 * idx, 0 * idx
+    for i, g in enumerate(xgens):
+        on = (idx & (g & -g)) != 0
+        rep[on], coeff = _action(PauliString(n, g & (d - 1), g >> n), rep[on])
+        omega_c[on] *= coeff
+        label |= on << i
+    for i, z in enumerate(zgens):
+        zlabel |= _parity(idx & (z >> n)) << i
     reps = idx[(idx & pivots) == 0]
-    zlabel = np.zeros_like(reps)
-    for j, z in enumerate(zgens):
-        zlabel |= _parity(reps & (z >> n)) << j
-    col_rep = np.repeat(reps, 1 << k)
-    col_sign = np.tile(np.arange(1 << k), reps.shape[0])
-    order = np.argsort(col_sign | np.repeat(zlabel, 1 << k) << k, kind="stable")
-    col_rep, col_sign = col_rep[order], col_sign[order]
-
-    mask = d - 1
-    xpaulis = [PauliString(n, v & mask, v >> n) for v in xgens]
-    angle = np.zeros(d)
-    for v, a in theta.items():
-        angle += a * (1.0 - 2.0 * (idx >> v & 1))
-    frame = np.exp(-0.5j * angle)
-    basis = np.empty((d, d), dtype=complex)
-    a_blk = np.zeros((n_blocks, dim, dim), dtype=complex)
-    b_blk = np.zeros_like(a_blk)
-    for lo in range(0, n_blocks, per):
-        cols = slice(lo * dim, min(n_blocks, lo + per) * dim)
-        q = np.zeros((d, cols.stop - cols.start), dtype=complex)
-        q[col_rep[cols], np.arange(q.shape[1])] = 2.0 ** (k / 2)
-        for i, gi in enumerate(xpaulis):
-            q = 0.5 * (q + (1.0 - 2.0 * (col_sign[cols] >> i & 1)) * apply_op(gi, q))
-        qh = q.T.conj().reshape(-1, dim, d)
-        for op, wa, wb in step.endpoint_weights(schedule.gamma):
-            blk = qh @ apply_op(op.pauli, q).reshape(d, -1, dim).transpose(1, 0, 2)
-            a_blk[lo:lo + qh.shape[0]] += wa * blk
-            b_blk[lo:lo + qh.shape[0]] += wb * blk
-        basis[:, cols] = frame[:, None] * q
-    return StepBlocks(basis.reshape(d, n_blocks, dim), a_blk, b_blk)
+    pos = np.empty(d, dtype=np.int64)
+    pos[reps[np.argsort(zlabel[reps], kind="stable")]] = np.arange(reps.shape[0]) % dim
+    dest = (zlabel << k | label) * dim + pos[rep]
+    sigma = np.arange(1 << k)
+    base = (dest[reps] - pos[reps]) * dim + pos[reps]
+    a_blk, b_blk = np.zeros((2, d // dim, dim, dim), dtype=complex)
+    for op, wa, wb in step.endpoint_weights(schedule.gamma):
+        to, coeff = _action(op.pauli, reps)
+        flat = (base + dest[to] % dim * dim)[:, None] + sigma * dim * dim
+        val = (coeff * omega_c[to])[:, None] * (1.0 - 2.0 * _parity(label[op.pauli.x] & sigma))
+        a_blk.reshape(-1)[flat] += wa * val
+        b_blk.reshape(-1)[flat] += wb * val
+    angle = sum((a * (1.0 - 2.0 * (idx >> v & 1)) for v, a in theta.items()), np.zeros(d))
+    return StepBlocks(np.exp(-0.5j * angle) * omega_c.conj(), dest, k, a_blk, b_blk)

@@ -13,7 +13,8 @@ step from the step's algebra, the smallest exact one that applies:
   per-site Z-rotation frame, a maximal set of commuting Pauli operators
   that commute with every term splits ``H(s) = A + sB`` exactly into
   ``2^m`` blocks of dimension ``2^(n-m)``, which are propagated (and, in
-  :func:`spectral_scan`, diagonalized) block by block;
+  :func:`spectral_scan`, diagonalized) block by block; the block form is
+  built from ``2^n``-entry sector tables, never a ``2^n x 2^n`` basis;
 * ``"dense"``: anything else (a twist that leaves a pair of terms neither
   commuting nor anticommuting) runs on the full ``2^n x 2^n`` Hamiltonian.
 
@@ -131,18 +132,15 @@ def spectral_scan(
     dim = spectra.shape[1]
     logical_dim = 1 << len(schedule.graph.inputs)
     keep = dim if n_levels is None else min(n_levels, dim)
-    tol = DEGENERACY_TOL * schedule.gamma
-    energies = np.empty((len(s_grid), keep))
-    gaps = np.empty(len(s_grid))
-    gaps_deg = np.empty(len(s_grid))
-    degeneracy = []
-    for i, evals in enumerate(spectra):
-        energies[i] = evals[:keep]
-        deg = int(np.sum(evals - evals[0] < tol))
-        degeneracy.append(deg)
-        gaps[i] = evals[logical_dim] - evals[0] if logical_dim < dim else 0.0
-        gaps_deg[i] = evals[deg] - evals[0] if deg < dim else 0.0
-    return SpectralScan(tuple(float(s) for s in s_grid), energies, gaps, gaps_deg, tuple(degeneracy))
+    ground = spectra[:, :1]
+    deg = np.sum(spectra - ground < DEGENERACY_TOL * schedule.gamma, axis=1)
+    above = np.take_along_axis(spectra, np.minimum(deg, dim - 1)[:, None], axis=1)
+    gaps_deg = np.where(deg < dim, (above - ground)[:, 0], 0.0)
+    gaps = spectra[:, logical_dim] - ground[:, 0] if logical_dim < dim else np.zeros(len(deg))
+    return SpectralScan(
+        tuple(float(s) for s in s_grid), spectra[:, :keep].copy(), gaps, gaps_deg,
+        tuple(deg.tolist()),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +311,7 @@ def _pair_coefficients(
     case of :func:`_propagate_blocks`, with ``A = -gamma sz`` and
     ``B = -gamma (sx - sz)``."""
     sz, sx = np.diag([1.0, -1.0]), np.array([[0.0, 1.0], [1.0, 0.0]])
-    pair = StepBlocks(np.eye(2, dtype=complex)[:, None], -gamma * sz[None], -gamma * (sx - sz)[None])
+    pair = StepBlocks(np.ones(2), np.arange(2), 0, -gamma * sz[None], -gamma * (sx - sz)[None])
     (u00, u01), (u10, u11) = _propagate_blocks(pair, np.eye(2, dtype=complex), tau, dt_max).tolist()
     return (u00 + u11) / 2, (u00 - u11) / 2, (u01 + u10) / 2, (u01 - u10) / 2
 

@@ -292,3 +292,31 @@ def test_memory_budget_overrun_is_exit_2(monkeypatch, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error: ") and "memory budget" in err and err.count("\n") == 1
+
+
+def test_parser_is_built_once_and_keeps_its_messages(monkeypatch, capsys):
+    from agqc import cli
+
+    fresh = cli.build_parser
+    built = []
+
+    def counting():
+        built.append(1)
+        return fresh()
+
+    monkeypatch.setattr(cli, "_PARSER", None)
+    monkeypatch.setattr(cli, "build_parser", counting)
+    for _ in range(2):
+        assert main(["gadget", "--k", "2", "--lam", "0.1"]) == 0
+    assert len(built) == 1
+    capsys.readouterr()
+
+    argv = ["gapscan", "--graph", "chain:4", "--bogus"]
+    with pytest.raises(SystemExit) as cached:
+        main(argv)
+    cached_err = capsys.readouterr().err
+    with pytest.raises(SystemExit) as rebuilt:
+        fresh().parse_args(argv)
+    assert cached.value.code == rebuilt.value.code == 2
+    assert cached_err == capsys.readouterr().err and "--bogus" in cached_err
+    assert len(built) == 1

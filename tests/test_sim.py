@@ -24,6 +24,8 @@ from agqc.pauli import (
     Commutation,
     PauliString,
     RotatedPauliOp,
+    _parity,
+    apply_op,
     commutes,
     single,
     stabilizer_generator,
@@ -40,6 +42,7 @@ from agqc.sim import (
     mbqc_reference_run,
     spectral_scan,
     step_endpoint_matrices,
+    step_hdot_norm,
     _CF4_A1,
     _CF4_A2,
     _CF4_NODE,
@@ -119,7 +122,7 @@ def test_memory_budget_is_checked_before_allocating(monkeypatch):
     g = generate_chain(4, [0.0] * 4)
     fixed, _ = compile_reordered_fixed(g, chain_gflow(4), [2, 0, 1])
     stepwise = compile_stepwise(g, chain_gflow(4))
-    # dense: 6 matrices of 16 x 16; blocks: a 16 x 16 basis plus one chunk;
+    # dense: 6 matrices of 16 x 16; blocks: 16-entry sector tables plus one chunk;
     # pair: a few 16-entry state vectors
     monkeypatch.setattr(budget, "MEMORY_BUDGET", 6 * 16 * 256 - 1)
     with pytest.raises(SizeCapError):
@@ -523,6 +526,107 @@ def test_block_propagation_matches_dense_oracle(sched, rng):
             want = _propagate_step(a, b, psi, tau, dt_max)
             got = _propagate_blocks(blocks, psi, tau, dt_max)
             assert np.max(np.abs(got - want)) < 1e-12, (k, tau)
+
+
+def _chunked_basis_blocks(schedule, step_index):
+    """Reference block form from an explicit ``2^n x 2^n`` block basis, built
+    in chunks of block columns with Pauli actions: ``(basis, a, b)``."""
+    step = schedule.steps[step_index]
+    n = schedule.n_qubits
+    terms = step.all_terms()
+    theta = twist_frame(terms)
+    xgens, zgens, pivots = conserved_generators(terms, n)
+    k = len(xgens)
+    dim, d = 1 << (n - k - len(zgens)), 1 << n
+    n_blocks = d // dim
+    per = max(1, budget.CHUNK_BYTES // (64 * d * dim))
+
+    idx = np.arange(d, dtype=np.int64)
+    reps = idx[(idx & pivots) == 0]
+    zlabel = np.zeros_like(reps)
+    for j, z in enumerate(zgens):
+        zlabel |= _parity(reps & (z >> n)) << j
+    col_rep = np.repeat(reps, 1 << k)
+    col_sign = np.tile(np.arange(1 << k), reps.shape[0])
+    order = np.argsort(col_sign | np.repeat(zlabel, 1 << k) << k, kind="stable")
+    col_rep, col_sign = col_rep[order], col_sign[order]
+
+    mask = d - 1
+    xpaulis = [PauliString(n, v & mask, v >> n) for v in xgens]
+    angle = np.zeros(d)
+    for v, a in theta.items():
+        angle += a * (1.0 - 2.0 * (idx >> v & 1))
+    frame = np.exp(-0.5j * angle)
+    basis = np.empty((d, d), dtype=complex)
+    a_blk = np.zeros((n_blocks, dim, dim), dtype=complex)
+    b_blk = np.zeros_like(a_blk)
+    for lo in range(0, n_blocks, per):
+        cols = slice(lo * dim, min(n_blocks, lo + per) * dim)
+        q = np.zeros((d, cols.stop - cols.start), dtype=complex)
+        q[col_rep[cols], np.arange(q.shape[1])] = 2.0 ** (k / 2)
+        for i, gi in enumerate(xpaulis):
+            q = 0.5 * (q + (1.0 - 2.0 * (col_sign[cols] >> i & 1)) * apply_op(gi, q))
+        qh = q.T.conj().reshape(-1, dim, d)
+        for op, wa, wb in step.endpoint_weights(schedule.gamma):
+            blk = qh @ apply_op(op.pauli, q).reshape(d, -1, dim).transpose(1, 0, 2)
+            a_blk[lo:lo + qh.shape[0]] += wa * blk
+            b_blk[lo:lo + qh.shape[0]] += wb * blk
+        basis[:, cols] = frame[:, None] * q
+    return basis, a_blk, b_blk
+
+
+@pytest.mark.parametrize("sched", _block_oracle_cases())
+def test_sector_tables_match_chunked_basis(sched, rng):
+    for k, step in enumerate(sched.steps):
+        blocks = step_blocks(sched, k)
+        if blocks is None:
+            continue
+        basis, a, b = _chunked_basis_blocks(sched, k)
+        assert np.max(np.abs(blocks.a - a)) < 1e-13, k
+        assert np.max(np.abs(blocks.b - b)) < 1e-13, k
+        psi = _random_states(rng, sched.n_qubits)
+        coords = (basis.conj().T @ psi).reshape(blocks.a.shape[0], blocks.dim, -1)
+        assert np.max(np.abs(blocks.to_blocks(psi) - coords)) < 1e-13, k
+
+
+@pytest.mark.parametrize("sched", _block_oracle_cases())
+def test_sector_transform_round_trips(sched, rng):
+    for k in range(len(sched.steps)):
+        blocks = step_blocks(sched, k)
+        if blocks is None:
+            continue
+        psi = _random_states(rng, sched.n_qubits, cols=4)
+        coords = blocks.to_blocks(psi)
+        assert np.max(np.abs(blocks.from_blocks(coords) - psi)) < 1e-13, k
+        norms = np.linalg.norm(coords.reshape(-1, psi.shape[1]), axis=0)
+        assert np.max(np.abs(norms - 1.0)) < 1e-13, k
+
+
+def test_block_form_at_16_qubits_matches_closed_forms(rng):
+    n = 16
+    angles = [0.0] + [float(a) for a in rng.uniform(0, 2 * math.pi, n - 2)] + [0.0]
+    untwisted = generate_chain(n, [0.0] * n)
+    strip = compile_reordered_strip(untwisted, chain_gflow(n), list(range(n - 2, -1, -1)))
+    assert step_blocks(strip, 1).dim == 2
+
+    sched = compile_stepwise(generate_chain(n, angles), chain_gflow(n), gamma=1.5)
+    k = 7
+    step = sched.steps[k]
+    assert _is_pair_step(step)
+    blocks = step_blocks(sched, k)
+    assert blocks is not None and blocks.dim == 2
+    grid = [0.0, 0.3, 0.5, 1.0]
+    scan = spectral_scan(sched, k, grid, n_levels=4)
+    want = [step_gap_analytic(step, sched.gamma, s) for s in grid]
+    assert np.max(np.abs(scan.gap - want)) < 1e-12
+    hdot = math.sqrt(2) * step.u_size * sched.gamma
+    assert step_hdot_norm(sched, k) == pytest.approx(hdot, abs=1e-12)
+    psi = _random_states(rng, n, cols=2)
+    tau, dt_max = 3.0, 0.25
+    coeffs = _pair_coefficients(sched.gamma, tau, dt_max)
+    want_psi = _propagate_pair_step(step, coeffs, sched.gamma * tau, psi)
+    got = _propagate_blocks(blocks, psi, tau, dt_max)
+    assert np.max(np.abs(got - want_psi)) < 1e-12
 
 
 def _twisted_stepwise_cases():
