@@ -5,6 +5,23 @@ from __future__ import annotations
 import numpy as np
 
 
+def _two_level(h: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``(h0, z, h10, r)`` of a 2x2 Hermitian stack: ``h = h0 + n.sigma`` with
+    ``n = (Re h10, Im h10, z)`` and ``r = |n|``, elementwise."""
+    h00, h11, h10 = h[..., 0, 0].real, h[..., 1, 1].real, h[..., 1, 0]
+    h0, z = 0.5 * (h00 + h11), 0.5 * (h00 - h11)
+    return h0, z, h10, np.hypot(z, np.abs(h10))
+
+
+def eigvalsh(h: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of Hermitian h (or a stack of them); for 2x2
+    matrices in closed form, ``h0 -+ r``."""
+    if h.shape[-1] != 2:
+        return np.linalg.eigvalsh(h)
+    h0, _, _, r = _two_level(h)
+    return np.stack([h0 - r, h0 + r], axis=-1)
+
+
 def expmi(h: np.ndarray) -> np.ndarray:
     """exp(-i h) for Hermitian h (or a stack of them), unitary to roundoff.
 
@@ -15,9 +32,7 @@ def expmi(h: np.ndarray) -> np.ndarray:
     if h.shape[-1] != 2:
         w, v = np.linalg.eigh(h)
         return (v * np.exp(-1j * w)[..., None, :]) @ np.swapaxes(v.conj(), -1, -2)
-    h00, h11, h10 = h[..., 0, 0].real, h[..., 1, 1].real, h[..., 1, 0]
-    h0, z = 0.5 * (h00 + h11), 0.5 * (h00 - h11)
-    r = np.hypot(z, np.abs(h10))
+    h0, z, h10, r = _two_level(h)
     safe = np.where(r > 0, r, 1.0)
     sinc = np.where(r > 0, np.sin(safe) / safe, 1.0)
     phase = np.exp(-1j * h0)

@@ -27,8 +27,9 @@ def check_bytes(n_bytes: int, what: str) -> None:
 
 
 def check_dense(n: int) -> None:
-    """Six dense ``2^n x 2^n`` complex matrices alive at once (assembly,
-    dense propagation, dense ground projection)."""
+    """Six dense ``2^n x 2^n`` complex matrices alive at once: the step
+    matrices of the conserved-operator check and of the tests' dense
+    oracle."""
     check_bytes(6 * 16 << 2 * n, f"dense {n}-qubit matrices")
 
 

@@ -365,9 +365,9 @@ def cmd_bounds(args) -> int:
             hdot = compiler.step_norm_hdot(step, args.gamma)
             tau = compiler.runtime_bound(step, budget)
         else:
-            scan = sim.spectral_scan(schedule, k, grid)
-            gap_min = float(min(scan.gap))
-            hdot = sim.step_hdot_norm(schedule, k)
+            blocks = sim.step_blocks(schedule, k)
+            gap_min = float(min(sim.spectral_scan(schedule, k, grid, blocks=blocks).gap))
+            hdot = blocks.hdot_norm()
             tau = compiler.runtime_bound(step, budget, gap=gap_min, hdot_norm=hdot)
         lines.append(f"{k + 1},{step.u_size},{gap_min:.12g},{hdot:.12g},{tau:.12g}")
     _write(args.out, "\n".join(lines))

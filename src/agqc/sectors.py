@@ -1,53 +1,68 @@
 """Block form of a schedule step in the sectors of its conserved Pauli operators.
 
-When every term of a step is a Pauli string conjugated by one per-site
-Z-rotation frame, the Pauli strings that commute with every term form a
-GF(2) centralizer.  A maximal commuting set of ``m`` of them has ``2^m``
-joint eigenspaces of dimension ``2^(n-m)``.  Each is invariant under
-``H(s) = A + sB``, so the step splits exactly into blocks, given by
-``2^n``-entry sector tables rather than a ``2^n x 2^n`` basis.
+In one per-site Z-rotation frame, with twists expanded where they conflict,
+every term of a step is a sum of Pauli strings.  The Pauli strings that
+commute with all of them form a GF(2) centralizer.  A maximal commuting set
+of ``m`` of them has ``2^m`` joint eigenspaces of dimension ``2^(n-m)``.
+Each is invariant under ``H(s) = A + sB``, so the step splits exactly into
+blocks (one when ``m = 0``), given by ``2^n``-entry sector tables rather
+than a ``2^n x 2^n`` basis.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from . import _gf2
-from ._linalg import expmi, ordered_apply
+from ._linalg import eigvalsh, expmi, ordered_apply
 from .budget import CHUNK_BYTES, check_bytes
 from .compiler import Schedule
 from .graph import CLIFFORD_TOL
 from .pauli import PauliString, RotatedPauliOp, _action, _parity
 
 
-def twist_frame(terms: Sequence[RotatedPauliOp]) -> dict[int, float] | None:
-    """Angles ``theta_v`` with every term equal to ``R P R^dag``, where P is
-    the term's Hermitian Pauli part and ``R = prod_v exp(-i theta_v Z_v / 2)``.
-
-    Such a frame exists when every term with an X or Y letter at a site
-    carries the same twist there and no term twists a Z or I letter; None
-    otherwise (or for a non-Hermitian phase).
+def twist_frame(terms: Sequence[RotatedPauliOp]) -> dict[int, float]:
+    """Angles ``theta_v`` of ``R = prod_v exp(-i theta_v Z_v / 2)`` at the X/Y
+    sites where every term with an X or Y letter carries the same twist,
+    which makes each term ``R P R^dag`` there; sites whose twists conflict
+    are left to :func:`frame_strings`.  A non-Hermitian term (odd phase, or
+    a twist on a Z or I letter) raises ValueError.
     """
     theta: dict[int, float] = {}
+    conflict = set()
     for op in terms:
         p, twist = op.pauli, op.twist_map
         if p.phase_exp % 2 or any(not p.x >> v & 1 for v in twist):
-            return None
+            raise ValueError(f"non-Hermitian term {op.render()}")
         for v in range(p.n):
             a = twist.get(v, 0.0)
             if p.x >> v & 1 and abs(theta.setdefault(v, a) - a) > CLIFFORD_TOL:
-                return None
-    return theta
+                conflict.add(v)
+    return {v: a for v, a in theta.items() if v not in conflict}
+
+
+def frame_strings(op: RotatedPauliOp, theta: dict[int, float]) -> list[tuple[complex, PauliString]]:
+    """``R^dag op R`` in the frame of :func:`twist_frame` as ``[(coefficient,
+    Pauli string)]``: each twist ``exp(-i a Z_v)`` at a site outside the frame
+    expands into ``cos a`` and ``-i sin a Z_v``."""
+    strings = [(1.0 + 0j, op.pauli)]
+    for v, a in op.twist:
+        if v not in theta:
+            z = PauliString(op.n, 0, 1 << v)
+            strings = [(c * f, q) for c, p in strings
+                       for f, q in ((math.cos(a), p), (-1j * math.sin(a), z.mul(p)))]
+    return strings
 
 
 def conserved_generators(
-    terms: Sequence[RotatedPauliOp], n: int
+    strings: Sequence[PauliString], n: int
 ) -> tuple[list[int], list[int], int]:
     """A maximal commuting set of Pauli strings ``x | z << n`` that commute
-    with the Pauli part of every term, as ``(xgens, zgens, pivots)``.
+    with every string of ``strings``, as ``(xgens, zgens, pivots)``.
 
     The ``xgens`` have independent X parts in reduced echelon form on the
     bits of ``pivots`` (each pivot bit is set in exactly one of them); the
@@ -55,8 +70,8 @@ def conserved_generators(
     isotropic basis of the centralizer.
     """
     centralizer = [1 << i for i in range(2 * n)]
-    for op in terms:
-        centralizer = _gf2.kernel_filter(centralizer, op.pauli.z | op.pauli.x << n)
+    for p in strings:
+        centralizer = _gf2.kernel_filter(centralizer, p.z | p.x << n)
     gens = _gf2.maximal_isotropic(centralizer, n)
     pivots = row = 0
     for bit in range(n):
@@ -124,7 +139,7 @@ class StepBlocks:
     def spectra(self, s_grid: Sequence[float]) -> np.ndarray:
         """Sorted eigenvalues of ``A + sB`` (the union of the block spectra), one row per s."""
         s = np.asarray(s_grid, dtype=float)
-        rows = np.concatenate([np.linalg.eigvalsh(h) for h in self._stacks(1.0, s)])
+        rows = np.concatenate([eigvalsh(h) for h in self._stacks(1.0, s)])
         return np.sort(rows.reshape(s.shape[0], -1), axis=1)
 
     def propagate(self, psi: np.ndarray, dt: float, weights: np.ndarray) -> np.ndarray:
@@ -137,27 +152,26 @@ class StepBlocks:
         return self.from_blocks(c).reshape(psi.shape)
 
 
-def step_blocks(schedule: Schedule, step_index: int) -> StepBlocks | None:
-    """The block form of one step, or None when its terms admit no common
-    Z-rotation frame (see :func:`twist_frame`).
+def step_blocks(schedule: Schedule, step_index: int) -> StepBlocks:
+    """The block form of one step.
 
-    In the untwisted frame the block basis is ``|c(r, sigma)> = 2^(-k/2)
-    sum_S (-1)^|sigma & S| g_S |r>`` over the X-type generators ``g_i`` and
-    the ``|r>`` with pivot bits 0.  One pass per ``g_i`` gives each index j
-    its S(j), r(j) and ``omega(j)`` with ``g_S(j)|r(j)> = omega(j)|j>``; a
-    Pauli term with ``P|r> = coef |j'>`` is then the phased permutation
-    ``P|c(r, sigma)> = coef conj(omega(j')) (-1)^|sigma & S(j')| |c(r(j'),
-    sigma)>``, where ``S(j') = S(x_P)`` since r has no pivot bits, scattered
-    for all ``2^n`` pairs (r, sigma) at once.  Blocks run by Z label, then
-    sigma; representatives ascend within a block.
+    In the frame of :func:`twist_frame`, with every term written as Pauli
+    strings by :func:`frame_strings`, the block basis is ``|c(r, sigma)> =
+    2^(-k/2) sum_S (-1)^|sigma & S| g_S |r>`` over the X-type generators
+    ``g_i`` and the ``|r>`` with pivot bits 0.  One pass per ``g_i`` gives
+    each index j its S(j), r(j) and ``omega(j)`` with ``g_S(j)|r(j)> =
+    omega(j)|j>``; a Pauli string with ``P|r> = coef |j'>`` is then the phased
+    permutation ``P|c(r, sigma)> = coef conj(omega(j')) (-1)^|sigma & S(j')|
+    |c(r(j'), sigma)>``, where ``S(j') = S(x_P)`` since r has no pivot bits,
+    scattered for all ``2^n`` pairs (r, sigma) at once.  Blocks run by Z
+    label, then sigma; representatives ascend within a block.
     """
     step = schedule.steps[step_index]
     n = schedule.n_qubits
-    terms = step.all_terms()
-    theta = twist_frame(terms)
-    if theta is None:
-        return None
-    xgens, zgens, pivots = conserved_generators(terms, n)
+    weights = step.endpoint_weights(schedule.gamma)
+    theta = twist_frame([op for op, _, _ in weights])
+    strings = [(wa * c, wb * c, p) for op, wa, wb in weights for c, p in frame_strings(op, theta)]
+    xgens, zgens, pivots = conserved_generators([p for _, _, p in strings], n)
     k = len(xgens)
     dim, d = 1 << (n - k - len(zgens)), 1 << n
     check_bytes(((160 + 96 * dim) << n) + CHUNK_BYTES, f"{n}-qubit sector tables and blocks")
@@ -177,10 +191,10 @@ def step_blocks(schedule: Schedule, step_index: int) -> StepBlocks | None:
     sigma = np.arange(1 << k)
     base = (dest[reps] - pos[reps]) * dim + pos[reps]
     a_blk, b_blk = np.zeros((2, d // dim, dim, dim), dtype=complex)
-    for op, wa, wb in step.endpoint_weights(schedule.gamma):
-        to, coeff = _action(op.pauli, reps)
+    for wa, wb, p in strings:
+        to, coeff = _action(p, reps)
         flat = (base + dest[to] % dim * dim)[:, None] + sigma * dim * dim
-        val = (coeff * omega_c[to])[:, None] * (1.0 - 2.0 * _parity(label[op.pauli.x] & sigma))
+        val = (coeff * omega_c[to])[:, None] * (1.0 - 2.0 * _parity(label[p.x] & sigma))
         a_blk.reshape(-1)[flat] += wa * val
         b_blk.reshape(-1)[flat] += wb * val
     angle = sum((a * (1.0 - 2.0 * (idx >> v & 1)) for v, a in theta.items()), np.zeros(d))

@@ -3,28 +3,23 @@ scans, Schrodinger evolution with logical-unitary extraction, conserved
 operator certification, and an MBQC reference simulation.
 
 Everything here is deterministic.  :func:`evolve` picks a propagator per
-step from the step's algebra, the smallest exact one that applies:
+step from the step's algebra, the smaller of two exact ones:
 
 * ``"pair"``: a commuting replacement of Hermitian involutions with
   pairwise commuting static terms splits into one two-level problem per
   replaced vertex, all sharing the same 2x2 propagator, which is applied
   with Pauli actions and never forms a matrix;
-* ``"blocks"``: when every term is a Pauli string conjugated by one
-  per-site Z-rotation frame, a maximal set of commuting Pauli operators
-  that commute with every term splits ``H(s) = A + sB`` exactly into
-  ``2^m`` blocks of dimension ``2^(n-m)``, which are propagated (and, in
-  :func:`spectral_scan`, diagonalized) block by block; the block form is
-  built from ``2^n``-entry sector tables, never a ``2^n x 2^n`` basis;
-* ``"dense"``: anything else (a twist that leaves a pair of terms neither
-  commuting nor anticommuting) runs on the full ``2^n x 2^n`` Hamiltonian.
+* ``"blocks"``: every other step.  A maximal set of ``m`` commuting Pauli
+  operators that commute with its terms (see :mod:`agqc.sectors`) splits
+  ``H(s) = A + sB`` exactly into ``2^m`` blocks of dimension ``2^(n-m)``,
+  which are propagated, and diagonalized in :func:`spectral_scan` and the
+  ground projection, block by block.
 
-All three use the same CF4 weight grid, so they agree to roundoff; the
-dense functions double as the test oracle.  Every 2x2 exponential (the
-pair problem, 2-dimensional blocks) is taken in closed form over a whole
-stack; larger ones use ``eigh``.  Sizes are limited by the byte
-budget of :mod:`agqc.budget`, checked before allocating.  The basis
-convention is that bit v of a state index is the computational basis
-state of vertex v.
+Both use the same CF4 weight grid, so they agree to roundoff.  Every 2x2
+exponential and spectrum is taken in closed form over a whole stack;
+larger ones use ``eigh``.  Sizes are limited by the byte budget of
+:mod:`agqc.budget`, checked before allocating.  The basis convention is
+that bit v of a state index is the computational basis state of vertex v.
 """
 
 from __future__ import annotations
@@ -36,7 +31,6 @@ from typing import Sequence
 import numpy as np
 import scipy.linalg
 
-from ._linalg import expmi
 from .budget import SizeCapError, check_dense, check_vectors
 from .compiler import DEGENERACY_TOL, Schedule, ScheduleStep
 from .gflow import Gflow
@@ -78,22 +72,6 @@ def step_endpoint_matrices(
     return a, b
 
 
-def assemble(schedule: Schedule, step_index: int, s: float) -> np.ndarray:
-    """Dense ``H(s) = -gamma [sum static + (1-s) sum removed + s sum introduced]``."""
-    a, b = step_endpoint_matrices(schedule, step_index)
-    return a + s * b
-
-
-def step_hdot_norm(schedule: Schedule, step_index: int) -> float:
-    """``||dH/ds||_2 = ||B||_2`` of one step: the largest block norm, or the
-    dense norm when the step has no block form."""
-    blocks = step_blocks(schedule, step_index)
-    if blocks is not None:
-        return blocks.hdot_norm()
-    _, b = step_endpoint_matrices(schedule, step_index)
-    return float(np.linalg.norm(b, 2))
-
-
 @dataclass(frozen=True)
 class SpectralScan:
     """Exact spectra of one step across an s-grid.
@@ -111,24 +89,18 @@ class SpectralScan:
     ground_degeneracy: tuple[int, ...]
 
 
-def _spectra(schedule: Schedule, step_index: int, s_grid: Sequence[float]) -> np.ndarray:
-    """Sorted eigenvalues of H(s), one row per grid point: the union of the
-    block spectra, or dense ``eigvalsh`` when the step has no block form."""
-    blocks = step_blocks(schedule, step_index)
-    if blocks is not None:
-        return blocks.spectra(s_grid)
-    a, b = step_endpoint_matrices(schedule, step_index)
-    return np.array([np.linalg.eigvalsh(a + s * b) for s in s_grid])
-
-
 def spectral_scan(
     schedule: Schedule,
     step_index: int,
     s_grid: Sequence[float],
     n_levels: int | None = None,
+    blocks: StepBlocks | None = None,
 ) -> SpectralScan:
-    """Diagonalize the step Hamiltonian on a grid of interpolation points."""
-    spectra = _spectra(schedule, step_index, s_grid)
+    """Diagonalize the step Hamiltonian on a grid of interpolation points,
+    block by block; ``blocks`` is the step's block form when the caller
+    already holds it."""
+    blocks = blocks or step_blocks(schedule, step_index)
+    spectra = blocks.spectra(s_grid)
     dim = spectra.shape[1]
     logical_dim = 1 << len(schedule.graph.inputs)
     keep = dim if n_levels is None else min(n_levels, dim)
@@ -182,12 +154,6 @@ def logical_basis_from_ops(
     return basis
 
 
-def _ground_projector_dense(h: np.ndarray, tol: float) -> np.ndarray:
-    evals, evecs = np.linalg.eigh(h)
-    cols = evecs[:, evals - evals[0] < tol]
-    return cols
-
-
 def _ground_components(
     schedule: Schedule, finals: list[RotatedPauliOp], commuting: bool, psi: np.ndarray
 ) -> np.ndarray:
@@ -196,15 +162,18 @@ def _ground_components(
 
     When the final terms are commuting involutions and their joint +1 space
     holds the projected seeded vector, that space is the ground space and
-    ``prod (1 + t)/2`` projects onto it; otherwise the final Hamiltonian is
-    diagonalized densely.
+    ``prod (1 + t)/2`` projects onto it; otherwise every block of the last
+    step at s = 1 is diagonalized, and the eigenvectors within ``1e-7 gamma``
+    of the lowest eigenvalue of all blocks span the ground space.
     """
     if commuting and all(op.mul(op).is_identity() for op in finals):
         seeded = projector_apply(finals, _seeded_vector(1 << schedule.n_qubits))
         if np.linalg.norm(seeded) >= 1e-9:
             return projector_apply(finals, psi)
-    h_final = assemble(schedule, len(schedule.steps) - 1, 1.0)
-    return _ground_projector_dense(h_final, tol=1e-7 * schedule.gamma).conj().T @ psi
+    blocks = step_blocks(schedule, len(schedule.steps) - 1)
+    evals, evecs = np.linalg.eigh(blocks.a + blocks.b)
+    coords = np.swapaxes(evecs.conj(), -1, -2) @ blocks.to_blocks(psi)
+    return coords[evals - evals.min() < 1e-7 * schedule.gamma]
 
 
 def _final_terms(schedule: Schedule) -> list[RotatedPauliOp]:
@@ -222,10 +191,10 @@ def _terms_commute(terms: Sequence[RotatedPauliOp]) -> bool:
 
 @dataclass(frozen=True)
 class StepPropagation:
-    """How :func:`evolve` integrated one step: ``method`` is ``"pair"``,
-    ``"blocks"`` or ``"dense"`` (see the module docstring), ``n_sub`` the
-    number of CF4 substeps and ``dim`` the dimension of the matrices
-    exponentiated: 2, the block dimension, or ``2^n``."""
+    """How :func:`evolve` integrated one step: ``method`` is ``"pair"`` or
+    ``"blocks"`` (see the module docstring), ``n_sub`` the number of CF4
+    substeps and ``dim`` the dimension of the matrices exponentiated: 2, or
+    the block dimension (``2^n`` for a step with one block)."""
 
     method: str
     n_sub: int
@@ -272,21 +241,11 @@ def _cf4_weights(n_sub: int) -> np.ndarray:
     return (nodes @ np.array([[_CF4_A1, _CF4_A2], [_CF4_A2, _CF4_A1]])).reshape(-1)
 
 
-def _propagate_step(
-    a: np.ndarray, b: np.ndarray, psi: np.ndarray, tau: float, dt_max: float
-) -> np.ndarray:
-    """CF4 Magnus integration of H(s) = A + sB, s ramping 0 -> 1 over tau."""
-    n_sub = _n_substeps(tau, dt_max)
-    dt = tau / n_sub
-    for w in _cf4_weights(n_sub):
-        psi = expmi(dt * (0.5 * a + w * b)) @ psi
-    return psi
-
-
 def _propagate_blocks(
     blocks: StepBlocks, psi: np.ndarray, tau: float, dt_max: float
 ) -> np.ndarray:
-    """:func:`_propagate_step` block by block, on the same weight grid."""
+    """CF4 Magnus integration of H(s) = A + sB block by block, s ramping
+    0 -> 1 over tau."""
     n_sub = _n_substeps(tau, dt_max)
     return blocks.propagate(psi, tau / n_sub, _cf4_weights(n_sub))
 
@@ -380,13 +339,10 @@ def evolve(
                 pair_coeffs[tau] = _pair_coefficients(schedule.gamma, tau, dt_max)
             psi = _propagate_pair_step(step, pair_coeffs[tau], schedule.gamma * tau, psi)
             method, dim = "pair", 2
-        elif (blocks := step_blocks(schedule, k)) is not None:
+        else:
+            blocks = step_blocks(schedule, k)
             psi = _propagate_blocks(blocks, psi, tau, dt_max)
             method, dim = "blocks", blocks.dim
-        else:
-            a, b = step_endpoint_matrices(schedule, k)
-            psi = _propagate_step(a, b, psi, tau, dt_max)
-            method, dim = "dense", 1 << n
         propagation.append(StepPropagation(method, _n_substeps(tau, dt_max), dim))
 
     finals = _final_terms(schedule)

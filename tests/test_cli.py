@@ -175,6 +175,26 @@ def test_bounds_numerical_branch_for_reordered_schedule(capsys):
     assert float(rows[2][2]) == pytest.approx(math.sqrt(2.0), abs=1e-9)
 
 
+def test_bounds_builds_each_block_form_once(capsys, monkeypatch):
+    from agqc import sim
+
+    calls = []
+    step_blocks = sim.step_blocks
+
+    def counted(schedule, step_index):
+        calls.append(step_index)
+        return step_blocks(schedule, step_index)
+
+    monkeypatch.setattr(sim, "step_blocks", counted)
+    code, out = run(
+        capsys, "bounds", "--mode", "reorder-fixed", "--graph", "chain:6",
+        "--order", "5,3,1,4,2", "--s-grid", "21",
+    )
+    # every step is frustrated, and each is split into blocks once
+    assert code == 0 and len(out.strip().splitlines()) == 6
+    assert calls == [0, 1, 2, 3, 4]
+
+
 def test_mbqc_deterministic_output(capsys):
     _, out1 = run(capsys, "mbqc", "--graph", "chain:3:0,0.7", "--outcomes", "random", "--seed", "5")
     _, out2 = run(capsys, "mbqc", "--graph", "chain:3:0,0.7", "--outcomes", "random", "--seed", "5")

@@ -19,7 +19,7 @@ from agqc.graph import generate_chain, generate_cluster, generate_cnot_graph, ge
 from agqc.logical import initial_frame
 from agqc.logical import chain_unitary, compare
 from agqc import _gf2, budget, sim
-from agqc._linalg import expmi, matmul, ordered_apply
+from agqc._linalg import eigvalsh, expmi, matmul, ordered_apply
 from agqc.pauli import (
     Commutation,
     PauliString,
@@ -34,7 +34,6 @@ from agqc.pauli import (
 )
 from agqc.sim import (
     SizeCapError,
-    assemble,
     conserved_operator_check,
     evolve,
     logical_basis_from_ops,
@@ -42,21 +41,19 @@ from agqc.sim import (
     mbqc_reference_run,
     spectral_scan,
     step_endpoint_matrices,
-    step_hdot_norm,
     _CF4_A1,
     _CF4_A2,
     _CF4_NODE,
     _cf4_weights,
-    _ground_projector_dense,
     _is_pair_step,
     _pair_coefficients,
     _propagate_blocks,
     _propagate_pair_step,
-    _propagate_step,
 )
-from agqc.sectors import conserved_generators, step_blocks, twist_frame
+from agqc.sectors import conserved_generators, frame_strings, step_blocks, twist_frame
 
 from conftest import chain_gflow, cluster_gflow
+from dense_oracle import assemble, ground_projector, propagate_step
 
 
 def rop(p):
@@ -232,7 +229,7 @@ def test_evolve_norm_preserved_and_energy_conserved(rng):
     psi = rng.standard_normal(16) + 1j * rng.standard_normal(16)
     psi /= np.linalg.norm(psi)
     h_fixed = a + 0.42 * b
-    out = _propagate_step(h_fixed, np.zeros_like(h_fixed), psi, 50.0, 0.25)
+    out = propagate_step(h_fixed, np.zeros_like(h_fixed), psi, 50.0, 0.25)
     assert abs(np.linalg.norm(out) - 1.0) < 1e-10
     e0 = np.vdot(psi, h_fixed @ psi).real
     e1 = np.vdot(out, h_fixed @ out).real
@@ -244,9 +241,9 @@ def test_integrator_fourth_order(rng):
     a, b = step_endpoint_matrices(compile_stepwise(g, chain_gflow(4)), 1)
     psi = rng.standard_normal(16) + 1j * rng.standard_normal(16)
     psi /= np.linalg.norm(psi)
-    ref = _propagate_step(a, b, psi, 5.0, 0.002)
-    e1 = np.linalg.norm(_propagate_step(a, b, psi, 5.0, 0.4) - ref)
-    e2 = np.linalg.norm(_propagate_step(a, b, psi, 5.0, 0.2) - ref)
+    ref = propagate_step(a, b, psi, 5.0, 0.002)
+    e1 = np.linalg.norm(propagate_step(a, b, psi, 5.0, 0.4) - ref)
+    e2 = np.linalg.norm(propagate_step(a, b, psi, 5.0, 0.2) - ref)
     assert e1 / e2 > 10.0  # ~16 for a 4th-order scheme
 
 
@@ -311,6 +308,19 @@ def test_closed_form_expmi_matches_eigh_form(rng):
         assert np.max(np.abs(defect)) < 1e-14
     tiny = np.array([[0.0, 3e-170], [3e-170, 1e-170]])
     assert np.max(np.abs(expmi(tiny) - np.eye(2))) < 1e-160
+
+
+def test_closed_form_eigvalsh_matches_lapack(rng):
+    stacks = [_hermitian_stack(rng, 64, scale) for scale in (1e-8, 1.0, 30.0, 1e3)]
+    stacks.append(rng.standard_normal((64, 1, 1)) * np.eye(2))  # degenerate, r = 0
+    stacks.append(np.zeros((3, 2, 2)))
+    stacks.append(rng.standard_normal((64, 2))[..., None] * np.eye(2))  # diagonal
+    stacks.append(_hermitian_stack(rng, 12, 1.0).reshape(3, 4, 2, 2))
+    for h in stacks:
+        want = np.linalg.eigvalsh(h)
+        assert np.max(np.abs(eigvalsh(h) - want)) < 1e-12 * max(1.0, np.abs(h).max())
+    h4 = _hermitian_stack(rng, 8, 1.0).reshape(2, 4, 4)
+    assert np.array_equal(eigvalsh(h4), np.linalg.eigvalsh(h4))
 
 
 def test_elementwise_product_matches_matmul(rng):
@@ -410,7 +420,7 @@ def test_pair_propagation_matches_dense_oracle(sched, rng):
         assert _is_pair_step(step)
         psi = _random_states(rng, sched.n_qubits)
         a, b = step_endpoint_matrices(sched, k)
-        want = _propagate_step(a, b, psi, tau, dt_max)
+        want = propagate_step(a, b, psi, tau, dt_max)
         got = _propagate_pair_step(step, coeffs, sched.gamma * tau, psi)
         assert np.max(np.abs(got - want)) < 1e-12, k
 
@@ -423,8 +433,8 @@ def _dense_evolution(sched, taus):
     )
     for k, tau in enumerate(taus):
         a, b = step_endpoint_matrices(sched, k)
-        psi = _propagate_step(a, b, psi, tau, 0.25)
-    ground = _ground_projector_dense(assemble(sched, len(sched.steps) - 1, 1.0), 1e-7 * sched.gamma)
+        psi = propagate_step(a, b, psi, tau, 0.25)
+    ground = ground_projector(assemble(sched, len(sched.steps) - 1, 1.0), 1e-7 * sched.gamma)
     return psi, float(1.0 - np.mean(np.linalg.norm(ground.conj().T @ psi, axis=0) ** 2))
 
 
@@ -476,7 +486,7 @@ def test_anticommuting_introduced_terms_take_the_dense_path():
     psi0 = _random_states(np.random.default_rng(7), n)
     a, b = step_endpoint_matrices(sched, 0)
     pair = _propagate_pair_step(step, _pair_coefficients(1.0, 5.0, 0.25), 5.0, psi0)
-    assert np.max(np.abs(pair - _propagate_step(a, b, psi0, 5.0, 0.25))) > 1e-3
+    assert np.max(np.abs(pair - propagate_step(a, b, psi0, 5.0, 0.25))) > 1e-3
 
 
 def _block_oracle_cases():
@@ -502,28 +512,37 @@ def _block_oracle_cases():
             pytest.param(compile_reordered_fixed(g, gf, order)[0], id=f"{name}-fixed"),
             pytest.param(compile_reordered_strip(g, gf, order), id=f"{name}-strip"),
         ]
+    # twists that conflict at a site: terms neither commuting nor anticommuting
+    for n in (7, 8):
+        angles = [0.0] + [float(a) for a in rng.uniform(0, 2 * math.pi, n - 2)] + [0.0]
+        order = [int(v) for v in rng.permutation(n - 1)]
+        g = generate_chain(n, angles)
+        cases.append(pytest.param(compile_reordered_fixed(g, chain_gflow(n), order)[0], id=f"chain{n}-seeded-fixed"))
+    for name, theta in (("pi6", math.pi / 6), ("pi3", math.pi / 3)):
+        cases.append(pytest.param(_second_site_schedule(theta), id=f"second-site-{name}"))
     return cases
 
 
-def _has_neither_pair(step):
-    terms = step.all_terms()
-    return any(
-        commutes(a, b) is Commutation.NEITHER for i, a in enumerate(terms) for b in terms[i + 1:]
-    )
+def _second_site_schedule(theta):
+    """The chain's second-site replacement ``T2 -> X2^theta`` with T1, T3 static."""
+    g = generate_chain(4, [0.0] * 4)
+    gf = chain_gflow(4)
+    terms = stabilizer_set(g, gf)
+    intro = RotatedPauliOp.from_parts(single(4, 1, "X"), {1: theta})
+    step = ScheduleStep({1: terms[1]}, {1: intro}, (terms[0], terms[2]))
+    return Schedule((step,), 1.0, g, gf)
 
 
 @pytest.mark.parametrize("sched", _block_oracle_cases())
 def test_block_propagation_matches_dense_oracle(sched, rng):
     dt_max = 0.25
-    for k, step in enumerate(sched.steps):
+    for k in range(len(sched.steps)):
         blocks = step_blocks(sched, k)
-        if blocks is None:
-            assert _has_neither_pair(step), k
-            continue
         psi = _random_states(rng, sched.n_qubits)
         a, b = step_endpoint_matrices(sched, k)
-        for tau in (2.0, 10.0):
-            want = _propagate_step(a, b, psi, tau, dt_max)
+        # each dense exponential costs ~4^n: the longer ramp only up to n = 6
+        for tau in (2.0, 10.0) if sched.n_qubits <= 6 else (2.0,):
+            want = propagate_step(a, b, psi, tau, dt_max)
             got = _propagate_blocks(blocks, psi, tau, dt_max)
             assert np.max(np.abs(got - want)) < 1e-12, (k, tau)
 
@@ -533,9 +552,10 @@ def _chunked_basis_blocks(schedule, step_index):
     in chunks of block columns with Pauli actions: ``(basis, a, b)``."""
     step = schedule.steps[step_index]
     n = schedule.n_qubits
-    terms = step.all_terms()
-    theta = twist_frame(terms)
-    xgens, zgens, pivots = conserved_generators(terms, n)
+    theta = twist_frame(step.all_terms())
+    strings = [(wa * c, wb * c, p) for op, wa, wb in step.endpoint_weights(schedule.gamma)
+               for c, p in frame_strings(op, theta)]
+    xgens, zgens, pivots = conserved_generators([p for _, _, p in strings], n)
     k = len(xgens)
     dim, d = 1 << (n - k - len(zgens)), 1 << n
     n_blocks = d // dim
@@ -567,8 +587,8 @@ def _chunked_basis_blocks(schedule, step_index):
         for i, gi in enumerate(xpaulis):
             q = 0.5 * (q + (1.0 - 2.0 * (col_sign[cols] >> i & 1)) * apply_op(gi, q))
         qh = q.T.conj().reshape(-1, dim, d)
-        for op, wa, wb in step.endpoint_weights(schedule.gamma):
-            blk = qh @ apply_op(op.pauli, q).reshape(d, -1, dim).transpose(1, 0, 2)
+        for wa, wb, p in strings:
+            blk = qh @ apply_op(p, q).reshape(d, -1, dim).transpose(1, 0, 2)
             a_blk[lo:lo + qh.shape[0]] += wa * blk
             b_blk[lo:lo + qh.shape[0]] += wb * blk
         basis[:, cols] = frame[:, None] * q
@@ -577,10 +597,8 @@ def _chunked_basis_blocks(schedule, step_index):
 
 @pytest.mark.parametrize("sched", _block_oracle_cases())
 def test_sector_tables_match_chunked_basis(sched, rng):
-    for k, step in enumerate(sched.steps):
+    for k in range(len(sched.steps)):
         blocks = step_blocks(sched, k)
-        if blocks is None:
-            continue
         basis, a, b = _chunked_basis_blocks(sched, k)
         assert np.max(np.abs(blocks.a - a)) < 1e-13, k
         assert np.max(np.abs(blocks.b - b)) < 1e-13, k
@@ -593,8 +611,6 @@ def test_sector_tables_match_chunked_basis(sched, rng):
 def test_sector_transform_round_trips(sched, rng):
     for k in range(len(sched.steps)):
         blocks = step_blocks(sched, k)
-        if blocks is None:
-            continue
         psi = _random_states(rng, sched.n_qubits, cols=4)
         coords = blocks.to_blocks(psi)
         assert np.max(np.abs(blocks.from_blocks(coords) - psi)) < 1e-13, k
@@ -614,13 +630,13 @@ def test_block_form_at_16_qubits_matches_closed_forms(rng):
     step = sched.steps[k]
     assert _is_pair_step(step)
     blocks = step_blocks(sched, k)
-    assert blocks is not None and blocks.dim == 2
+    assert blocks.dim == 2
     grid = [0.0, 0.3, 0.5, 1.0]
     scan = spectral_scan(sched, k, grid, n_levels=4)
     want = [step_gap_analytic(step, sched.gamma, s) for s in grid]
     assert np.max(np.abs(scan.gap - want)) < 1e-12
     hdot = math.sqrt(2) * step.u_size * sched.gamma
-    assert step_hdot_norm(sched, k) == pytest.approx(hdot, abs=1e-12)
+    assert blocks.hdot_norm() == pytest.approx(hdot, abs=1e-12)
     psi = _random_states(rng, n, cols=2)
     tau, dt_max = 3.0, 0.25
     coeffs = _pair_coefficients(sched.gamma, tau, dt_max)
@@ -655,9 +671,8 @@ def test_conserved_generators_are_a_maximal_commuting_set(sched):
     n = sched.n_qubits
     for k, step in enumerate(sched.steps):
         theta = twist_frame(step.all_terms())
-        if theta is None:
-            continue
-        xgens, zgens, _ = conserved_generators(step.all_terms(), n)
+        strings = [p for op in step.all_terms() for _, p in frame_strings(op, theta)]
+        xgens, zgens, _ = conserved_generators(strings, n)
         gens = xgens + zgens
         ops = [
             RotatedPauliOp.from_parts(
@@ -675,19 +690,34 @@ def test_conserved_generators_are_a_maximal_commuting_set(sched):
 
 
 @pytest.mark.parametrize("theta", [math.pi / 6, math.pi / 3])
-def test_twisted_second_site_step_falls_back_to_dense(theta):
-    g = generate_chain(4, [0.0] * 4)
-    gf = chain_gflow(4)
-    terms = stabilizer_set(g, gf)
-    intro = RotatedPauliOp.from_parts(single(4, 1, "X"), {1: theta})
-    step = ScheduleStep({1: terms[1]}, {1: intro}, (terms[0], terms[2]))
-    sched = Schedule((step,), 1.0, g, gf)
-    assert step_blocks(sched, 0) is None and _has_neither_pair(step)
+def test_twisted_second_site_step_runs_in_blocks(theta):
+    sched = _second_site_schedule(theta)
     res = evolve(sched, 5.0)
-    assert [(p.method, p.dim) for p in res.propagation] == [("dense", 16)]
+    assert [(p.method, p.dim) for p in res.propagation] == [("blocks", 4)]
     psi, leakage = _dense_evolution(sched, res.tau_used)
     assert np.max(np.abs(res.final_states - psi)) < 1e-12
     assert abs(res.leakage - leakage) < 1e-12
+
+
+@pytest.mark.parametrize("sched", _block_oracle_cases())
+def test_block_evolution_matches_dense_oracle(sched):
+    res = evolve(sched, 2.0)
+    psi, leakage = _dense_evolution(sched, res.tau_used)
+    assert np.max(np.abs(res.final_states - psi)) < 1e-12
+    assert abs(res.leakage - leakage) < 1e-12
+
+
+def test_every_step_of_every_mode_has_an_exact_small_method():
+    params = _pair_oracle_cases() + _block_oracle_cases() + _twisted_stepwise_cases()
+    scheds = [p.values[0] for p in params]
+    cnot = generate_cnot_graph()
+    for g, gf in ((generate_cluster(2, 3), cluster_gflow(2, 3)), (cnot, find_gflow(cnot))):
+        order = list(reversed(g.non_outputs))
+        scheds += [compile_reordered_fixed(g, gf, order)[0], compile_reordered_strip(g, gf, order)]
+    for sched in scheds:
+        res = evolve(sched, 1.0)
+        assert {p.method for p in res.propagation} <= {"pair", "blocks"}
+        assert all(p.dim < 1 << sched.n_qubits for p in res.propagation)
 
 
 def test_commuting_final_terms_skip_the_dense_ground_projector(monkeypatch):
@@ -696,11 +726,32 @@ def test_commuting_final_terms_skip_the_dense_ground_projector(monkeypatch):
     psi, leakage = _dense_evolution(sched, [15.0] * 3)
 
     def refuse(*args):
-        raise AssertionError("dense ground projector called")
+        raise AssertionError("block ground path called")
 
-    monkeypatch.setattr(sim, "_ground_projector_dense", refuse)
+    monkeypatch.setattr(sim, "step_blocks", refuse)
     res = evolve(sched, 15.0)
     assert abs(res.leakage - leakage) < 1e-12
+
+
+def test_twist_frame_keeps_only_agreeing_sites():
+    n, a, b = 2, 0.4, 1.1
+    x0 = RotatedPauliOp.from_parts(single(n, 0, "X"), {0: a})
+    x0x1 = RotatedPauliOp.from_parts(single(n, 0, "X").mul(single(n, 1, "X")), {0: a, 1: b})
+    terms = [x0, x0x1, rop(single(n, 1, "X"))]
+    theta = twist_frame(terms)
+    assert theta == {0: a}
+    r = np.diag(np.exp(-0.5j * a * (1.0 - 2.0 * (np.arange(1 << n) & 1))))
+    for op in terms:
+        got = sum(c * to_matrix(p) for c, p in frame_strings(op, theta))
+        assert np.max(np.abs(got - r.conj().T @ to_matrix(op) @ r)) < 1e-14
+    assert len(frame_strings(x0x1, theta)) == 2
+
+
+def test_twist_frame_rejects_non_hermitian_terms():
+    with pytest.raises(ValueError):
+        twist_frame([rop(PauliString(2, 1, 0, 1))])  # i X1
+    with pytest.raises(ValueError):
+        twist_frame([RotatedPauliOp.from_parts(single(2, 0, "Z"), {0: 0.3})])
 
 
 # --- conserved operators ----------------------------------------------------
