@@ -21,15 +21,15 @@ class SizeCapError(ValueError):
 def check_bytes(n_bytes: int, what: str) -> None:
     if n_bytes > MEMORY_BUDGET:
         raise SizeCapError(
-            f"{what} need ~{n_bytes / 2**20:.0f} MiB, over the "
-            f"{MEMORY_BUDGET / 2**20:.0f} MiB memory budget"
+            f"{what} need ~{n_bytes >> 20} MiB, over the "
+            f"{MEMORY_BUDGET >> 20} MiB memory budget"
         )
 
 
 def check_dense(n: int) -> None:
     """Six dense ``2^n x 2^n`` complex matrices alive at once: the step
-    matrices of the conserved-operator check and of the tests' dense
-    oracle."""
+    matrices of :func:`agqc.sim.step_endpoint_matrices`, which only the
+    tests' dense oracle forms."""
     check_bytes(6 * 16 << 2 * n, f"dense {n}-qubit matrices")
 
 

@@ -86,6 +86,12 @@ def _write(out: str | None, text: str) -> None:
         Path(out).write_text(text)
 
 
+def _finite(value: float, option: str) -> float:
+    if not math.isfinite(value):
+        raise CliError(f"{option} must be a finite number, got {value}")
+    return value
+
+
 def _s_grid(n_points: int) -> list[float]:
     if n_points < 2:
         raise CliError(f"--s-grid needs at least 2 points, got {n_points}")
@@ -311,7 +317,7 @@ def cmd_reorder(args) -> int:
     }
     if args.tau:
         rows = []
-        for tau in (float(t) for t in args.tau.split(",")):
+        for tau in (_finite(float(t), "--tau") for t in args.tau.split(",")):
             res = sim.evolve(schedule, tau)
             rows.append({"tau": tau, "leakage": res.leakage, "fidelity": res.fidelity})
         doc["leakage"] = rows
@@ -502,6 +508,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         _PARSER = build_parser()
     args = _PARSER.parse_args(argv)
     try:
+        for dest, value in vars(args).items():
+            if isinstance(value, float):
+                _finite(value, "--" + dest.replace("_", "-"))
         return args.func(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

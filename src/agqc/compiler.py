@@ -8,6 +8,7 @@ reported in units of gamma.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -18,7 +19,6 @@ from .graph import OpenGraph, Plane, is_clifford_angle
 from .pauli import (
     Commutation,
     NonCliffordAngleError,
-    PauliString,
     RotatedPauliOp,
     commutes,
     one_step_update,
@@ -54,10 +54,6 @@ class ScheduleStep:
     static_terms: tuple[RotatedPauliOp, ...]
     strip: bool = False
     _commuting: bool | None = field(default=None, init=False, repr=False, compare=False)
-
-    @property
-    def replaced_vertices(self) -> tuple[int, ...]:
-        return tuple(sorted(self.introduced))
 
     @property
     def u_size(self) -> int:
@@ -164,19 +160,36 @@ def _x_term(n: int, v: int) -> RotatedPauliOp:
     return RotatedPauliOp.from_pauli(single(n, v, "X"))
 
 
+def _replacement_schedule(
+    graph: OpenGraph,
+    gf: Gflow,
+    terms: dict[int, RotatedPauliOp],
+    groups: Sequence[Sequence[int]],
+    gamma: float,
+) -> Schedule:
+    """One step per vertex group, in order: every T_v of the group -> X_v at
+    once, with the X_u of earlier groups and the T_w of later ones static."""
+    n = graph.n_vertices
+    steps = []
+    for i, members in enumerate(groups):
+        done = [u for group in groups[:i] for u in group]
+        later = [w for group in groups[i + 1:] for w in group]
+        static = [_x_term(n, u) for u in done] + [terms[w] for w in later]
+        steps.append(
+            ScheduleStep(
+                {v: terms[v] for v in members},
+                {v: _x_term(n, v) for v in members},
+                tuple(static),
+            )
+        )
+    return Schedule(tuple(steps), gamma, graph, gf)
+
+
 def compile_stepwise(graph: OpenGraph, gf: Gflow, gamma: float = 1.0) -> Schedule:
     """One step per non-output vertex, in measurement order: T_v -> X_v."""
     _require_valid_gflow(graph, gf)
-    n = graph.n_vertices
-    terms = stabilizer_set(graph, gf)
-    order = gf.measurement_order()
-    steps = []
-    for i, v in enumerate(order):
-        static = [_x_term(n, u) for u in order[:i]] + [terms[w] for w in order[i + 1:]]
-        steps.append(
-            ScheduleStep({v: terms[v]}, {v: _x_term(n, v)}, tuple(static))
-        )
-    return Schedule(tuple(steps), gamma, graph, gf)
+    groups = [[v] for v in gf.measurement_order()]
+    return _replacement_schedule(graph, gf, stabilizer_set(graph, gf), groups, gamma)
 
 
 def compile_layered(graph: OpenGraph, gf: Gflow, gamma: float = 1.0) -> Schedule:
@@ -189,10 +202,7 @@ def compile_layered(graph: OpenGraph, gf: Gflow, gamma: float = 1.0) -> Schedule
     _require_valid_gflow(graph, gf)
     n = graph.n_vertices
     terms = stabilizer_set(graph, gf)
-    by_layer: dict[int, list[int]] = {}
-    for v in gf.layer:
-        by_layer.setdefault(gf.layer[v], []).append(v)
-    layers = [sorted(by_layer[k]) for k in sorted(by_layer)]
+    layers = [list(vs) for _, vs in itertools.groupby(gf.measurement_order(), gf.layer.get)]
     for members in layers:
         for u in members:
             for v in members:
@@ -201,20 +211,7 @@ def compile_layered(graph: OpenGraph, gf: Gflow, gamma: float = 1.0) -> Schedule
                         f"layer {sorted(members)} not simultaneously replaceable: "
                         f"[T_{u}, X_{v}] != 0"
                     )
-    steps = []
-    done: list[int] = []
-    for i, members in enumerate(layers):
-        later = [w for ms in layers[i + 1:] for w in ms]
-        static = [_x_term(n, u) for u in done] + [terms[w] for w in later]
-        steps.append(
-            ScheduleStep(
-                {v: terms[v] for v in members},
-                {v: _x_term(n, v) for v in members},
-                tuple(static),
-            )
-        )
-        done += members
-    return Schedule(tuple(steps), gamma, graph, gf)
+    return _replacement_schedule(graph, gf, terms, layers, gamma)
 
 
 def compile_one_step(graph: OpenGraph, gf: Gflow, gamma: float = 1.0) -> Schedule:
@@ -388,25 +385,16 @@ def compile_reordered_fixed(
 
 
 def compile_reordered_strip(
-    graph: OpenGraph,
-    gf: Gflow,
-    order: Sequence[int],
-    gamma: float = 1.0,
-    variant: str = "delete",
+    graph: OpenGraph, gf: Gflow, order: Sequence[int], gamma: float = 1.0
 ) -> Schedule:
     """Reordered schedule that mimics measurement: terms anticommuting with
     the introduced X_v do not survive the step.
 
-    ``variant="delete"`` (canonical) ramps the anticommuting terms out with
-    no replacement; the bookkeeping keeps, for each deleted vertex u, the
-    conserved product (deleted term) * (replaced term), which is what the
-    step for u later ramps out against X_u.  ``variant="rewrite"`` instead
-    keeps the terms in the Hamiltonian with their letters at the measured
-    site erased (entanglement removal); both end in the same Hamiltonians
-    and show the same gap.
+    The anticommuting terms are ramped out with no replacement; the
+    bookkeeping keeps, for each deleted vertex u, the conserved product
+    (deleted term) * (replaced term), which is what the step for u later
+    ramps out against X_u.
     """
-    if variant not in ("delete", "rewrite"):
-        raise CompileError(f"unknown strip variant {variant!r}")
     _require_valid_gflow(graph, gf)
     n = graph.n_vertices
     seq = _as_permutation(order, graph.non_outputs)
@@ -424,44 +412,19 @@ def compile_reordered_strip(
                 "strip schedule has no valid replacement ramp"
             )
         removed = {v: target}
-        introduced = {v: xv}
         for u in sorted(current):
             if commutes(current[u], xv) is Commutation.COMMUTE:
                 continue
-            if variant == "delete":
-                if in_hamiltonian[u]:
-                    removed[u] = current[u]
-                    in_hamiltonian[u] = False
-                # conserved completion: anticommuting * anticommuting commutes with X_v
-                current[u] = current[u].mul(target)
-            else:
-                old = current[u]
-                new = _erase_site(old, v)
-                if in_hamiltonian[u]:
-                    removed[u] = old
-                    introduced[u] = new
-                current[u] = new
-        static = [
-            current[u]
-            for u in sorted(current)
-            if in_hamiltonian[u] and u not in introduced
-        ]
+            if in_hamiltonian[u]:
+                removed[u] = current[u]
+                in_hamiltonian[u] = False
+            # conserved completion: anticommuting * anticommuting commutes with X_v
+            current[u] = current[u].mul(target)
+        static = [current[u] for u in sorted(current) if in_hamiltonian[u]]
         static += [_x_term(n, u) for u in introduced_so_far]
-        steps.append(ScheduleStep(removed, introduced, tuple(static), strip=True))
+        steps.append(ScheduleStep(removed, {v: xv}, tuple(static), strip=True))
         introduced_so_far.append(v)
     return Schedule(tuple(steps), gamma, graph, gf)
-
-
-def _erase_site(op: RotatedPauliOp, v: int) -> RotatedPauliOp:
-    """Drop the tensor factor at site v (entanglement removal)."""
-    if any(site == v for site, _ in op.twist):
-        raise NonCliffordAngleError(
-            f"cannot erase site {v + 1}: a non-Clifford twist sits there"
-        )
-    bit = 1 << v
-    p = op.pauli
-    stripped = PauliString(p.n, p.x & ~bit, p.z & ~bit, p.phase_exp)
-    return RotatedPauliOp(stripped, op.twist)
 
 
 # ---------------------------------------------------------------------------

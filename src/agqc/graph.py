@@ -8,9 +8,12 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Mapping, Sequence
+
+from .budget import check_bytes
 
 CLIFFORD_TOL = 1e-12
 
@@ -78,9 +81,6 @@ class OpenGraph:
             raise ValueError(f"unknown vertex {v}")
         mask = self.adjacency[v]
         return frozenset(w for w in self.vertices if mask >> w & 1)
-
-    def has_edge(self, a: int, b: int) -> bool:
-        return (min(a, b), max(a, b)) in self.edges
 
 
 def make_graph(
@@ -187,6 +187,8 @@ def generate_chain(n: int, angles: Sequence[float]) -> OpenGraph:
         raise ValueError("a chain needs at least 2 vertices")
     if len(angles) != n:
         raise ValueError(f"expected {n} angles, got {len(angles)}")
+    if not all(math.isfinite(a) for a in angles):
+        raise ValueError("chain angles must be finite")
     edges = [(v, v + 1) for v in range(n - 1)]
     angle_map = {v: float(angles[v]) for v in range(n - 1)}
     return make_graph(n, edges, inputs=[0], outputs=[n - 1], angles=angle_map)
@@ -230,10 +232,6 @@ def generate_zigzag(n: int) -> OpenGraph:
     edges = [(v, n + v) for v in range(n)]
     edges += [(v + 1, n + v) for v in range(n - 1)]
     return make_graph(2 * n, edges, inputs=range(n), outputs=range(n, 2 * n))
-
-
-#: 0-based vertex ids of the two-row CNOT graph, row a then row b.
-CNOT_VERTEX_NAMES = ("a1", "a2", "a3", "b1", "b2", "b3")
 
 
 def generate_cnot_graph() -> OpenGraph:
@@ -294,6 +292,11 @@ def graph_from_json(text: str) -> OpenGraph:
             raise GraphFormatError(f"vertex label {label!r} out of range 1..{n}")
         return label - 1
 
+    for key, kind in (("edges", list), ("inputs", list), ("outputs", list), ("angles", dict),
+                      ("planes", dict)):
+        if not isinstance(doc.get(key, kind()), kind):
+            raise GraphFormatError(f"'{key}' must be a {'list' if kind is list else 'object'}")
+
     edges = []
     seen = set()
     for pair in doc["edges"]:
@@ -305,23 +308,24 @@ def graph_from_json(text: str) -> OpenGraph:
             raise GraphFormatError(f"duplicate edge {pair!r}")
         seen.add(key)
         edges.append(key)
+    # ~200 bytes of Python objects per vertex, and adjacency bitmasks as wide
+    # as each vertex's highest neighbour
+    estimate = 256 * n + sum(b for _, b in edges) // 4
+    check_bytes(estimate, f"the {n} vertices and {len(edges)} edges of a graph file")
     inputs = [vertex(v) for v in doc["inputs"]]
     outputs = [vertex(v) for v in doc["outputs"]]
     angles = {}
     for label, theta in doc["angles"].items():
-        if isinstance(theta, bool) or not isinstance(theta, (int, float)):
-            raise GraphFormatError(f"angle for vertex {label} must be a number")
+        finite = isinstance(theta, (int, float)) and abs(theta) <= sys.float_info.max
+        # the comparison is exact: NaN, infinities and integers past float range fail
+        if isinstance(theta, bool) or not finite:
+            raise GraphFormatError(f"angle for vertex {label} must be a finite number")
         angles[vertex(int(label))] = float(theta)
-    planes = {}
+    out_set = set(outputs)
+    planes = {v: Plane.XY for v in range(n) if v not in out_set}
     for label, name in doc.get("planes", {}).items():
         try:
             planes[vertex(int(label))] = Plane(name)
         except ValueError as exc:
             raise GraphFormatError(f"unknown plane {name!r}") from exc
-    out_set = set(outputs)
-    plane_map = {v: Plane.XY for v in range(n) if v not in out_set}
-    plane_map.update(planes)
-    angle_map = dict(angles)
-    return OpenGraph(
-        n, frozenset(edges), tuple(inputs), tuple(outputs), angle_map, plane_map
-    )
+    return OpenGraph(n, frozenset(edges), tuple(inputs), tuple(outputs), angles, planes)

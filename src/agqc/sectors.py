@@ -1,4 +1,5 @@
-"""Block form of a schedule step in the sectors of its conserved Pauli operators.
+"""Block form of a Pauli sum, such as a schedule step, in the sectors of its
+conserved Pauli operators.
 
 In one per-site Z-rotation frame, with twists expanded where they conflict,
 every term of a step is a sum of Pauli strings.  The Pauli strings that
@@ -153,24 +154,29 @@ class StepBlocks:
 
 
 def step_blocks(schedule: Schedule, step_index: int) -> StepBlocks:
-    """The block form of one step.
-
-    In the frame of :func:`twist_frame`, with every term written as Pauli
-    strings by :func:`frame_strings`, the block basis is ``|c(r, sigma)> =
-    2^(-k/2) sum_S (-1)^|sigma & S| g_S |r>`` over the X-type generators
-    ``g_i`` and the ``|r>`` with pivot bits 0.  One pass per ``g_i`` gives
-    each index j its S(j), r(j) and ``omega(j)`` with ``g_S(j)|r(j)> =
-    omega(j)|j>``; a Pauli string with ``P|r> = coef |j'>`` is then the phased
-    permutation ``P|c(r, sigma)> = coef conj(omega(j')) (-1)^|sigma & S(j')|
-    |c(r(j'), sigma)>``, where ``S(j') = S(x_P)`` since r has no pivot bits,
-    scattered for all ``2^n`` pairs (r, sigma) at once.  Blocks run by Z
-    label, then sigma; representatives ascend within a block.
-    """
-    step = schedule.steps[step_index]
-    n = schedule.n_qubits
-    weights = step.endpoint_weights(schedule.gamma)
+    """The block form of one step, its terms written out by :func:`frame_strings`."""
+    weights = schedule.steps[step_index].endpoint_weights(schedule.gamma)
     theta = twist_frame([op for op, _, _ in weights])
     strings = [(wa * c, wb * c, p) for op, wa, wb in weights for c, p in frame_strings(op, theta)]
+    return pauli_sum_blocks(strings, schedule.n_qubits, theta)
+
+
+def pauli_sum_blocks(
+    strings: Sequence[tuple[complex, complex, PauliString]], n: int, theta: dict[int, float]
+) -> StepBlocks:
+    """The block form of ``A + sB = sum (wa + s wb) P`` over ``(wa, wb, P)``
+    in ``strings``, in the frame ``R = prod_v exp(-i theta_v Z_v / 2)``.
+
+    The block basis is ``|c(r, sigma)> = 2^(-k/2) sum_S (-1)^|sigma & S|
+    g_S |r>`` over the X-type generators ``g_i`` of
+    :func:`conserved_generators` and the ``|r>`` with pivot bits 0.  One
+    pass per ``g_i`` gives each index j its S(j), r(j) and ``omega(j)`` with
+    ``g_S(j)|r(j)> = omega(j)|j>``; a Pauli string with ``P|r> = coef |j'>``
+    is then the phased permutation ``P|c(r, sigma)> = coef conj(omega(j'))
+    (-1)^|sigma & S(j')| |c(r(j'), sigma)>``, where ``S(j') = S(x_P)`` since
+    r has no pivot bits, scattered for all ``2^n`` pairs (r, sigma) at once.
+    Blocks run by Z label, then sigma; representatives ascend within a block.
+    """
     xgens, zgens, pivots = conserved_generators([p for _, _, p in strings], n)
     k = len(xgens)
     dim, d = 1 << (n - k - len(zgens)), 1 << n

@@ -31,7 +31,7 @@ from typing import Sequence
 import numpy as np
 import scipy.linalg
 
-from .budget import SizeCapError, check_dense, check_vectors
+from .budget import SizeCapError, check_bytes, check_dense, check_vectors
 from .compiler import DEGENERACY_TOL, Schedule, ScheduleStep
 from .gflow import Gflow
 from .graph import OpenGraph
@@ -46,7 +46,7 @@ from .pauli import (
     projector_apply,
     to_matrix,
 )
-from .sectors import StepBlocks, step_blocks
+from .sectors import StepBlocks, frame_strings, pauli_sum_blocks, step_blocks, twist_frame
 
 #: Fixed seed of the reference vector used to pin logical basis states.
 _BASIS_SEED = 2010
@@ -61,7 +61,8 @@ _CF4_A2 = 0.25 - _CF4_NODE
 def step_endpoint_matrices(
     schedule: Schedule, step_index: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(A, B) with H(s) = A + s B for the given step, including -gamma."""
+    """Dense (A, B) with H(s) = A + s B for the given step, including -gamma:
+    the input of the tests' dense oracle, which no library path calls."""
     check_dense(schedule.n_qubits)
     a = np.zeros((1 << schedule.n_qubits,) * 2, dtype=complex)
     b = np.zeros_like(a)
@@ -236,6 +237,7 @@ def _cf4_weights(n_sub: int) -> np.ndarray:
     ``exp(-i dt (A/2 + w B))`` over ``n_sub`` equal substeps of [0, 1]: per
     substep with Gauss nodes s1 < s2, ``A1 s1 + A2 s2`` then
     ``A2 s1 + A1 s2`` (``dt (A1 h(s1) + A2 h(s2))`` with A1 + A2 = 1/2)."""
+    check_bytes(64 * n_sub, f"{n_sub} CF4 substeps")
     s0 = np.arange(n_sub) / n_sub
     nodes = np.stack([s0 + (0.5 - _CF4_NODE) / n_sub, s0 + (0.5 + _CF4_NODE) / n_sub], axis=1)
     return (nodes @ np.array([[_CF4_A1, _CF4_A2], [_CF4_A2, _CF4_A1]])).reshape(-1)
@@ -396,20 +398,31 @@ def conserved_operator_check(
 
     Symbolic: the candidate commutes with every term of the interpolation
     (term-by-term, which covers both endpoints and all s).  Numeric: the
-    spectral norm of ``[C, H(s)]`` on the grid.
+    spectral norm of ``[C, H(s)]`` on the grid, the largest |eigenvalue| of
+    the Hermitian ``i[C, H(s)]``: with all twists expanded into Pauli
+    strings, each string q of C and p of a term whose products ``q p`` and
+    ``p q`` differ in phase add ``2i q p``, and the sum is diagonalized in
+    blocks (:func:`~agqc.sectors.pauli_sum_blocks`, within its block
+    estimate of the memory budget).  A non-Hermitian candidate raises
+    ValueError.
     """
-    step = schedule.steps[step_index]
-    terms = step.all_terms()
-    a, b = step_endpoint_matrices(schedule, step_index)
+    weights = schedule.steps[step_index].endpoint_weights(schedule.gamma)
+    strings = [(wa * c, wb * c, p) for op, wa, wb in weights for c, p in frame_strings(op, {})]
+    tol = 1e-9 * schedule.gamma * max(1, len(weights))
     out = []
     for cand in candidates:
-        symbolic = all(commutes(cand, t) is Commutation.COMMUTE for t in terms)
-        c = to_matrix(cand)
+        twist_frame([cand])  # raises ValueError for a non-Hermitian candidate
+        symbolic = all(commutes(cand, op) is Commutation.COMMUTE for op, _, _ in weights)
+        commutator = [
+            (2j * d * wa, 2j * d * wb, q.mul(p))
+            for d, q in frame_strings(cand, {})
+            for wa, wb, p in strings
+            if q.mul(p) != p.mul(q)
+        ]
         worst = 0.0
-        for s in s_grid:
-            h = a + s * b
-            worst = max(worst, float(np.linalg.norm(c @ h - h @ c, 2)))
-        tol = 1e-9 * schedule.gamma * max(1, len(terms))
+        if commutator:
+            spectra = pauli_sum_blocks(commutator, schedule.n_qubits, {}).spectra(s_grid)
+            worst = float(np.max(np.abs(spectra)))
         out.append(ConservedCheck(cand, symbolic, worst, worst < tol))
     return out
 

@@ -1,10 +1,14 @@
+import copy
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from agqc.cli import main
+from agqc.gflow import find_gflow, gflow_to_json
+from agqc.graph import generate_chain, generate_cluster, generate_cnot_graph, graph_to_json
 
 
 def run(capsys, *args):
@@ -249,6 +253,13 @@ def test_mbqc_zero_norm_input_is_exit_2(capsys):
         '{"n": 2, "edges": [[true, 2]], "inputs": [1], "outputs": [2], "angles": {"1": 0.0}}',
         '{"n": 2, "edges": [[1, 2]], "inputs": [true], "outputs": [2], "angles": {"1": 0.0}}',
         '{"n": 2, "edges": [[1, 2]], "inputs": [1], "outputs": [2], "angles": {"1": false}}',
+        '{"n": 2, "edges": 5, "inputs": [1], "outputs": [2], "angles": {"1": 0.0}}',
+        '{"n": 2, "edges": [[1, 2]], "inputs": 5, "outputs": [2], "angles": {"1": 0.0}}',
+        '{"n": 2, "edges": [[1, 2]], "inputs": [1], "outputs": [2], "angles": []}',
+        '{"n": 2, "edges": [[1, 2]], "inputs": [1], "outputs": [2], "angles": {"1": 0.0}, "planes": [1]}',
+        '{"n": 2, "edges": [[1, 2]], "inputs": [1], "outputs": [2], "angles": {"1": Infinity}}',
+        '{"n": 2, "edges": [[1, 2]], "inputs": [1], "outputs": [2], "angles": {"1": 1e400}}',
+        '{"n": 1000000000000, "edges": [], "inputs": [1], "outputs": [2], "angles": {}}',
     ],
 )
 def test_graph_file_with_json_bool_is_exit_2(tmp_path, capsys, doc):
@@ -257,6 +268,78 @@ def test_graph_file_with_json_bool_is_exit_2(tmp_path, capsys, doc):
     code, out, err = run_err(capsys, "graph", "validate", "--graph", str(path))
     assert code == 2 and out == ""
     assert err.count("\n") == 1
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=2), inner, max_size=3),
+    max_leaves=8,
+)
+_BASE_DOCS = [
+    (json.loads(graph_to_json(g)), json.loads(gflow_to_json(find_gflow(g))))
+    for g in (generate_chain(3, [0.0, 0.4, 0.0]), generate_cluster(2, 2), generate_cnot_graph())
+]
+
+
+@st.composite
+def _mutated(draw, doc):
+    """``doc`` replaced by arbitrary JSON, or with up to two fields, or
+    entries of a field, replaced by arbitrary JSON or deleted."""
+    if draw(st.integers(0, 7)) == 0:
+        return draw(_JSON)
+    doc = copy.deepcopy(doc)
+    for _ in range(draw(st.integers(0, 2))):
+        key = draw(st.sampled_from(sorted(doc) + ["zzz"]))
+        field = doc.get(key)
+        if field and isinstance(field, (dict, list)) and draw(st.booleans()):
+            index = draw(st.sampled_from(sorted(field) if isinstance(field, dict) else range(len(field))))
+            field[index] = draw(_JSON)
+        elif draw(st.integers(0, 3)) == 0:
+            doc.pop(key, None)
+        else:
+            doc[key] = draw(_JSON)
+    return doc
+
+
+@st.composite
+def _graph_and_gflow_docs(draw):
+    graph_doc, gflow_doc = draw(st.sampled_from(_BASE_DOCS))
+    return draw(_mutated(graph_doc)), draw(_mutated(gflow_doc))
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(docs=_graph_and_gflow_docs())
+def test_arbitrary_graph_and_gflow_files_exit_0_1_or_2(tmp_path, capsys, docs):
+    graph_doc, gflow_doc = docs
+    gpath, fpath = tmp_path / "g.json", tmp_path / "f.json"
+    gpath.write_text(json.dumps(graph_doc))
+    fpath.write_text(json.dumps(gflow_doc))
+    for argv in (["graph", "validate", "--graph", str(gpath)],
+                 ["gflow", "verify", "--graph", str(gpath), "--gflow", str(fpath)]):
+        code, out, err = run_err(capsys, *argv)
+        assert code in (0, 1, 2)
+        if code == 2:
+            assert out == "" and err.count("\n") == 1 and err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["mbqc", "--graph", "chain:3:0,nan"],
+        ["gadget", "--k", "3", "--lam", "nan"],
+        ["bounds", "--graph", "chain:3", "--epsilon", "nan"],
+        ["bounds", "--graph", "chain:3", "--gamma", "nan"],
+        ["compile", "--graph", "chain:3", "--gamma", "nan"],
+        ["evolve", "--graph", "chain:3", "--tau", "inf"],
+        ["reorder", "--graph", "chain:4", "--order", "3,1,2", "--tau", "10,inf"],
+        ["evolve", "--graph", "chain:3", "--tau", "1e12"],
+    ],
+)
+def test_non_finite_or_oversized_numbers_are_exit_2(capsys, argv):
+    code, out, err = run_err(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error:")
 
 
 def test_evolve_chain_target_on_non_chain_is_exit_2(capsys):

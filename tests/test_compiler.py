@@ -219,16 +219,6 @@ def test_reorder_strip_in_order_never_strips():
         assert list(st.removed) == list(st.introduced)
 
 
-def test_reorder_strip_rewrite_variant_erases_site():
-    g = generate_chain(4, [0.0] * 4)
-    sched = compile_reordered_strip(g, chain_gflow(4), [2, 0, 1], variant="rewrite")
-    st1 = sched.steps[0]
-    # T_1 stays in the Hamiltonian with its letter at site 3 erased: Z1 X2
-    assert st1.introduced[0].render() == "+1 . Z1 X2"
-    survivors = sorted(op.render() for op in (*st1.static_terms, *st1.introduced.values()))
-    assert survivors == ["+1 . X3", "+1 . Z1 X2", "+1 . Z2 X3 Z4"]
-
-
 # --- analytic quantities ---------------------------------------------------
 
 

@@ -190,3 +190,15 @@ def test_parser_rejects_out_of_range_vertices():
     text = """{"n": 2, "edges": [[1,5]], "inputs": [1], "outputs": [2], "angles": {}}"""
     with pytest.raises(GraphFormatError, match="out of range"):
         graph_from_json(text)
+
+
+def test_parser_charges_vertices_and_adjacency_bitmasks_to_the_budget(monkeypatch):
+    from agqc import budget
+
+    n = 2000
+    path = [[v, v + 1] for v in range(1, n)]
+    text = '{"n": %d, "edges": %s, "inputs": [1], "outputs": [%d], "angles": {}}'
+    monkeypatch.setattr(budget, "MEMORY_BUDGET", 256 * n + 1000)
+    assert graph_from_json(text % (n, "[]", n)).n_vertices == n
+    with pytest.raises(budget.SizeCapError):
+        graph_from_json(text % (n, path, n))

@@ -53,6 +53,7 @@ from agqc.sim import (
 from agqc.sectors import conserved_generators, frame_strings, step_blocks, twist_frame
 
 from conftest import chain_gflow, cluster_gflow
+import dense_oracle
 from dense_oracle import assemble, ground_projector, propagate_step
 
 
@@ -773,6 +774,67 @@ def test_conserved_identity_trivially():
     sched = compile_stepwise(g, chain_gflow(4))
     ident = rop(PauliString(4))
     assert conserved_operator_check(sched, 0, [ident])[0].conserved
+
+
+def _conserved_oracle_cases():
+    rng = np.random.default_rng(2014)
+    graphs = []
+    for n in range(4, 8):
+        g = generate_chain(n, [float(a) for a in rng.uniform(0, 2 * math.pi, n)])
+        graphs.append((f"chain{n}", g, chain_gflow(n)))
+    cnot = generate_cnot_graph()
+    graphs += [("cluster2x3", generate_cluster(2, 3), cluster_gflow(2, 3)), ("cnot", cnot, find_gflow(cnot))]
+    cases = []
+    for name, g, gf in graphs:
+        order = [int(v) for v in rng.permutation(g.non_outputs)]
+        scheds = [compile_stepwise(g, gf), compile_layered(g, gf),
+                  compile_reordered_fixed(g, gf, order)[0], compile_reordered_strip(g, gf, order)]
+        cases.append(pytest.param(scheds, id=name))
+    return cases
+
+
+@pytest.mark.parametrize("scheds", _conserved_oracle_cases())
+def test_conserved_check_matches_dense_oracle(scheds):
+    # Each dense commutator norm costs ~8^n, so the 7-qubit chain takes only
+    # the T_v, not their products.
+    g = scheds[0].graph
+    cands = list(stabilizer_set(g, scheds[0].gflow).values())
+    if g.n_vertices <= 6:
+        cands += [a.mul(b) for i, a in enumerate(cands) for b in cands[i + 1:]]
+    grid = (0.0, 0.5, 1.0)
+    for sched in scheds:
+        for k in range(len(sched.steps)):
+            got = conserved_operator_check(sched, k, cands, grid)
+            want = dense_oracle.conserved_operator_check(sched, k, cands, grid)
+            for c, w in zip(got, want):
+                assert (c.symbolic, c.conserved) == (w.symbolic, w.conserved), (k, c.operator.render())
+                assert abs(c.max_commutator_norm - w.max_commutator_norm) < 1e-12, (k, c.operator.render())
+
+
+def test_conserved_check_forms_no_dense_matrix_at_14_qubits(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("dense matrix formed")
+
+    monkeypatch.setattr(sim, "step_endpoint_matrices", refuse)
+    monkeypatch.setattr(sim, "to_matrix", refuse)
+    g = generate_chain(14, [0.0] * 14)
+    sched, _ = compile_reordered_fixed(g, chain_gflow(14), [2, 0, 1] + list(range(3, 13)))
+    with pytest.raises(SizeCapError):
+        budget.check_dense(14)
+    t1t3 = rop(stabilizer_generator(g, 1).mul(stabilizer_generator(g, 3)))
+    first = conserved_operator_check(sched, 0, [t1t3])[0]
+    assert first.symbolic and first.conserved and first.max_commutator_norm == 0.0
+    second = conserved_operator_check(sched, 1, [t1t3])[0]
+    assert not second.symbolic and not second.conserved
+    assert abs(second.max_commutator_norm - 2.0) < 1e-12
+
+
+def test_conserved_check_rejects_non_hermitian_candidates():
+    g = generate_chain(4, [0.0] * 4)
+    sched = compile_stepwise(g, chain_gflow(4))
+    for cand in (rop(PauliString(4, 1, 0, 1)), RotatedPauliOp.from_parts(single(4, 0, "Z"), {0: 0.3})):
+        with pytest.raises(ValueError):
+            conserved_operator_check(sched, 0, [cand])
 
 
 # --- leakage ----------------------------------------------------------------
