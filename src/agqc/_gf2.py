@@ -3,6 +3,14 @@
 from __future__ import annotations
 
 
+def set_bits(mask: int):
+    """Indices of the set bits of ``mask``, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 def solve_unit_columns(rows: list[int], n_cols: int) -> list[int | None]:
     """Solve ``A x = e_u`` over GF(2) for every unit vector ``e_u``.
 

@@ -12,7 +12,7 @@ import json
 import math
 import sys
 from pathlib import Path
-from typing import Sequence
+from typing import NoReturn, Sequence
 
 import numpy as np
 
@@ -29,26 +29,41 @@ class CliError(Exception):
         self.code = code
 
 
+def _file_text(spec: str) -> str | None:
+    """Contents of the file that ``spec`` names, or None when it names none."""
+    path = Path(spec)
+    try:
+        exists = path.exists()
+    except OSError:  # e.g. a name too long for the file system
+        return None
+    if not exists:
+        return None
+    try:
+        return path.read_text()
+    except OSError as exc:
+        raise CliError(f"cannot read {spec!r}: {exc}") from exc
+
+
 def _load_graph(spec: str) -> OpenGraph:
     """Graph source: a JSON file path or a generator spec.
 
     Generator specs: ``chain:N[:a1,a2,...]``, ``cluster:RxC``, ``zigzag:N``,
     ``cnot``.
     """
-    path = Path(spec)
-    if path.exists():
-        return graph_mod.graph_from_json(path.read_text())
+    text = _file_text(spec)
+    if text is not None:
+        return graph_mod.graph_from_json(text)
     parts = spec.split(":")
     kind = parts[0]
     try:
         if kind == "chain":
             n = int(parts[1])
-            angles = [0.0] * n
+            angles = None
             if len(parts) > 2:
                 given = [float(x) for x in parts[2].split(",")]
                 if len(given) not in (n, n - 1):
                     raise CliError(f"chain:{n} takes {n} (or {n - 1}) angles")
-                angles[: len(given)] = given
+                angles = given + [0.0] * (n - len(given))
             return graph_mod.generate_chain(n, angles)
         if kind == "cluster":
             rows, cols = (int(x) for x in parts[1].lower().split("x"))
@@ -64,9 +79,9 @@ def _load_graph(spec: str) -> OpenGraph:
 
 def _load_gflow(spec: str, graph: OpenGraph) -> Gflow:
     """Gflow source: a JSON file path, ``find``, or ``zigzag:R``."""
-    path = Path(spec)
-    if path.exists():
-        return gflow_mod.gflow_from_json(path.read_text())
+    text = _file_text(spec)
+    if text is not None:
+        return gflow_mod.gflow_from_json(text)
     if spec == "find":
         gf = gflow_mod.find_gflow(graph)
         if gf is None:
@@ -132,13 +147,22 @@ def _compile(args: argparse.Namespace, mode: str) -> tuple[Schedule, ReorderRepo
 
 
 def _schedule_doc(schedule: Schedule) -> dict:
+    # steps share their term objects: render each object once
+    rendered: dict[int, str] = {}
+
+    def render(op) -> str:
+        text = rendered.get(id(op))
+        if text is None:
+            text = rendered[id(op)] = op.render()
+        return text
+
     steps = []
     for st in schedule.steps:
         steps.append(
             {
-                "removed": {str(v + 1): op.render() for v, op in sorted(st.removed.items())},
-                "introduced": {str(v + 1): op.render() for v, op in sorted(st.introduced.items())},
-                "static": [op.render() for op in st.static_terms],
+                "removed": {str(v + 1): render(op) for v, op in sorted(st.removed.items())},
+                "introduced": {str(v + 1): render(op) for v, op in sorted(st.introduced.items())},
+                "static": [render(op) for op in st.static_terms],
                 "strip": st.strip,
             }
         )
@@ -418,8 +442,16 @@ def _add_schedule(p: argparse.ArgumentParser) -> None:
     p.add_argument("--gamma", type=float, default=1.0)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a malformed command line as one ``error:`` line, exit 2;
+    subparsers inherit the class."""
+
+    def error(self, message: str) -> NoReturn:
+        self.exit(2, f"error: {' '.join(message.split())}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="agqc", description=__doc__)
+    ap = _Parser(prog="agqc", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("graph", help="graph generation and validation")

@@ -17,10 +17,9 @@ from . import _gf2
 from .gflow import Gflow, verify_gflow
 from .graph import OpenGraph, Plane, is_clifford_angle
 from .pauli import (
-    Commutation,
     NonCliffordAngleError,
     RotatedPauliOp,
-    commutes,
+    commutation_masks,
     one_step_update,
     single,
     stabilizer_set,
@@ -86,26 +85,19 @@ class ScheduleStep:
         if self.strip or set(self.removed) != set(self.introduced):
             return False
         items = sorted(self.removed)
-        for v in items:
-            if commutes(self.removed[v], self.introduced[v]) is not Commutation.ANTICOMMUTE:
+        removed = [self.removed[v] for v in items]
+        introduced = [self.introduced[v] for v in items]
+        for i, (r, x) in enumerate(zip(removed, introduced)):
+            # each introduced term anticommutes with its own removed term only
+            if commutation_masks(removed, x) != (1 << i, 0):
                 return False
-        movers = [self.removed[v] for v in items] + [self.introduced[v] for v in items]
-        for i, v in enumerate(items):
-            for j, w in enumerate(items):
-                if v != w:
-                    if commutes(self.removed[v], self.introduced[w]) is not Commutation.COMMUTE:
-                        return False
-                    if j > i and (
-                        commutes(self.removed[v], self.removed[w]) is not Commutation.COMMUTE
-                        or commutes(self.introduced[v], self.introduced[w])
-                        is not Commutation.COMMUTE
-                    ):
-                        return False
-        for st in self.static_terms:
-            for m in movers:
-                if commutes(st, m) is not Commutation.COMMUTE:
-                    return False
-        return True
+            if any(commutation_masks(removed[i + 1:], r)) or any(
+                commutation_masks(introduced[i + 1:], x)
+            ):
+                return False
+        return not any(
+            any(commutation_masks(self.static_terms, m)) for m in removed + introduced
+        )
 
 
 @dataclass(frozen=True)
@@ -156,8 +148,10 @@ def _require_valid_gflow(graph: OpenGraph, gf: Gflow) -> None:
         raise InvalidGflowError(f"gflow fails verification: {report.violations[:3]}")
 
 
-def _x_term(n: int, v: int) -> RotatedPauliOp:
-    return RotatedPauliOp.from_pauli(single(n, v, "X"))
+def _x_terms(graph: OpenGraph) -> dict[int, RotatedPauliOp]:
+    """``X_v`` for every non-output vertex, built once and shared by the steps."""
+    n = graph.n_vertices
+    return {v: RotatedPauliOp.from_pauli(single(n, v, "X")) for v in graph.non_outputs}
 
 
 def _replacement_schedule(
@@ -169,16 +163,16 @@ def _replacement_schedule(
 ) -> Schedule:
     """One step per vertex group, in order: every T_v of the group -> X_v at
     once, with the X_u of earlier groups and the T_w of later ones static."""
-    n = graph.n_vertices
+    xs = _x_terms(graph)
     steps = []
     for i, members in enumerate(groups):
         done = [u for group in groups[:i] for u in group]
         later = [w for group in groups[i + 1:] for w in group]
-        static = [_x_term(n, u) for u in done] + [terms[w] for w in later]
+        static = [xs[u] for u in done] + [terms[w] for w in later]
         steps.append(
             ScheduleStep(
                 {v: terms[v] for v in members},
-                {v: _x_term(n, v) for v in members},
+                {v: xs[v] for v in members},
                 tuple(static),
             )
         )
@@ -200,17 +194,20 @@ def compile_layered(graph: OpenGraph, gf: Gflow, gamma: float = 1.0) -> Schedule
     the compilation.
     """
     _require_valid_gflow(graph, gf)
-    n = graph.n_vertices
     terms = stabilizer_set(graph, gf)
+    xs = _x_terms(graph)
     layers = [list(vs) for _, vs in itertools.groupby(gf.measurement_order(), gf.layer.get)]
     for members in layers:
-        for u in members:
-            for v in members:
-                if u != v and commutes(terms[u], _x_term(n, v)) is not Commutation.COMMUTE:
-                    raise CompileError(
-                        f"layer {sorted(members)} not simultaneously replaceable: "
-                        f"[T_{u}, X_{v}] != 0"
-                    )
+        layer_xs = [xs[v] for v in members]
+        for j, u in enumerate(members):
+            anti, neither = commutation_masks(layer_xs, terms[u])
+            clash = (anti | neither) & ~(1 << j)
+            if clash:
+                v = members[next(_gf2.set_bits(clash))]
+                raise CompileError(
+                    f"layer {sorted(members)} not simultaneously replaceable: "
+                    f"[T_{u}, X_{v}] != 0"
+                )
     return _replacement_schedule(graph, gf, terms, layers, gamma)
 
 
@@ -226,11 +223,9 @@ def compile_one_step(graph: OpenGraph, gf: Gflow, gamma: float = 1.0) -> Schedul
                 f"angle {theta} at vertex {v} is not a multiple of pi/2; the "
                 "one-step schedule exists only for Clifford angles"
             )
-    n = graph.n_vertices
     updated = one_step_update(stabilizer_set(graph, gf), gf)
-    step = ScheduleStep(
-        dict(updated), {v: _x_term(n, v) for v in updated}, ()
-    )
+    xs = _x_terms(graph)
+    step = ScheduleStep(dict(updated), {v: xs[v] for v in updated}, ())
     return Schedule((step,), gamma, graph, gf)
 
 
@@ -295,53 +290,34 @@ def compile_reordered_fixed(
     the authority there.
     """
     _require_valid_gflow(graph, gf)
-    n = graph.n_vertices
     terms = stabilizer_set(graph, gf)
+    xs = _x_terms(graph)
     seq = _as_permutation(order, graph.non_outputs)
     vertices = sorted(terms)
     vindex = {v: i for i, v in enumerate(vertices)}
+    originals = [terms[w] for w in vertices]
 
     def to_set(mask: int) -> frozenset[int]:
-        return frozenset(vertices[i] for i in range(len(vertices)) if mask >> i & 1)
-
-    # commutation of the original T's against each introduced X_v: products
-    # must overlap the anticommuting set evenly and avoid "neither" terms
-    anti_mask = {}
-    neither_masks: dict[int, list[int]] = {}
-    for v in seq:
-        xv = _x_term(n, v)
-        mask = 0
-        neithers = []
-        for w in vertices:
-            rel = commutes(terms[w], xv)
-            if rel is Commutation.ANTICOMMUTE:
-                mask |= 1 << vindex[w]
-            elif rel is Commutation.NEITHER:
-                neithers.append(1 << vindex[w])
-        anti_mask[v] = mask
-        neither_masks[v] = neithers
+        return frozenset(vertices[i] for i in _gf2.set_bits(mask))
 
     cert_basis = [1 << i for i in range(len(vertices))]
     steps = []
     feas = []
     replaced: list[int] = []
     for k, v in enumerate(seq):
-        remaining = [w for w in seq[k + 1:]]
-        static = [terms[w] for w in sorted(remaining)] + [_x_term(n, u) for u in replaced]
-        step = ScheduleStep({v: terms[v]}, {v: _x_term(n, v)}, tuple(static))
-        steps.append(step)
-
-        xv = _x_term(n, v)
+        static = [terms[w] for w in sorted(seq[k + 1:])] + [xs[u] for u in replaced]
+        xv = xs[v]
         tv = terms[v]
-        frustrated = any(
-            commutes(st, xv) is not Commutation.COMMUTE
-            or commutes(st, tv) is not Commutation.COMMUTE
-            for st in static
-        )
+        steps.append(ScheduleStep({v: tv}, {v: xv}, tuple(static)))
+
+        frustrated = any(commutation_masks(static, xv)) or any(commutation_masks(static, tv))
+        # products of the original T's must overlap the terms anticommuting
+        # with X_v evenly and avoid the terms in a "neither" relation with it
+        anti, neither = commutation_masks(originals, xv)
         tracked_available = _gf2.in_span(cert_basis, 1 << vindex[v])
-        new_basis = _gf2.kernel_filter(cert_basis, anti_mask[v])
-        for singleton in neither_masks[v]:
-            new_basis = _gf2.kernel_filter(new_basis, singleton)
+        new_basis = _gf2.kernel_filter(cert_basis, anti)
+        for i in _gf2.set_bits(neither):
+            new_basis = _gf2.kernel_filter(new_basis, 1 << i)
         protecting = None
         if not tracked_available:
             protected = False
@@ -396,32 +372,33 @@ def compile_reordered_strip(
     ramps out against X_u.
     """
     _require_valid_gflow(graph, gf)
-    n = graph.n_vertices
+    xs = _x_terms(graph)
     seq = _as_permutation(order, graph.non_outputs)
     current = dict(stabilizer_set(graph, gf))
     in_hamiltonian = {v: True for v in current}
     introduced_so_far: list[int] = []
     steps = []
     for v in seq:
-        xv = _x_term(n, v)
+        xv = xs[v]
         target = current.pop(v)
         in_hamiltonian.pop(v)
-        if commutes(target, xv) is not Commutation.ANTICOMMUTE:
+        if commutation_masks([target], xv) != (1, 0):
             raise CompileError(
                 f"tracked term for vertex {v + 1} does not anticommute with X_{v + 1}; "
                 "strip schedule has no valid replacement ramp"
             )
         removed = {v: target}
-        for u in sorted(current):
-            if commutes(current[u], xv) is Commutation.COMMUTE:
-                continue
+        keys = sorted(current)
+        anti, neither = commutation_masks([current[u] for u in keys], xv)
+        for i in _gf2.set_bits(anti | neither):
+            u = keys[i]
             if in_hamiltonian[u]:
                 removed[u] = current[u]
                 in_hamiltonian[u] = False
             # conserved completion: anticommuting * anticommuting commutes with X_v
             current[u] = current[u].mul(target)
         static = [current[u] for u in sorted(current) if in_hamiltonian[u]]
-        static += [_x_term(n, u) for u in introduced_so_far]
+        static += [xs[u] for u in introduced_so_far]
         steps.append(ScheduleStep(removed, {v: xv}, tuple(static), strip=True))
         introduced_so_far.append(v)
     return Schedule(tuple(steps), gamma, graph, gf)

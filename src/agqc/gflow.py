@@ -10,7 +10,7 @@ import json
 from dataclasses import dataclass
 
 from . import _gf2
-from .graph import OpenGraph, Plane, odd_connectivity
+from .graph import OpenGraph, Plane
 
 #: Sentinel layer assigned to outputs in comparisons (beyond all real layers).
 OUTPUT_LAYER = float("inf")
@@ -99,6 +99,12 @@ def verify_gflow(graph: OpenGraph, gf: Gflow) -> GflowReport:
     are reported, not raised.
     """
     _check_structure(graph, gf)
+    # at_or_before[l]: the non-outputs in layers <= l
+    at_or_before: dict[int, int] = {}
+    mask = 0
+    for v in sorted(gf.layer, key=gf.layer.get):
+        mask |= 1 << v
+        at_or_before[gf.layer[v]] = mask
     violations: list[tuple[int, str, str]] = []
     for v in sorted(gf.g):
         corr = gf.g[v]
@@ -108,14 +114,19 @@ def verify_gflow(graph: OpenGraph, gf: Gflow) -> GflowReport:
                 violations.append(
                     (v, "G1", f"{w} in g({v}) is not in the future of {v}")
                 )
-        for w in gf.layer:
-            if w != v and gf.layer_of(w) <= lv and odd_connectivity(graph, corr, w):
-                violations.append(
-                    (v, "G2", f"{w} is oddly connected to g({v}) but not after {v}")
-                )
+        # bit w of odd: w is oddly connected to g(v)
+        odd = 0
+        for u in corr:
+            odd ^= graph.adjacency[u]
+        if odd & at_or_before[lv] & ~(1 << v):
+            for w in gf.layer:
+                if w != v and gf.layer_of(w) <= lv and odd >> w & 1:
+                    violations.append(
+                        (v, "G2", f"{w} is oddly connected to g({v}) but not after {v}")
+                    )
         plane = graph.planes.get(v, Plane.XY)
         in_own = v in corr
-        odd_self = odd_connectivity(graph, corr, v)
+        odd_self = odd >> v & 1
         if plane is Plane.XY:
             if in_own:
                 violations.append((v, "G3", f"XY plane requires {v} not in g({v})"))
@@ -185,19 +196,18 @@ def find_gflow(graph: OpenGraph) -> Gflow | None:
         k += 1
         candidates = sorted(v for v in processed if v not in inputs)
         targets = sorted(v for v in range(n) if v not in processed)
+        column = {c: j for j, c in enumerate(candidates)}
         rows = []
         for w in targets:
             row = 0
-            for j, c in enumerate(candidates):
-                if graph.adjacency[w] >> c & 1:
-                    row |= 1 << j
+            for c in _gf2.set_bits(graph.adjacency[w]):
+                if c in column:
+                    row |= 1 << column[c]
             rows.append(row)
         found: dict[int, frozenset[int]] = {}
         for u, sol in zip(targets, _gf2.solve_unit_columns(rows, len(candidates))):
             if sol is not None:
-                found[u] = frozenset(
-                    candidates[j] for j in range(len(candidates)) if sol >> j & 1
-                )
+                found[u] = frozenset(candidates[j] for j in _gf2.set_bits(sol))
         if not found:
             return None
         for u, corr in found.items():

@@ -177,14 +177,25 @@ def is_clifford_angle(theta: float, tol: float = CLIFFORD_TOL) -> bool:
 # standard generators
 
 
-def generate_chain(n: int, angles: Sequence[float]) -> OpenGraph:
+def _check_graph_bytes(n: int, width_sum: int, what: str) -> None:
+    """Charge a graph of ``n`` vertices to the memory budget before building
+    it: ~200 bytes of Python objects per vertex, and adjacency bitmasks as
+    wide as each vertex's highest neighbour.  ``width_sum`` is the sum of
+    the larger endpoints of the edges."""
+    check_bytes(256 * n + width_sum // 4, what)
+
+
+def generate_chain(n: int, angles: Sequence[float] | None = None) -> OpenGraph:
     """Path graph 0-1-...-(n-1) with input 0 and output n-1.
 
-    ``angles`` must have length ``n``; the last entry (the output vertex)
-    is ignored since outputs are not measured.
+    ``angles`` must have length ``n`` (default: all 0); the last entry (the
+    output vertex) is ignored since outputs are not measured.
     """
     if n < 2:
         raise ValueError("a chain needs at least 2 vertices")
+    _check_graph_bytes(n, n * (n - 1) // 2, f"the {n} vertices of a chain")
+    if angles is None:
+        angles = [0.0] * n
     if len(angles) != n:
         raise ValueError(f"expected {n} angles, got {len(angles)}")
     if not all(math.isfinite(a) for a in angles):
@@ -202,6 +213,13 @@ def generate_cluster(rows: int, cols: int, angles: Mapping[int, float] | None = 
     if rows < 1 or cols < 2:
         raise ValueError("cluster needs rows >= 1 and cols >= 2")
     n = rows * cols
+    # larger endpoints: vid(r + 1, c) of the column edges, vid(r, c + 1) of the row edges
+    width_sum = (
+        (rows - 1) * rows * cols * cols // 2
+        + rows * rows * cols * (cols - 1) // 2
+        + (cols - 1) * rows * (rows - 1) // 2
+    )
+    _check_graph_bytes(n, width_sum, f"the {n} vertices of a {rows}x{cols} cluster")
 
     def vid(row: int, col: int) -> int:
         return col * rows + row
@@ -229,6 +247,9 @@ def generate_zigzag(n: int) -> OpenGraph:
     """
     if n < 1:
         raise ValueError("zigzag needs n >= 1")
+    # the larger endpoint of both (v, n + v) and (v + 1, n + v) is n + v
+    width_sum = n * n + n * (n - 1) // 2 + (n - 1) * n + (n - 1) * (n - 2) // 2
+    _check_graph_bytes(2 * n, width_sum, f"the {2 * n} vertices of a zig-zag graph")
     edges = [(v, n + v) for v in range(n)]
     edges += [(v + 1, n + v) for v in range(n - 1)]
     return make_graph(2 * n, edges, inputs=range(n), outputs=range(n, 2 * n))
@@ -308,10 +329,9 @@ def graph_from_json(text: str) -> OpenGraph:
             raise GraphFormatError(f"duplicate edge {pair!r}")
         seen.add(key)
         edges.append(key)
-    # ~200 bytes of Python objects per vertex, and adjacency bitmasks as wide
-    # as each vertex's highest neighbour
-    estimate = 256 * n + sum(b for _, b in edges) // 4
-    check_bytes(estimate, f"the {n} vertices and {len(edges)} edges of a graph file")
+    _check_graph_bytes(
+        n, sum(b for _, b in edges), f"the {n} vertices and {len(edges)} edges of a graph file"
+    )
     inputs = [vertex(v) for v in doc["inputs"]]
     outputs = [vertex(v) for v in doc["outputs"]]
     angles = {}

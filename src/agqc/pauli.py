@@ -20,10 +20,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Mapping
+from functools import cached_property
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from ._gf2 import set_bits
 from .gflow import Gflow
 from .graph import CLIFFORD_TOL, OpenGraph
 
@@ -100,12 +102,7 @@ class PauliString:
     def render(self) -> str:
         """Canonical text form, 1-based sites, e.g. ``+1 . Z1 X2 Z3``."""
         sign = {0: "+1", 1: "+i", 2: "-1", 3: "-i"}[self.phase_exp]
-        sites = []
-        mask = self.x | self.z
-        while mask:
-            v = (mask & -mask).bit_length() - 1
-            sites.append(f"{self.letter(v)}{v + 1}")
-            mask &= mask - 1
+        sites = [f"{self.letter(v)}{v + 1}" for v in set_bits(self.x | self.z)]
         return f"{sign} . {' '.join(sites)}" if sites else f"{sign} . I"
 
 
@@ -193,6 +190,14 @@ class RotatedPauliOp:
     def twist_map(self) -> dict[int, float]:
         return dict(self.twist)
 
+    @cached_property
+    def twist_mask(self) -> int:
+        """Bitmask of the sites that carry a twist."""
+        mask = 0
+        for v, _ in self.twist:
+            mask |= 1 << v
+        return mask
+
     @property
     def support(self) -> frozenset[int]:
         mask = self.pauli.x | self.pauli.z
@@ -266,6 +271,37 @@ def commutes(a: RotatedPauliOp, b: RotatedPauliOp) -> Commutation:
     if ab == ba.negated():
         return Commutation.ANTICOMMUTE
     return Commutation.NEITHER
+
+
+def commutation_masks(
+    terms: Sequence[RotatedPauliOp], op: RotatedPauliOp
+) -> tuple[int, int]:
+    """``(anti, neither)``: bit i of ``anti`` is set when ``terms[i]``
+    anticommutes with ``op``, bit i of ``neither`` when it neither commutes
+    nor anticommutes; every other term commutes with ``op``.
+
+    A pair in which no twist of either operand sits on an X/Y letter of the
+    other is decided by the symplectic parity of the Pauli parts, exactly:
+    the Z-rotations then commute with the other operand's Pauli part, so
+    ``ab`` and ``ba`` differ only by the Pauli parts' sign.  Only the other
+    pairs go to :func:`commutes`.
+    """
+    p = op.pauli
+    n, ox, oz, otw = p.n, p.x, p.z, op.twist_mask
+    anti = neither = 0
+    for i, t in enumerate(terms):
+        q = t.pauli
+        if q.n != n:
+            raise ValueError("vertex universes differ")
+        if t.twist_mask & ox or otw & q.x:
+            rel = commutes(t, op)
+            if rel is Commutation.ANTICOMMUTE:
+                anti |= 1 << i
+            elif rel is Commutation.NEITHER:
+                neither |= 1 << i
+        elif ((q.x & oz) ^ (q.z & ox)).bit_count() & 1:
+            anti |= 1 << i
+    return anti, neither
 
 
 def stabilizer_generator(graph: OpenGraph, v: int) -> PauliString:

@@ -37,11 +37,10 @@ from .gflow import Gflow
 from .graph import OpenGraph
 from .logical import LogicalFrame, final_frame, initial_frame
 from .pauli import (
-    Commutation,
     PauliString,
     RotatedPauliOp,
     apply_op,
-    commutes,
+    commutation_masks,
     correction_operator,
     projector_apply,
     to_matrix,
@@ -183,10 +182,8 @@ def _final_terms(schedule: Schedule) -> list[RotatedPauliOp]:
 
 
 def _terms_commute(terms: Sequence[RotatedPauliOp]) -> bool:
-    return all(
-        commutes(a, b) is Commutation.COMMUTE
-        for i, a in enumerate(terms)
-        for b in terms[i + 1:]
+    return not any(
+        any(commutation_masks(terms[i + 1:], a)) for i, a in enumerate(terms)
     )
 
 
@@ -407,12 +404,13 @@ def conserved_operator_check(
     ValueError.
     """
     weights = schedule.steps[step_index].endpoint_weights(schedule.gamma)
+    terms = [op for op, _, _ in weights]
     strings = [(wa * c, wb * c, p) for op, wa, wb in weights for c, p in frame_strings(op, {})]
     tol = 1e-9 * schedule.gamma * max(1, len(weights))
     out = []
     for cand in candidates:
         twist_frame([cand])  # raises ValueError for a non-Hermitian candidate
-        symbolic = all(commutes(cand, op) is Commutation.COMMUTE for op, _, _ in weights)
+        symbolic = not any(commutation_masks(terms, cand))
         commutator = [
             (2j * d * wa, 2j * d * wb, q.mul(p))
             for d, q in frame_strings(cand, {})

@@ -390,11 +390,13 @@ def test_simulating_commands_repeat_byte_for_byte(capsys, argv):
 def test_memory_budget_overrun_is_exit_2(monkeypatch, capsys):
     from agqc import budget
 
-    monkeypatch.setattr(budget, "MEMORY_BUDGET", 1024)
+    # the 4-vertex graph itself is charged 1025 bytes; its state vectors are not
+    monkeypatch.setattr(budget, "MEMORY_BUDGET", 1100)
     code = main(["reorder", "--graph", "chain:4", "--order", "3,1,2", "--mode", "strip", "--tau", "10"])
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error: ") and "memory budget" in err and err.count("\n") == 1
+    assert "state vectors" in err
 
 
 def test_parser_is_built_once_and_keeps_its_messages(monkeypatch, capsys):
@@ -423,3 +425,107 @@ def test_parser_is_built_once_and_keeps_its_messages(monkeypatch, capsys):
     assert cached.value.code == rebuilt.value.code == 2
     assert cached_err == capsys.readouterr().err and "--bogus" in cached_err
     assert len(built) == 1
+
+
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["bounds", "--graph", "chain:3", "--c-delta", "-inf"], "--c-delta"),
+        (["compile", "--graph", "chain:3", "--gamma", "x"], "--gamma"),
+        (["compile", "--graph", "chain:3", "--mode", "bogus"], "--mode"),
+        (["evolve", "--tau", "3"], "--graph"),
+        (["gapscan", "--graph", "chain:4", "--bogus"], "--bogus"),
+    ],
+)
+def test_malformed_command_line_is_one_error_line(capsys, argv, option):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert option in captured.err
+
+
+def test_help_still_prints_usage(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["bounds", "--help"])
+    out = capsys.readouterr().out
+    assert exc.value.code == 0
+    assert out.startswith("usage: agqc bounds") and "--c-delta" in out
+
+
+def _size():
+    return st.one_of(
+        st.integers(-3, 8).map(str),
+        st.integers(10**6, 10**40).map(str),
+        st.sampled_from(["", "x", "1.5", "2e3", "0x10", " 4", "+3", "-0", "9" * 5000]),
+    )
+
+
+@st.composite
+def _generator_specs(draw):
+    kind = draw(st.sampled_from(["chain", "cluster", "zigzag"]))
+    if kind == "cluster":
+        return f"cluster:{draw(_size())}{draw(st.sampled_from(['x', 'X', '*']))}{draw(_size())}"
+    spec = f"{kind}:{draw(_size())}"
+    if kind == "chain" and draw(st.booleans()):
+        spec += ":" + ",".join(draw(st.lists(st.sampled_from(["0", "0.5", "nan", "a"]), max_size=9)))
+    return spec
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(spec=_generator_specs(), command=st.sampled_from(["validate", "gen"]))
+def test_generator_specs_exit_0_1_or_2_without_building_large_graphs(capsys, spec, command):
+    from agqc import graph as graph_mod
+
+    built = []
+    original = graph_mod.OpenGraph.__post_init__
+
+    def recording(self):
+        built.append(self.n_vertices)
+        original(self)
+
+    argv = {"validate": ["graph", "validate", "--graph", spec], "gen": ["graph", "gen", spec]}
+    graph_mod.OpenGraph.__post_init__ = recording
+    try:
+        code, out, err = run_err(capsys, *argv[command])
+    finally:
+        graph_mod.OpenGraph.__post_init__ = original
+    assert code in (0, 1, 2)
+    assert all(n <= 128 for n in built)
+    if code == 2:
+        assert out == "" and err.count("\n") == 1 and err.startswith("error:")
+
+
+def test_generator_specs_are_charged_before_building(capsys):
+    for spec in ("chain:100000", "cluster:1000x1000", "zigzag:100000", "cluster:1x200000"):
+        code, out, err = run_err(capsys, "graph", "validate", "--graph", spec)
+        assert code == 2 and out == ""
+        assert "memory budget" in err and err.count("\n") == 1
+
+
+def test_schedule_doc_renders_each_term_object_once(monkeypatch, capsys):
+    from agqc.pauli import RotatedPauliOp
+
+    rendered = []
+    original = RotatedPauliOp.render
+
+    def counting(self):
+        rendered.append(id(self))
+        return original(self)
+
+    monkeypatch.setattr(RotatedPauliOp, "render", counting)
+    code, out = run(capsys, "compile", "--graph", "cluster:5x6")
+    assert code == 0
+    assert len(rendered) == len(set(rendered)) == 2 * 25
+    doc = json.loads(out)
+    assert sum(len(step["static"]) for step in doc["steps"]) == 25 * 24
+
+
+def test_directory_as_graph_or_gflow_file_is_exit_2(tmp_path, capsys):
+    for argv in (["graph", "validate", "--graph", str(tmp_path)],
+                 ["gflow", "verify", "--graph", "chain:3", "--gflow", str(tmp_path)]):
+        code, out, err = run_err(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: cannot read") and err.count("\n") == 1

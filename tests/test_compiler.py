@@ -22,7 +22,14 @@ from agqc.compiler import (
 )
 from agqc.gflow import Gflow, zigzag_gflow_family
 from agqc.graph import Plane, generate_chain, generate_cluster, generate_zigzag, make_graph
-from agqc.pauli import Commutation, NonCliffordAngleError, RotatedPauliOp, commutes, single
+from agqc.pauli import (
+    Commutation,
+    NonCliffordAngleError,
+    RotatedPauliOp,
+    commutation_masks,
+    commutes,
+    single,
+)
 
 from conftest import chain_gflow, cluster_gflow
 
@@ -377,11 +384,11 @@ def test_commuting_replacement_verdict_is_computed_once(monkeypatch):
     sched = compile_stepwise(g, chain_gflow(4))
     calls = []
 
-    def counting(a, b):
+    def counting(terms, op):
         calls.append(1)
-        return commutes(a, b)
+        return commutation_masks(terms, op)
 
-    monkeypatch.setattr("agqc.compiler.commutes", counting)
+    monkeypatch.setattr("agqc.compiler.commutation_masks", counting)
     step = sched.steps[0]
     assert step.is_commuting_replacement()
     first = len(calls)
@@ -402,3 +409,46 @@ def test_anticommuting_introduced_terms_are_not_a_commuting_replacement():
     assert not step.is_commuting_replacement()
     with pytest.raises(CompileError):
         step_gap_analytic(step)
+
+
+def _x_objects(schedule):
+    """vertex -> ids of every X_v object in the schedule's steps."""
+    ids = {}
+    for step in schedule.steps:
+        for op in [*step.static_terms, *step.introduced.values()]:
+            p = op.pauli
+            if p.z == 0 and p.x & (p.x - 1) == 0 and not op.twist:
+                ids.setdefault(p.x.bit_length() - 1, set()).add(id(op))
+    return ids
+
+
+def test_cluster_verdicts_call_no_exact_commutes_and_share_x_terms(monkeypatch):
+    calls = []
+
+    def counting(a, b):
+        calls.append(1)
+        return commutes(a, b)
+
+    monkeypatch.setattr("agqc.pauli.commutes", counting)
+    g = generate_cluster(10, 20)
+    sched = compile_stepwise(g, cluster_gflow(10, 20))
+    assert len(sched.steps) == 190
+    assert all(step.is_commuting_replacement() for step in sched.steps)
+    assert calls == []
+    ids = _x_objects(sched)
+    assert sorted(ids) == sorted(g.non_outputs)
+    assert all(len(objs) == 1 for objs in ids.values())
+
+
+def test_every_mode_shares_one_x_term_per_vertex():
+    g, gf = generate_cluster(3, 4), cluster_gflow(3, 4)
+    order = [4, 0, 8, 2, 6, 1, 7, 3, 5]
+    for sched in (
+        compile_layered(g, gf),
+        compile_one_step(g, gf),
+        compile_reordered_fixed(g, gf, order)[0],
+        compile_reordered_strip(g, gf, order),
+    ):
+        ids = _x_objects(sched)
+        assert sorted(ids) == sorted(g.non_outputs)
+        assert all(len(objs) == 1 for objs in ids.values())

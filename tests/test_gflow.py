@@ -322,3 +322,83 @@ def test_solve_unit_columns_matches_per_column_bruteforce():
             ]
             assert [x for x in on_pivots if image(x) == target] == [sol]
     assert inconsistent > 0
+
+
+def _reference_violations(graph, gf):
+    """The per-vertex, per-pair axiom loop that verify_gflow replaced."""
+    from agqc.graph import odd_connectivity
+
+    violations = []
+    for v in sorted(gf.g):
+        corr = gf.g[v]
+        lv = gf.layer_of(v)
+        for w in sorted(corr):
+            if w != v and gf.layer_of(w) <= lv:
+                violations.append((v, "G1", f"{w} in g({v}) is not in the future of {v}"))
+        for w in gf.layer:
+            if w != v and gf.layer_of(w) <= lv and odd_connectivity(graph, corr, w):
+                violations.append(
+                    (v, "G2", f"{w} is oddly connected to g({v}) but not after {v}")
+                )
+        plane = graph.planes.get(v, Plane.XY)
+        in_own = v in corr
+        odd_self = odd_connectivity(graph, corr, v)
+        if plane is Plane.XY:
+            if in_own:
+                violations.append((v, "G3", f"XY plane requires {v} not in g({v})"))
+            if not odd_self:
+                violations.append((v, "G3", f"g({v}) must be oddly connected to {v}"))
+        elif plane is Plane.XZ:
+            if not in_own:
+                violations.append((v, "G3", f"XZ plane requires {v} in g({v})"))
+            if not odd_self:
+                violations.append((v, "G3", f"g({v}) must be oddly connected to {v}"))
+        else:
+            if not in_own:
+                violations.append((v, "G3", f"YZ plane requires {v} in g({v})"))
+            if odd_self:
+                violations.append((v, "G3", f"g({v}) must be evenly connected to {v}"))
+    return tuple(violations)
+
+
+def _mutated_gflows(rng):
+    """Valid gflows with one correcting set or layer mutated, and random
+    maps with shuffled layer dicts, ties, negative layers and mixed planes."""
+    for graph, gf in (
+        (generate_cluster(3, 4), cluster_gflow(3, 4)),
+        (generate_zigzag(6), zigzag_gflow_family(6, 2)),
+        (generate_chain(7, [0.0] * 7), chain_gflow(7)),
+    ):
+        yield graph, gf
+        for _ in range(15):
+            g, layer = dict(gf.g), dict(gf.layer)
+            v = int(rng.choice(sorted(g)))
+            if rng.integers(2):
+                w = int(rng.integers(graph.n_vertices))
+                g[v] = g[v] ^ {w}
+            else:
+                layer[v] = int(rng.integers(-1, max(layer.values()) + 2))
+            yield graph, Gflow(g, layer)
+    for _ in range(60):
+        n = int(rng.integers(3, 9))
+        graph = random_open_graph(rng, n)
+        non_out = [int(v) for v in rng.permutation(graph.non_outputs)]
+        planes = {v: Plane(str(rng.choice(["XY", "XZ", "YZ"]))) for v in non_out}
+        graph = make_graph(n, graph.edges, graph.inputs, graph.outputs, graph.angles, planes)
+        g = {
+            v: frozenset(int(w) for w in rng.choice(n, size=int(rng.integers(0, n)), replace=False))
+            for v in non_out
+        }
+        layer = {v: int(rng.integers(-2, 3)) for v in non_out}
+        yield graph, Gflow(g, layer)
+
+
+def test_g2_masks_match_the_per_pair_loop(rng):
+    kinds = set()
+    for graph, gf in _mutated_gflows(rng):
+        report = verify_gflow(graph, gf)
+        want = _reference_violations(graph, gf)
+        assert report.violations == want
+        assert report.valid == (not want)
+        kinds |= {axiom for _, axiom, _ in want}
+    assert kinds == {"G1", "G2", "G3"}

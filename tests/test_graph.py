@@ -202,3 +202,17 @@ def test_parser_charges_vertices_and_adjacency_bitmasks_to_the_budget(monkeypatc
     assert graph_from_json(text % (n, "[]", n)).n_vertices == n
     with pytest.raises(budget.SizeCapError):
         graph_from_json(text % (n, path, n))
+
+
+def test_generators_charge_the_graph_file_estimate(monkeypatch):
+    # the closed-form widths equal the sum of the larger edge endpoints
+    from agqc import graph as graph_mod
+
+    charged = []
+    monkeypatch.setattr(graph_mod, "check_bytes", lambda n_bytes, what: charged.append(n_bytes))
+    graphs = [generate_chain(n) for n in (2, 3, 7)]
+    graphs += [generate_cluster(r, c) for r in (1, 2, 5) for c in (2, 3, 6)]
+    graphs += [generate_zigzag(n) for n in (1, 2, 9)]
+    assert charged == [
+        256 * g.n_vertices + sum(max(e) for e in g.edges) // 4 for g in graphs
+    ]

@@ -12,6 +12,7 @@ from agqc.pauli import (
     RotatedPauliOp,
     apply_op,
     build_T,
+    commutation_masks,
     commutes,
     correction_operator,
     identity,
@@ -343,3 +344,74 @@ def test_commutes_matches_two_product_comparison(rng):
 def test_commutes_rejects_mismatched_universes():
     with pytest.raises(ValueError):
         commutes(rop(single(2, 0, "X")), rop(single(3, 0, "Z")))
+
+
+# --- bitmask commutation kernel ---------------------------------------------
+
+
+def _kernel_operands(rng, n):
+    """Twist-free, general-angle and Clifford-folded operators, and products."""
+    ops = []
+    for _ in range(30):
+        p = PauliString(n, int(rng.integers(1 << n)), int(rng.integers(1 << n)), int(rng.integers(4)))
+        sites = [int(v) for v in rng.choice(n, size=int(rng.integers(1, 3)), replace=False)]
+        ops.append(rop(p))
+        ops.append(rop(p, {v: float(rng.uniform(-7, 7)) for v in sites}))
+        # within 1e-13 of a multiple of pi/2: folded into the Pauli part
+        ops.append(rop(p, {v: int(rng.integers(-4, 5)) * math.pi / 2 + 1e-13 for v in sites}))
+    ops += [a.mul(b) for a, b in zip(ops[::7], ops[1::5])]
+    return ops
+
+
+def _dense_relations(stack: np.ndarray, b: np.ndarray) -> list[Commutation]:
+    """Relation of every matrix of ``stack`` with ``b``, from the products."""
+    ab, ba = stack @ b, b @ stack
+    comm = np.abs(ab - ba).max(axis=(1, 2)) < 1e-9
+    anti = np.abs(ab + ba).max(axis=(1, 2)) < 1e-9
+    return [
+        Commutation.COMMUTE if c else Commutation.ANTICOMMUTE if a else Commutation.NEITHER
+        for c, a in zip(comm, anti)
+    ]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_commutation_masks_match_commutes_pair_by_pair(seed):
+    # and both match the dense products, which share no code with the rule
+    rng = np.random.default_rng([seed, 41])
+    n = 4
+    terms = _kernel_operands(rng, n)
+    dense = np.array([to_matrix(t) for t in terms])
+    seen = set()
+    for op, mat in zip(terms, dense):
+        anti, neither = commutation_masks(terms, op)
+        assert not anti & neither
+        for i, (t, want) in enumerate(zip(terms, _dense_relations(dense, mat))):
+            rel = commutes(t, op)
+            seen.add(rel)
+            assert rel is want, (t.render(), op.render())
+            assert (anti >> i & 1, neither >> i & 1) == (
+                rel is Commutation.ANTICOMMUTE,
+                rel is Commutation.NEITHER,
+            ), (t.render(), op.render())
+    assert seen == set(Commutation)
+
+
+def test_commutation_masks_decide_twist_free_overlaps_by_parity(monkeypatch):
+    # a twist on a Z letter of the other operand, or on a site it leaves
+    # alone, never reaches the exact product comparison
+    n = 3
+    calls = []
+    monkeypatch.setattr(
+        "agqc.pauli.commutes", lambda a, b: calls.append(1) or Commutation.NEITHER
+    )
+    twisted = rop(PauliString(n, x=0b001, z=0b010), {1: 0.3, 2: 0.7})
+    terms = [rop(single(n, 1, "Z")), rop(single(n, 2, "I")), rop(single(n, 0, "Z"))]
+    assert commutation_masks(terms, twisted) == (0b100, 0)
+    assert not calls
+    assert commutation_masks([rop(single(n, 1, "X"))], twisted) == (0, 1)
+    assert calls == [1]
+
+
+def test_commutation_masks_reject_mixed_universes():
+    with pytest.raises(ValueError):
+        commutation_masks([rop(single(2, 0, "X"))], rop(single(3, 0, "Z")))
