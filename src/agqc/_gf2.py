@@ -68,22 +68,6 @@ def kernel_filter(basis: list[int], constraint: int) -> list[int]:
     return even + [v ^ pivot for v in odd[1:]]
 
 
-def in_span(basis: list[int], target: int) -> bool:
-    """Membership of ``target`` in the GF(2) span of ``basis``."""
-    work = list(basis)
-    x = target
-    for c in range(max((v.bit_length() for v in work + [x]), default=0)):
-        bit = 1 << c
-        pivot = next((v for v in work if v & bit), None)
-        if pivot is None:
-            continue
-        work = [v ^ pivot if (v & bit and v is not pivot) else v for v in work]
-        if x & bit:
-            x ^= pivot
-        work.remove(pivot)
-    return x == 0
-
-
 def symplectic_product(a: int, b: int, n: int) -> int:
     """``<a, b> = x_a . z_b + z_a . x_b`` (mod 2) for vectors ``x | z << n``:
     1 exactly when the two Pauli strings anticommute."""

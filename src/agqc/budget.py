@@ -7,6 +7,8 @@ budget raises :class:`SizeCapError`, which the CLI reports as exit 2.
 
 from __future__ import annotations
 
+from decimal import Decimal
+
 #: Bytes that the arrays of one simulation may hold at once.
 MEMORY_BUDGET = 1 << 30
 
@@ -18,10 +20,12 @@ class SizeCapError(ValueError):
     """The request would allocate past :data:`MEMORY_BUDGET`."""
 
 
-def check_bytes(n_bytes: int, what: str) -> None:
+def check_bytes(n_bytes: float, what: str) -> None:
+    """Raise SizeCapError when ``n_bytes`` (an int of any size, or a float)
+    exceeds the budget."""
     if n_bytes > MEMORY_BUDGET:
         raise SizeCapError(
-            f"{what} need ~{n_bytes >> 20} MiB, over the "
+            f"{what} need ~{float(Decimal(n_bytes) / (1 << 20)):.3g} MiB, over the "
             f"{MEMORY_BUDGET >> 20} MiB memory budget"
         )
 

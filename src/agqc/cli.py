@@ -101,6 +101,11 @@ def _write(out: str | None, text: str) -> None:
         Path(out).write_text(text)
 
 
+#: The energy scales ``--gamma`` may take: every product of gamma with a
+#: time or a term count that the memory budget admits stays finite.
+GAMMA_RANGE = (1e-100, 1e100)
+
+
 def _finite(value: float, option: str) -> float:
     if not math.isfinite(value):
         raise CliError(f"{option} must be a finite number, got {value}")
@@ -363,11 +368,15 @@ def cmd_mbqc(args) -> int:
         amps = [complex(x) for x in args.input.split(",")]
         if len(amps) != 1 << k:
             raise CliError(f"input state needs {1 << k} amplitudes")
-        state = np.array(amps, dtype=complex)
-        norm = np.linalg.norm(state)
-        if not 0.0 < norm < math.inf:
-            raise CliError(f"input state needs a finite nonzero norm, got {norm}")
-        state = state / norm
+        # the largest real or imaginary part is 0, inf or nan exactly when
+        # the norm is; scaling by a power of two near it is exact, and the
+        # sum of squares can then not overflow
+        parts = np.array(amps, dtype=complex).view(float)
+        scale = float(np.max(np.abs(parts)))
+        if not 0.0 < scale < math.inf:
+            raise CliError(f"input state needs a finite nonzero norm, got {scale}")
+        state = np.ldexp(parts, -math.frexp(scale)[1]).view(complex)
+        state = state / np.linalg.norm(state)
     else:
         state = np.zeros(1 << k, dtype=complex)
         state[0] = 1.0
@@ -543,6 +552,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         for dest, value in vars(args).items():
             if isinstance(value, float):
                 _finite(value, "--" + dest.replace("_", "-"))
+        low, high = GAMMA_RANGE
+        if "gamma" in args and not low <= args.gamma <= high:
+            raise CliError(f"--gamma must lie in [{low:g}, {high:g}], got {args.gamma}")
         return args.func(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

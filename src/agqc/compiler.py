@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -29,6 +30,8 @@ from .pauli import (
 #: Relative tolerance (in units of gamma) below which two levels count as
 #: degenerate, and below which a gap counts as closed.
 DEGENERACY_TOL = 1e-9
+
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 class CompileError(ValueError):
@@ -136,7 +139,11 @@ class AdiabaticBudget:
     @property
     def tau0(self) -> float:
         """Reference time for a single replacement: c / (eps 2^{1+d/2} gamma)."""
-        return self.c_delta / (self.epsilon * 2 ** (1 + self.delta / 2) * self.gamma)
+        den = self.epsilon * 2 ** (1 + self.delta / 2) * self.gamma
+        if 0.0 < den < math.inf:
+            return self.c_delta / den
+        # the product left the float range: divide factor by factor
+        return self.c_delta / self.epsilon / 2 ** (1 + self.delta / 2) / self.gamma
 
 
 def _require_valid_gflow(graph: OpenGraph, gf: Gflow) -> None:
@@ -300,7 +307,10 @@ def compile_reordered_fixed(
     def to_set(mask: int) -> frozenset[int]:
         return frozenset(vertices[i] for i in _gf2.set_bits(mask))
 
+    # cert_basis starts as the whole space and keeps exactly the vectors that
+    # meet every constraint so far: e_v is in its span iff no constraint has bit v
     cert_basis = [1 << i for i in range(len(vertices))]
+    constrained = 0
     steps = []
     feas = []
     replaced: list[int] = []
@@ -314,7 +324,8 @@ def compile_reordered_fixed(
         # products of the original T's must overlap the terms anticommuting
         # with X_v evenly and avoid the terms in a "neither" relation with it
         anti, neither = commutation_masks(originals, xv)
-        tracked_available = _gf2.in_span(cert_basis, 1 << vindex[v])
+        tracked_available = not constrained >> vindex[v] & 1
+        constrained |= anti | neither
         new_basis = _gf2.kernel_filter(cert_basis, anti)
         for i in _gf2.set_bits(neither):
             new_basis = _gf2.kernel_filter(new_basis, 1 << i)
@@ -461,7 +472,8 @@ def runtime_bound(
     bound reduces exactly to ``tau0 * |U|^{1+delta}``.  A gap below
     ``DEGENERACY_TOL * gamma`` is closed (a numerical scan returns roundoff,
     not 0, at a degenerate crossing) and reports an infinite bound (the
-    reordering failure mode).
+    reordering failure mode).  Where a factor leaves the float range, the
+    bound is taken in logarithms: inf past the range, never NaN.
     """
     if gap is None:
         if not step.is_commuting_replacement():
@@ -474,11 +486,17 @@ def runtime_bound(
         return math.inf
     if hdot_norm is None:
         hdot_norm = step_norm_hdot(step, budget.gamma)
-    return (
-        budget.c_delta
-        * hdot_norm ** (1.0 + budget.delta)
-        / (budget.epsilon * gap ** (2.0 + budget.delta))
-    )
+    c, d, eps = budget.c_delta, budget.delta, budget.epsilon
+    try:
+        num, den = c * hdot_norm ** (1.0 + d), eps * gap ** (2.0 + d)
+        if 0.0 < den < math.inf and num < math.inf:
+            return num / den
+    except OverflowError:  # a power past the float range
+        pass
+    if hdot_norm == 0.0:
+        return 0.0
+    log = math.log(c) - math.log(eps) + (1.0 + d) * math.log(hdot_norm) - (2.0 + d) * math.log(gap)
+    return math.inf if log > _LOG_FLOAT_MAX else math.exp(log)
 
 
 def hamiltonian_degree(schedule: Schedule) -> int:

@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from . import _gf2
-from ._linalg import eigvalsh, expmi, ordered_apply
+from ._linalg import eigvalsh, expmi, ordered_apply, su2_ramp
 from .budget import CHUNK_BYTES, check_bytes
 from .compiler import Schedule
 from .graph import CLIFFORD_TOL
@@ -145,11 +145,19 @@ class StepBlocks:
 
     def propagate(self, psi: np.ndarray, dt: float, weights: np.ndarray) -> np.ndarray:
         """Apply ``exp(-i dt (A/2 + w B))`` for each w of ``weights`` in turn,
-        block by block, with the exponentials stacked over (w x block) and
-        multiplied in order by :func:`~agqc._linalg.ordered_apply`."""
+        block by block.  Two-dimensional blocks take the product as an SU(2)
+        pair and a phase (:func:`~agqc._linalg.su2_ramp`), applied once;
+        larger ones stack the exponentials over (w x block) and multiply them
+        in order by :func:`~agqc._linalg.ordered_apply`."""
         c = self.to_blocks(psi)
-        for h in self._stacks(0.5, weights):
-            c = ordered_apply(expmi(dt * h), c)
+        if self.dim == 2:
+            phase, alpha, beta = (x[:, None] for x in su2_ramp(self.a, self.b, dt, weights))
+            c0, c1 = c[:, 0], c[:, 1]
+            c = phase[:, None] * np.stack(
+                [alpha * c0 - beta.conj() * c1, beta * c0 + alpha.conj() * c1], axis=1)
+        else:
+            for h in self._stacks(0.5, weights):
+                c = ordered_apply(expmi(dt * h), c)
         return self.from_blocks(c).reshape(psi.shape)
 
 

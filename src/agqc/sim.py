@@ -16,10 +16,11 @@ step from the step's algebra, the smaller of two exact ones:
   ground projection, block by block.
 
 Both use the same CF4 weight grid, so they agree to roundoff.  Every 2x2
-exponential and spectrum is taken in closed form over a whole stack;
-larger ones use ``eigh``.  Sizes are limited by the byte budget of
-:mod:`agqc.budget`, checked before allocating.  The basis convention is
-that bit v of a state index is the computational basis state of vertex v.
+propagator is an ordered product of SU(2) pairs times one phase, and every
+2x2 spectrum is taken in closed form; larger ones use ``eigh``.  Sizes are
+limited by the byte budget of :mod:`agqc.budget`, checked before
+allocating.  The basis convention is that bit v of a state index is the
+computational basis state of vertex v.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from typing import Sequence
 import numpy as np
 import scipy.linalg
 
+from ._linalg import su2_ramp
 from .budget import SizeCapError, check_bytes, check_dense, check_vectors
 from .compiler import DEGENERACY_TOL, Schedule, ScheduleStep
 from .gflow import Gflow
@@ -226,7 +228,12 @@ class EvolutionResult:
 
 
 def _n_substeps(tau: float, dt_max: float) -> int:
-    return max(8, int(math.ceil(tau / dt_max)))
+    """At least 8 CF4 substeps of at most ``dt_max``, checked against the
+    memory budget of their weights while still a float (``tau / dt_max``
+    may overflow to inf)."""
+    n_sub = max(8.0, float(np.ceil(tau / dt_max)))
+    check_bytes(64 * n_sub, f"{n_sub:.3g} CF4 substeps")
+    return int(n_sub)
 
 
 def _cf4_weights(n_sub: int) -> np.ndarray:
@@ -234,7 +241,6 @@ def _cf4_weights(n_sub: int) -> np.ndarray:
     ``exp(-i dt (A/2 + w B))`` over ``n_sub`` equal substeps of [0, 1]: per
     substep with Gauss nodes s1 < s2, ``A1 s1 + A2 s2`` then
     ``A2 s1 + A1 s2`` (``dt (A1 h(s1) + A2 h(s2))`` with A1 + A2 = 1/2)."""
-    check_bytes(64 * n_sub, f"{n_sub} CF4 substeps")
     s0 = np.arange(n_sub) / n_sub
     nodes = np.stack([s0 + (0.5 - _CF4_NODE) / n_sub, s0 + (0.5 + _CF4_NODE) / n_sub], axis=1)
     return (nodes @ np.array([[_CF4_A1, _CF4_A2], [_CF4_A2, _CF4_A1]])).reshape(-1)
@@ -266,12 +272,16 @@ def _pair_coefficients(
 ) -> tuple[complex, complex, complex, complex]:
     """``(c0, c1, c2, c3)`` with ``U = c0 + c1 sz + c2 sx + c3 sz sx`` the CF4
     propagator of ``h(s) = -gamma [(1-s) sz + s sx]`` over tau: the one-block
-    case of :func:`_propagate_blocks`, with ``A = -gamma sz`` and
-    ``B = -gamma (sx - sz)``."""
+    case of :func:`~agqc._linalg.su2_ramp`, with ``A = -gamma sz`` and
+    ``B = -gamma (sx - sz)``, both traceless, so that U is the pair
+    ``[[alpha, -conj(beta)], [beta, conj(alpha)]]`` itself."""
     sz, sx = np.diag([1.0, -1.0]), np.array([[0.0, 1.0], [1.0, 0.0]])
-    pair = StepBlocks(np.ones(2), np.arange(2), 0, -gamma * sz[None], -gamma * (sx - sz)[None])
-    (u00, u01), (u10, u11) = _propagate_blocks(pair, np.eye(2, dtype=complex), tau, dt_max).tolist()
-    return (u00 + u11) / 2, (u00 - u11) / 2, (u01 + u10) / 2, (u01 - u10) / 2
+    n_sub = _n_substeps(tau, dt_max)
+    _, (alpha,), (beta,) = su2_ramp(
+        -gamma * sz[None], -gamma * (sx - sz)[None], tau / n_sub, _cf4_weights(n_sub)
+    )
+    return (complex(alpha.real), complex(0.0, alpha.imag),
+            complex(0.0, beta.imag), complex(-beta.real))
 
 
 def _propagate_pair_step(

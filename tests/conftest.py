@@ -32,6 +32,22 @@ def cluster_gflow(rows: int, cols: int) -> Gflow:
     return Gflow(g, layer)
 
 
+def in_span(basis: list[int], target: int) -> bool:
+    """Membership of ``target`` in the GF(2) span of ``basis``."""
+    work = list(basis)
+    x = target
+    for c in range(max((v.bit_length() for v in work + [x]), default=0)):
+        bit = 1 << c
+        pivot = next((v for v in work if v & bit), None)
+        if pivot is None:
+            continue
+        work = [v ^ pivot if (v & bit and v is not pivot) else v for v in work]
+        if x & bit:
+            x ^= pivot
+        work.remove(pivot)
+    return x == 0
+
+
 def random_open_graph(rng: np.random.Generator, n: int) -> OpenGraph:
     """Random connected-ish open graph with |I| <= |O|, random XY angles."""
     edges = set()

@@ -1,6 +1,7 @@
 import copy
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -334,12 +335,42 @@ def test_arbitrary_graph_and_gflow_files_exit_0_1_or_2(tmp_path, capsys, docs):
         ["evolve", "--graph", "chain:3", "--tau", "inf"],
         ["reorder", "--graph", "chain:4", "--order", "3,1,2", "--tau", "10,inf"],
         ["evolve", "--graph", "chain:3", "--tau", "1e12"],
+        ["evolve", "--graph", "chain:3", "--tau", "1e308"],
+        ["reorder", "--graph", "chain:4", "--order", "3,1,2", "--tau", "1e308"],
+        ["reorder", "--graph", "chain:4", "--order", "3,1,2", "--tau", "10", "--gamma", "1e300"],
+        ["gapscan", "--graph", "chain:3", "--gamma", "0"],
+        ["evolve", "--graph", "chain:3", "--gamma", "-1"],
     ],
 )
 def test_non_finite_or_oversized_numbers_are_exit_2(capsys, argv):
     code, out, err = run_err(capsys, *argv)
     assert code == 2 and out == ""
     assert err.count("\n") == 1 and err.startswith("error:")
+
+
+def test_oversized_tau_error_prints_short_counts(capsys):
+    code, out, err = run_err(capsys, "evolve", "--graph", "chain:3", "--tau", "1e300")
+    assert code == 2 and out == ""
+    assert err == "error: 4e+300 CF4 substeps need ~2.44e+296 MiB, over the 1024 MiB memory budget\n"
+
+
+def test_mbqc_input_near_the_float_limit_normalizes_without_overflow(capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = run_err(capsys, "mbqc", "--graph", "chain:3", "--input", "1e308,1e308")
+        assert code == 0 and err == ""
+        assert json.loads(out)["output_state"] == [[2 ** -0.5, 0.0], [2 ** -0.5, 0.0]]
+        for amps, norm in (("1e308,inf", "inf"), ("nan,1", "nan"), ("0,0j", "0.0")):
+            code, out, err = run_err(capsys, "mbqc", "--graph", "chain:3", "--input", amps)
+            assert code == 2 and out == ""
+            assert err == f"error: input state needs a finite nonzero norm, got {norm}\n"
+
+
+def test_bounds_past_the_float_range_print_no_nan(capsys):
+    code, out = run(capsys, "bounds", "--graph", "chain:4", "--mode", "reorder-strip", "--order", "3,1,2",
+                    "--s-grid", "5", "--epsilon", "1e308", "--c-delta", "1e308")
+    assert code == 0 and "nan" not in out
+    assert [row.split(",")[-1] for row in out.split()[1:]] == ["inf", "0.707106781187", "0.707106781187"]
 
 
 def test_evolve_chain_target_on_non_chain_is_exit_2(capsys):
@@ -529,3 +560,70 @@ def test_directory_as_graph_or_gflow_file_is_exit_2(tmp_path, capsys):
         code, out, err = run_err(capsys, *argv)
         assert code == 2 and out == ""
         assert err.startswith("error: cannot read") and err.count("\n") == 1
+
+
+# numbers as text: small values, values past every size budget, and the
+# extreme, non-finite and malformed spellings argparse and float() meet
+_NUMBER = st.one_of(
+    st.floats(-20.0, 20.0).map(repr),
+    st.floats(1e9, 1e308).map(repr),
+    st.sampled_from(["nan", "inf", "-inf", "1e308", "-1e308", "1e400", "5e-324", "-0.0", "0",
+                     "", "1e", "abc", "0x10", "1_0", "1+2j", "1e308+1e308j", "nanj"]),
+)
+# half of the draws are plain values, so that most commands also run through
+_VALUE = st.one_of(st.floats(0.5, 20.0).map(repr), _NUMBER)
+_ORDER = st.one_of(
+    st.permutations([1, 2, 3]).map(lambda o: ",".join(map(str, o))),
+    st.lists(st.integers(-1, 5), max_size=5).map(lambda o: ",".join(map(str, o))),
+    st.sampled_from(["1,,2", "a", "3,1,2,", " 3,1,2"]),
+)
+_S_GRID = st.one_of(st.integers(-3, 40).map(str), st.sampled_from(["1.5", "nan", "", "1e3", "x"]))
+
+
+def _joined(items):
+    return st.lists(items, min_size=1, max_size=3).map(",".join)
+
+
+@st.composite
+def _numeric_argv(draw):
+    command = draw(st.sampled_from(["evolve", "reorder", "gapscan", "bounds", "mbqc", "zigzag"]))
+    if command == "evolve":
+        argv = ["evolve", "--graph", "chain:3", "--tau", draw(_VALUE), "--gamma", draw(_VALUE)]
+        if draw(st.booleans()):
+            argv = ["evolve", "--graph", "chain:4", "--mode", "reorder-fixed", "--order", draw(_ORDER),
+                    "--tau", draw(_VALUE)]
+    elif command == "reorder":
+        argv = ["reorder", "--graph", "chain:4", "--order", draw(_ORDER), "--tau", draw(_joined(_VALUE)),
+                "--mode", draw(st.sampled_from(["fixed", "strip"])), "--gamma", draw(_VALUE)]
+    elif command in ("gapscan", "bounds"):
+        argv = [command, "--graph", "chain:3", "--s-grid", draw(_S_GRID), "--gamma", draw(_VALUE)]
+        if command == "bounds":
+            argv += ["--c-delta", draw(_VALUE), "--epsilon", draw(_VALUE)]
+    elif command == "mbqc":
+        # amplitudes past sqrt(max float), whose squares overflow
+        amp = st.one_of(_VALUE, st.floats(1e155, 1e308).map(repr))
+        pair = st.lists(amp, min_size=2, max_size=2).map(",".join)
+        argv = ["mbqc", "--graph", "chain:3", "--input", draw(st.one_of(pair, _joined(amp)))]
+    else:
+        r = draw(st.one_of(st.integers(-2, 4).map(str), st.sampled_from(["", "x", "1.0", "99999999999"])))
+        argv = [draw(st.sampled_from(["evolve", "mbqc"])), "--graph", "zigzag:2", "--gflow", f"zigzag:{r}"]
+    return argv
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=_numeric_argv())
+def test_numeric_arguments_exit_0_1_or_2(capsys, argv):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse
+            code = exc.code
+    captured = capsys.readouterr()
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and captured.err.startswith("error:")
+    if code == 0:
+        assert "nan" not in captured.out.lower()

@@ -20,7 +20,7 @@ from agqc.compiler import (
     step_gap_analytic,
     step_norm_hdot,
 )
-from agqc.gflow import Gflow, zigzag_gflow_family
+from agqc.gflow import Gflow, find_gflow, zigzag_gflow_family
 from agqc.graph import Plane, generate_chain, generate_cluster, generate_zigzag, make_graph
 from agqc.pauli import (
     Commutation,
@@ -31,7 +31,7 @@ from agqc.pauli import (
     single,
 )
 
-from conftest import chain_gflow, cluster_gflow
+from conftest import chain_gflow, cluster_gflow, in_span
 
 
 def rop(p):
@@ -192,6 +192,26 @@ def test_reorder_fixed_general_angle_certificates_are_genuine():
     assert report.steps[0].frustrated and not report.steps[0].protected
 
 
+@pytest.mark.parametrize("graph", [
+    generate_chain(6, [0.3, 1.1, 0.0, 2.0, 0.7, 0.0]),
+    generate_chain(9, [0.0] * 9),
+    generate_cluster(3, 4),
+    generate_zigzag(6),
+])
+def test_reorder_fixed_tracks_the_certificate_span(graph, rng):
+    # the tracked T_v is available exactly when e_v lies in the span of the
+    # certificates left by the previous step (all unit vectors at the start)
+    gf = find_gflow(graph)
+    for _ in range(20):
+        order = [int(v) for v in rng.permutation(graph.non_outputs)]
+        _, report = compile_reordered_fixed(graph, gf, order)
+        basis = [1 << v for v in graph.non_outputs]
+        for fs in report.steps:
+            unpinned = fs.detail.startswith("the +1 eigenvalue")
+            assert unpinned == (not in_span(basis, 1 << fs.vertex)), (order, fs.vertex)
+            basis = [sum(1 << v for v in prod) for prod in fs.conserved_products]
+
+
 def test_reorder_fixed_requires_permutation():
     g = generate_chain(4, [0.0] * 4)
     with pytest.raises(CompileError):
@@ -309,6 +329,23 @@ def test_runtime_bound_zero_gap_is_infinite():
     budget = AdiabaticBudget()
     assert runtime_bound(st, budget, gap=0.0) == math.inf
     assert runtime_bound(st, budget, gap=-1.0) == math.inf
+
+
+def test_runtime_bound_past_the_float_range_is_never_nan():
+    g = generate_chain(4, [0.0] * 4)
+    st = compile_stepwise(g, chain_gflow(4)).steps[0]
+    cases = [  # (budget, gap, hdot_norm, c hdot^2 / (eps gap^3))
+        (AdiabaticBudget(gamma=1e-200), 1e-150, 1e-200, 1e52),  # gap^3 underflows
+        (AdiabaticBudget(), 1.0, 1e200, math.inf),  # hdot^2 overflows
+        (AdiabaticBudget(epsilon=1e308, c_delta=1e308), 2.0, 2.0, 0.5),  # both overflow
+    ]
+    for budget, gap, hdot, want in cases:
+        assert runtime_bound(st, budget, gap=gap, hdot_norm=hdot) == pytest.approx(want, rel=1e-12)
+    assert AdiabaticBudget(epsilon=1e-200, gamma=1e-200).tau0 == math.inf
+    tiny = AdiabaticBudget(epsilon=1e-200, gamma=1e-200, c_delta=1e-300)
+    assert tiny.tau0 == pytest.approx(1e100 / 2 ** 1.5, rel=1e-12)
+    huge = AdiabaticBudget(epsilon=1e300, gamma=1e10, c_delta=1e300)
+    assert huge.tau0 == pytest.approx(1e-10 / 2 ** 1.5, rel=1e-12)
 
 
 def test_runtime_bound_roundoff_gap_is_closed():

@@ -18,8 +18,8 @@ from agqc.gflow import Gflow, find_gflow, zigzag_gflow_family
 from agqc.graph import generate_chain, generate_cluster, generate_cnot_graph, generate_zigzag, make_graph
 from agqc.logical import initial_frame
 from agqc.logical import chain_unitary, compare
-from agqc import _gf2, budget, sim
-from agqc._linalg import eigvalsh, expmi, matmul, ordered_apply
+from agqc import _linalg, budget, sectors, sim
+from agqc._linalg import _two_level, eigvalsh, expmi, ordered_apply, su2_exp, su2_ordered, su2_ramp
 from agqc.pauli import (
     Commutation,
     PauliString,
@@ -52,7 +52,7 @@ from agqc.sim import (
 )
 from agqc.sectors import conserved_generators, frame_strings, step_blocks, twist_frame
 
-from conftest import chain_gflow, cluster_gflow
+from conftest import chain_gflow, cluster_gflow, in_span
 import dense_oracle
 from dense_oracle import assemble, ground_projector, propagate_step
 
@@ -283,32 +283,33 @@ def test_evolve_rejects_bad_tau():
 # --- two-level kernel -------------------------------------------------------
 
 
-def _expmi_eigh(h):
-    w, v = np.linalg.eigh(h)
-    return (v * np.exp(-1j * w)[..., None, :]) @ np.swapaxes(v.conj(), -1, -2)
-
-
-def _hermitian_stack(rng, m, scale):
-    x = rng.standard_normal((m, 2, 2)) + 1j * rng.standard_normal((m, 2, 2))
+def _hermitian_stack(rng, m, scale, dim=2):
+    x = rng.standard_normal((m, dim, dim)) + 1j * rng.standard_normal((m, dim, dim))
     return scale * (x + np.swapaxes(x.conj(), -1, -2)) / 2
 
 
-def test_closed_form_expmi_matches_eigh_form(rng):
+def _su2_matrix(alpha, beta):
+    """The matrices ``[[alpha, -conj(beta)], [beta, conj(alpha)]]`` of a pair stack."""
+    return np.stack([np.stack([alpha, -beta.conj()], -1), np.stack([beta, alpha.conj()], -1)], -2)
+
+
+def test_su2_exp_matches_eigh_form(rng):
     stacks = [_hermitian_stack(rng, 64, scale) for scale in (1e-170, 1e-8, 1.0, 30.0, 1e3)]
     stacks.append(rng.standard_normal((64, 1, 1)) * np.eye(2))  # r = 0
     stacks.append(np.zeros((3, 2, 2)))
     stacks.append(rng.standard_normal((64, 2))[..., None] * np.eye(2))  # diagonal
     stacks.append(1e3 * rng.standard_normal((64, 2))[..., None] * np.eye(2))
     for h in stacks:
-        u = expmi(h)
+        h0, z, h10, _ = _two_level(h)
+        alpha, beta = su2_exp(z, h10)
+        u = np.exp(-1j * h0)[:, None, None] * _su2_matrix(alpha, beta)
         assert np.all(np.isfinite(u))
         # rounding h itself moves exp(-i h) by ~eps ||h|| in either form
         tol = 1e-14 * np.maximum(1.0, np.linalg.norm(h, 2, axis=(1, 2)))
-        assert np.all(np.max(np.abs(u - _expmi_eigh(h)), axis=(1, 2)) <= tol)
-        defect = np.swapaxes(u.conj(), -1, -2) @ u - np.eye(2)
-        assert np.max(np.abs(defect)) < 1e-14
-    tiny = np.array([[0.0, 3e-170], [3e-170, 1e-170]])
-    assert np.max(np.abs(expmi(tiny) - np.eye(2))) < 1e-160
+        assert np.all(np.max(np.abs(u - expmi(h)), axis=(1, 2)) <= tol)
+        assert np.max(np.abs(np.abs(alpha) ** 2 + np.abs(beta) ** 2 - 1.0)) < 1e-14
+    alpha, beta = su2_exp(np.array([-0.5e-170]), np.array([3e-170 + 0j]))
+    assert abs(alpha[0] - 1.0) < 1e-160 and abs(beta[0]) < 1e-160
 
 
 def test_closed_form_eigvalsh_matches_lapack(rng):
@@ -324,17 +325,47 @@ def test_closed_form_eigvalsh_matches_lapack(rng):
     assert np.array_equal(eigvalsh(h4), np.linalg.eigvalsh(h4))
 
 
-def test_elementwise_product_matches_matmul(rng):
-    x = _hermitian_stack(rng, 40, 1.0).reshape(5, 8, 2, 2)
-    y = rng.standard_normal((5, 8, 2, 3)) + 1j * rng.standard_normal((5, 8, 2, 3))
-    assert np.max(np.abs(matmul(x, y) - x @ y)) < 1e-14
-    assert np.max(np.abs(matmul(x, x[::-1]) - x @ x[::-1])) < 1e-14
+def test_ordered_products_match_sequential_matmul(rng):
+    y = rng.standard_normal((3, 4, 5)) + 1j * rng.standard_normal((3, 4, 5))
+    v = su2_exp(*_two_level(_hermitian_stack(rng, 3, 1.0))[1:3])
     for m in (1, 2, 7, 16):
-        u = expmi(_hermitian_stack(rng, 3 * m, 1.0).reshape(m, 3, 2, 2))
-        want = y[0, :3]
+        u = expmi(_hermitian_stack(rng, 3 * m, 1.0, dim=4).reshape(m, 3, 4, 4))
+        _, z, h10, _ = _two_level(_hermitian_stack(rng, 3 * m, 1.0).reshape(m, 3, 2, 2))
+        alpha, beta = su2_exp(z, h10)
+        want_u, want_su2 = y, _su2_matrix(*v)
         for k in range(m):
-            want = u[k] @ want
-        assert np.max(np.abs(ordered_apply(u, y[0, :3]) - want)) < 1e-13, m
+            want_u = u[k] @ want_u
+            want_su2 = _su2_matrix(alpha[k], beta[k]) @ want_su2
+        assert np.max(np.abs(ordered_apply(u, y) - want_u)) < 1e-13, m
+        assert np.max(np.abs(_su2_matrix(*su2_ordered(alpha, beta, v)) - want_su2)) < 1e-13, m
+
+
+@pytest.mark.parametrize("kind", ["random", "diagonal", "tiny", "large"])
+def test_su2_ramp_matches_products_of_eigh_exponentials(rng, kind):
+    n_blocks, dt = 64, 0.3
+    a, b = (_hermitian_stack(rng, n_blocks, 1.0) for _ in range(2))
+    if kind == "diagonal":
+        a, b = (rng.standard_normal((n_blocks, 2))[..., None] * np.eye(2) for _ in range(2))
+    scale = {"tiny": 1e-170, "large": 1e3}.get(kind, 1.0)
+    a, b = scale * a, scale * b
+    per = budget.CHUNK_BYTES // (32 * n_blocks)
+    weights = rng.uniform(0.0, 1.0, 2 * per + 37)  # crosses two chunk boundaries
+    phase, alpha, beta = su2_ramp(a, b, dt, weights)
+    want = np.broadcast_to(np.eye(2), a.shape)
+    for w in weights:
+        want = expmi(dt * (0.5 * a + w * b)) @ want
+    # each eigh exponential is accurate to ~eps max(1, ||dt h||)
+    tol = 1e-15 * len(weights) * max(1.0, dt * scale)
+    assert np.max(np.abs(phase[:, None, None] * _su2_matrix(alpha, beta) - want)) < tol
+
+
+def test_su2_ramp_stays_unitary_over_8000_factors(rng):
+    a, b = _hermitian_stack(rng, 8, 1.0), _hermitian_stack(rng, 8, 1.0)
+    weights = _cf4_weights(4000)
+    assert weights.shape == (8000,)
+    phase, alpha, beta = su2_ramp(a, b, 0.25, weights)
+    assert np.max(np.abs(np.abs(alpha) ** 2 + np.abs(beta) ** 2 - 1.0)) <= 1e-13
+    assert np.max(np.abs(np.abs(phase) - 1.0)) <= 1e-15
 
 
 def _cf4_nodes(n_sub):
@@ -449,6 +480,38 @@ def test_evolve_records_pair_method_and_matches_dense():
     psi, leakage = _dense_evolution(sched, res.tau_used)
     assert np.max(np.abs(res.final_states - psi)) < 1e-12
     assert abs(res.leakage - leakage) < 1e-12
+
+
+@pytest.mark.parametrize("tau", [10.0, 100.0, 1000.0])
+def test_reorder_fixed_long_sweeps_match_dense_oracle(tau):
+    # 8,000 CF4 factors per step at tau = 1000; the SU(2) products stay
+    # within the same 1e-12 of the dense oracle as at tau <= 100 (measured:
+    # 7e-14 in state entries, 1.5e-14 in leakage)
+    g = generate_chain(4, [0.0] * 4)
+    sched, _ = compile_reordered_fixed(g, chain_gflow(4), [2, 0, 1])
+    res = evolve(sched, tau)
+    assert [(p.method, p.dim) for p in res.propagation] == [("blocks", 2), ("blocks", 2), ("pair", 2)]
+    psi, leakage = _dense_evolution(sched, res.tau_used)
+    assert np.max(np.abs(res.final_states - psi)) < 1e-12
+    assert abs(res.leakage - leakage) < 1e-12
+
+
+def test_two_dimensional_blocks_form_no_matrix_stack_and_call_no_eigh(monkeypatch):
+    g = generate_chain(4, [0.0] * 4)
+    fixed, _ = compile_reordered_fixed(g, chain_gflow(4), [2, 0, 1])
+    strip = compile_reordered_strip(g, chain_gflow(4), [2, 0, 1])
+    want = [evolve(sched, 100.0) for sched in (fixed, strip)]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a 2-dimensional block went through a matrix path")
+
+    for module, name in ((np.linalg, "eigh"), (_linalg, "expmi"), (sectors, "expmi"),
+                         (sectors.StepBlocks, "_stacks")):
+        monkeypatch.setattr(module, name, refuse)
+    for sched, res in zip((fixed, strip), want):
+        got = evolve(sched, 100.0)
+        assert {p.dim for p in got.propagation} == {2}
+        assert np.array_equal(got.final_states, res.final_states)
 
 
 def test_frustrated_and_strip_steps_stay_dense():
@@ -686,7 +749,7 @@ def test_conserved_generators_are_a_maximal_commuting_set(sched):
             assert all(commutes(c, t) is Commutation.COMMUTE for t in step.all_terms())
             assert all(commutes(c, other) is Commutation.COMMUTE for other in ops)
         for i, v in enumerate(gens):
-            assert not _gf2.in_span(gens[:i] + gens[i + 1:], v)
+            assert not in_span(gens[:i] + gens[i + 1:], v)
         assert len(gens) == n - int(math.log2(step_blocks(sched, k).dim))
 
 
