@@ -20,12 +20,22 @@ class SizeCapError(ValueError):
     """The request would allocate past :data:`MEMORY_BUDGET`."""
 
 
+def approx(n: float | Decimal) -> str:
+    """``n`` (an int of any size, a float or a Decimal) to three significant
+    digits, so that a count past the float range prints short, not as inf."""
+    d = Decimal(n)
+    if d.is_finite() and d.adjusted() >= 300:  # near or past the float range
+        mantissa, exponent = f"{d:.2e}".split("e")
+        return f"{float(mantissa):g}e{exponent}"
+    return f"{float(d):.3g}"
+
+
 def check_bytes(n_bytes: float, what: str) -> None:
     """Raise SizeCapError when ``n_bytes`` (an int of any size, or a float)
     exceeds the budget."""
     if n_bytes > MEMORY_BUDGET:
         raise SizeCapError(
-            f"{what} need ~{float(Decimal(n_bytes) / (1 << 20)):.3g} MiB, over the "
+            f"{what} need ~{approx(Decimal(n_bytes) / (1 << 20))} MiB, over the "
             f"{MEMORY_BUDGET >> 20} MiB memory budget"
         )
 

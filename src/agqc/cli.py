@@ -17,6 +17,7 @@ from typing import NoReturn, Sequence
 import numpy as np
 
 from . import compiler, gflow as gflow_mod, graph as graph_mod, logical, sim
+from .budget import SizeCapError, approx, check_bytes
 from .compiler import AdiabaticBudget, CompileError, ReorderReport, Schedule
 from .gflow import Gflow
 from .graph import OpenGraph
@@ -72,6 +73,8 @@ def _load_graph(spec: str) -> OpenGraph:
             return graph_mod.generate_zigzag(int(parts[1]))
         if kind == "cnot":
             return graph_mod.generate_cnot_graph()
+    except SizeCapError:  # a well-formed spec over the budget: its message is short
+        raise
     except (IndexError, ValueError) as exc:
         raise CliError(f"bad graph spec {spec!r}: {exc}") from exc
     raise CliError(f"graph source {spec!r} is neither a file nor a known generator")
@@ -115,6 +118,8 @@ def _finite(value: float, option: str) -> float:
 def _s_grid(n_points: int) -> list[float]:
     if n_points < 2:
         raise CliError(f"--s-grid needs at least 2 points, got {n_points}")
+    # a float and its slot, in this list and in each scan's copy
+    check_bytes(64 * n_points, f"{approx(n_points)} --s-grid points")
     return [i / (n_points - 1) for i in range(n_points)]
 
 

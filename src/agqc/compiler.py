@@ -20,6 +20,7 @@ from .graph import OpenGraph, Plane, is_clifford_angle
 from .pauli import (
     NonCliffordAngleError,
     RotatedPauliOp,
+    SiteTable,
     commutation_masks,
     one_step_update,
     single,
@@ -49,12 +50,18 @@ class ScheduleStep:
     ``removed`` and ``introduced`` are keyed by the vertex whose replacement
     the entry belongs to.  In strip mode ``removed`` may contain additional
     entries that are deleted with no replacement.
+
+    ``sites`` may index a term list shared by the steps of a schedule, whose
+    bits ``static_mask`` are this step's static terms; with none given, the
+    step indexes ``static_terms`` on first use.
     """
 
     removed: dict[int, RotatedPauliOp]
     introduced: dict[int, RotatedPauliOp]
     static_terms: tuple[RotatedPauliOp, ...]
     strip: bool = False
+    sites: SiteTable | None = field(default=None, repr=False, compare=False)
+    static_mask: int = field(default=-1, repr=False, compare=False)
     _commuting: bool | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
@@ -84,6 +91,13 @@ class ScheduleStep:
             object.__setattr__(self, "_commuting", self._check_commuting_replacement())
         return self._commuting
 
+    def static_clash(self, op: RotatedPauliOp) -> bool:
+        """True when some static term fails to commute with ``op``; only the
+        static terms whose support meets op's are checked."""
+        if self.sites is None:
+            object.__setattr__(self, "sites", SiteTable.of(self.static_terms))
+        return any(commutation_masks(self.sites.overlapping(op, self.static_mask), op))
+
     def _check_commuting_replacement(self) -> bool:
         if self.strip or set(self.removed) != set(self.introduced):
             return False
@@ -98,9 +112,7 @@ class ScheduleStep:
                 commutation_masks(introduced[i + 1:], x)
             ):
                 return False
-        return not any(
-            any(commutation_masks(self.static_terms, m)) for m in removed + introduced
-        )
+        return not any(self.static_clash(m) for m in removed + introduced)
 
 
 @dataclass(frozen=True)
@@ -169,20 +181,31 @@ def _replacement_schedule(
     gamma: float,
 ) -> Schedule:
     """One step per vertex group, in order: every T_v of the group -> X_v at
-    once, with the X_u of earlier groups and the T_w of later ones static."""
+    once, with the X_u of earlier groups and the T_w of later ones static.
+
+    The steps share one site table over ``X_v... + T_v...`` in group order;
+    the static terms of a step are a prefix of the X's and a suffix of the T's.
+    """
     xs = _x_terms(graph)
+    order = [v for group in groups for v in group]
+    n = len(order)
+    x_seq = tuple(xs[v] for v in order)
+    t_seq = tuple(terms[v] for v in order)
+    sites = SiteTable.of(x_seq + t_seq)
     steps = []
-    for i, members in enumerate(groups):
-        done = [u for group in groups[:i] for u in group]
-        later = [w for group in groups[i + 1:] for w in group]
-        static = [xs[u] for u in done] + [terms[w] for w in later]
+    a = 0
+    for members in groups:
+        b = a + len(members)
         steps.append(
             ScheduleStep(
                 {v: terms[v] for v in members},
                 {v: xs[v] for v in members},
-                tuple(static),
+                x_seq[:a] + t_seq[b:],
+                sites=sites,
+                static_mask=((1 << a) - 1) | ((1 << (n - b)) - 1) << (n + b),
             )
         )
+        a = b
     return Schedule(tuple(steps), gamma, graph, gf)
 
 
@@ -231,9 +254,7 @@ def compile_one_step(graph: OpenGraph, gf: Gflow, gamma: float = 1.0) -> Schedul
                 "one-step schedule exists only for Clifford angles"
             )
     updated = one_step_update(stabilizer_set(graph, gf), gf)
-    xs = _x_terms(graph)
-    step = ScheduleStep(dict(updated), {v: xs[v] for v in updated}, ())
-    return Schedule((step,), gamma, graph, gf)
+    return _replacement_schedule(graph, gf, updated, [list(updated)], gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -303,6 +324,13 @@ def compile_reordered_fixed(
     vertices = sorted(terms)
     vindex = {v: i for i, v in enumerate(vertices)}
     originals = [terms[w] for w in vertices]
+    # one site table over the T's in vertex order, then the X's in step order;
+    # the static terms are the T's still left (bits ``later``) and the X's
+    # introduced so far
+    n = len(vertices)
+    x_seq = tuple(xs[u] for u in seq)
+    sites = SiteTable.of(originals + list(x_seq))
+    left, later = list(originals), (1 << n) - 1
 
     def to_set(mask: int) -> frozenset[int]:
         return frozenset(vertices[i] for i in _gf2.set_bits(mask))
@@ -313,17 +341,22 @@ def compile_reordered_fixed(
     constrained = 0
     steps = []
     feas = []
-    replaced: list[int] = []
     for k, v in enumerate(seq):
-        static = [terms[w] for w in sorted(seq[k + 1:])] + [xs[u] for u in replaced]
+        bit = 1 << vindex[v]
+        del left[(later & (bit - 1)).bit_count()]  # T_v's place among the T's left
+        later ^= bit
+        static_mask = later | ((1 << k) - 1) << n
         xv = xs[v]
         tv = terms[v]
-        steps.append(ScheduleStep({v: tv}, {v: xv}, tuple(static)))
+        static = tuple(left) + x_seq[:k]
+        step = ScheduleStep({v: tv}, {v: xv}, static, sites=sites, static_mask=static_mask)
+        steps.append(step)
 
-        frustrated = any(commutation_masks(static, xv)) or any(commutation_masks(static, tv))
         # products of the original T's must overlap the terms anticommuting
         # with X_v evenly and avoid the terms in a "neither" relation with it
         anti, neither = commutation_masks(originals, xv)
+        # the static X's commute with X_v, so only a later T can clash with it
+        frustrated = bool((anti | neither) & later) or step.static_clash(tv)
         tracked_available = not constrained >> vindex[v] & 1
         constrained |= anti | neither
         new_basis = _gf2.kernel_filter(cert_basis, anti)
@@ -367,7 +400,6 @@ def compile_reordered_fixed(
             )
         )
         cert_basis = new_basis
-        replaced.append(v)
     return Schedule(tuple(steps), gamma, graph, gf), ReorderReport(tuple(feas))
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Mapping, Sequence
 
-from .budget import check_bytes
+from .budget import approx, check_bytes
 
 CLIFFORD_TOL = 1e-12
 
@@ -178,11 +178,11 @@ def is_clifford_angle(theta: float, tol: float = CLIFFORD_TOL) -> bool:
 
 
 def _check_graph_bytes(n: int, width_sum: int, what: str) -> None:
-    """Charge a graph of ``n`` vertices to the memory budget before building
-    it: ~200 bytes of Python objects per vertex, and adjacency bitmasks as
-    wide as each vertex's highest neighbour.  ``width_sum`` is the sum of
-    the larger endpoints of the edges."""
-    check_bytes(256 * n + width_sum // 4, what)
+    """Charge ``what``, a graph of ``n`` vertices, to the memory budget
+    before building it: ~200 bytes of Python objects per vertex, and
+    adjacency bitmasks as wide as each vertex's highest neighbour.
+    ``width_sum`` is the sum of the larger endpoints of the edges."""
+    check_bytes(256 * n + width_sum // 4, f"the {approx(n)} vertices of {what}")
 
 
 def generate_chain(n: int, angles: Sequence[float] | None = None) -> OpenGraph:
@@ -193,7 +193,7 @@ def generate_chain(n: int, angles: Sequence[float] | None = None) -> OpenGraph:
     """
     if n < 2:
         raise ValueError("a chain needs at least 2 vertices")
-    _check_graph_bytes(n, n * (n - 1) // 2, f"the {n} vertices of a chain")
+    _check_graph_bytes(n, n * (n - 1) // 2, "a chain")
     if angles is None:
         angles = [0.0] * n
     if len(angles) != n:
@@ -219,7 +219,7 @@ def generate_cluster(rows: int, cols: int, angles: Mapping[int, float] | None = 
         + rows * rows * cols * (cols - 1) // 2
         + (cols - 1) * rows * (rows - 1) // 2
     )
-    _check_graph_bytes(n, width_sum, f"the {n} vertices of a {rows}x{cols} cluster")
+    _check_graph_bytes(n, width_sum, "a cluster")
 
     def vid(row: int, col: int) -> int:
         return col * rows + row
@@ -249,7 +249,7 @@ def generate_zigzag(n: int) -> OpenGraph:
         raise ValueError("zigzag needs n >= 1")
     # the larger endpoint of both (v, n + v) and (v + 1, n + v) is n + v
     width_sum = n * n + n * (n - 1) // 2 + (n - 1) * n + (n - 1) * (n - 2) // 2
-    _check_graph_bytes(2 * n, width_sum, f"the {2 * n} vertices of a zig-zag graph")
+    _check_graph_bytes(2 * n, width_sum, "a zig-zag graph")
     edges = [(v, n + v) for v in range(n)]
     edges += [(v + 1, n + v) for v in range(n - 1)]
     return make_graph(2 * n, edges, inputs=range(n), outputs=range(n, 2 * n))
@@ -329,9 +329,7 @@ def graph_from_json(text: str) -> OpenGraph:
             raise GraphFormatError(f"duplicate edge {pair!r}")
         seen.add(key)
         edges.append(key)
-    _check_graph_bytes(
-        n, sum(b for _, b in edges), f"the {n} vertices and {len(edges)} edges of a graph file"
-    )
+    _check_graph_bytes(n, sum(b for _, b in edges), f"a graph file with {len(edges)} edges")
     inputs = [vertex(v) for v in doc["inputs"]]
     outputs = [vertex(v) for v in doc["outputs"]]
     angles = {}

@@ -199,15 +199,17 @@ class RotatedPauliOp:
         return mask
 
     @property
+    def support_mask(self) -> int:
+        """Bitmask of the sites the operator acts on: its x, z and twist bits."""
+        return self.pauli.x | self.pauli.z | self.twist_mask
+
+    @property
     def support(self) -> frozenset[int]:
-        mask = self.pauli.x | self.pauli.z
-        for v, _ in self.twist:
-            mask |= 1 << v
-        return frozenset(v for v in range(self.n) if mask >> v & 1)
+        return frozenset(set_bits(self.support_mask))
 
     @property
     def degree(self) -> int:
-        return len(self.support)
+        return self.support_mask.bit_count()
 
     def is_identity(self) -> bool:
         return self.pauli.is_identity() and not self.twist and self.pauli.phase_exp == 0
@@ -302,6 +304,32 @@ def commutation_masks(
         elif ((q.x & oz) ^ (q.z & ox)).bit_count() & 1:
             anti |= 1 << i
     return anti, neither
+
+
+@dataclass(frozen=True, eq=False)
+class SiteTable:
+    """The terms of a list indexed by site: ``rows[v]`` is the bitmask over
+    ``terms`` of those whose support holds site v."""
+
+    terms: tuple[RotatedPauliOp, ...]
+    rows: dict[int, int]
+
+    @classmethod
+    def of(cls, terms: Sequence[RotatedPauliOp]) -> SiteTable:
+        rows: dict[int, int] = {}
+        for i, t in enumerate(terms):
+            for v in set_bits(t.support_mask):
+                rows[v] = rows.get(v, 0) | 1 << i
+        return cls(tuple(terms), rows)
+
+    def overlapping(self, op: RotatedPauliOp, within: int = -1) -> list[RotatedPauliOp]:
+        """The terms among the bits ``within`` whose support meets ``op``'s,
+        in list order.  Every other term commutes with ``op``: operators on
+        disjoint sites commute exactly."""
+        mask = 0
+        for v in set_bits(op.support_mask):
+            mask |= self.rows.get(v, 0)
+        return [self.terms[i] for i in set_bits(mask & within)]
 
 
 def stabilizer_generator(graph: OpenGraph, v: int) -> PauliString:

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import _gf2
 from ._linalg import eigvalsh, expmi, ordered_apply, su2_ramp
-from .budget import CHUNK_BYTES, check_bytes
+from .budget import CHUNK_BYTES, approx, check_bytes
 from .compiler import Schedule
 from .graph import CLIFFORD_TOL
 from .pauli import PauliString, RotatedPauliOp, _action, _parity
@@ -139,6 +139,9 @@ class StepBlocks:
 
     def spectra(self, s_grid: Sequence[float]) -> np.ndarray:
         """Sorted eigenvalues of ``A + sB`` (the union of the block spectra), one row per s."""
+        # four (points, 2^n) float arrays: the eigenvalues, their sort and the scan's two
+        n_points = len(s_grid)
+        check_bytes(32 * n_points * self.dest.shape[0], f"spectra at {approx(n_points)} points")
         s = np.asarray(s_grid, dtype=float)
         rows = np.concatenate([eigvalsh(h) for h in self._stacks(1.0, s)])
         return np.sort(rows.reshape(s.shape[0], -1), axis=1)

@@ -10,6 +10,7 @@ import pytest
 
 from agqc.gflow import Gflow
 from agqc.graph import OpenGraph, Plane, make_graph
+from agqc.pauli import commutation_masks
 
 
 def chain_gflow(n: int) -> Gflow:
@@ -46,6 +47,25 @@ def in_span(basis: list[int], target: int) -> bool:
             x ^= pivot
         work.remove(pivot)
     return x == 0
+
+
+def commuting_replacement_oracle(step) -> bool:
+    """The commuting-replacement verdict with every static term checked
+    against every mover, whatever their supports: each removed/introduced
+    pair anticommutes and every other pairing of step terms commutes."""
+    if step.strip or set(step.removed) != set(step.introduced):
+        return False
+    items = sorted(step.removed)
+    removed = [step.removed[v] for v in items]
+    introduced = [step.introduced[v] for v in items]
+    for i, (r, x) in enumerate(zip(removed, introduced)):
+        if commutation_masks(removed, x) != (1 << i, 0):
+            return False
+        if any(commutation_masks(removed[i + 1:], r)) or any(
+            commutation_masks(introduced[i + 1:], x)
+        ):
+            return False
+    return not any(any(commutation_masks(step.static_terms, m)) for m in removed + introduced)
 
 
 def random_open_graph(rng: np.random.Generator, n: int) -> OpenGraph:

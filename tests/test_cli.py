@@ -1,6 +1,7 @@
 import copy
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -239,6 +240,35 @@ def test_s_grid_below_two_points_is_exit_2(capsys, command, points):
     code, out, err = run_err(capsys, *command, "--s-grid", points)
     assert code == 2 and out == ""
     assert err.count("\n") == 1 and "--s-grid" in err
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ("gapscan", "--graph", "chain:3"),
+        ("bounds", "--graph", "chain:4", "--mode", "reorder-fixed", "--order", "3,1,2"),
+    ],
+)
+def test_over_budget_s_grid_is_exit_2_without_allocating(capsys, command):
+    tracemalloc.start()
+    try:
+        code, out, err = run_err(capsys, *command, "--s-grid", "1000000000")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and out == ""
+    assert err == (
+        "error: 1e+09 --s-grid points need ~6.1e+04 MiB, over the 1024 MiB memory budget\n"
+    )
+    assert peak < 1 << 22
+
+
+def test_huge_generator_count_prints_a_short_error(capsys):
+    for spec in ("chain:" + "9" * 400, "zigzag:" + "9" * 400, "cluster:2x" + "9" * 400):
+        code, out, err = run_err(capsys, "graph", "validate", "--graph", spec)
+        assert code == 2 and out == ""
+        assert err.startswith("error: the ") and err.count("\n") == 1
+        assert "memory budget" in err and "inf" not in err and len(err) < 100
 
 
 def test_mbqc_zero_norm_input_is_exit_2(capsys):
@@ -577,7 +607,11 @@ _ORDER = st.one_of(
     st.lists(st.integers(-1, 5), max_size=5).map(lambda o: ",".join(map(str, o))),
     st.sampled_from(["1,,2", "a", "3,1,2,", " 3,1,2"]),
 )
-_S_GRID = st.one_of(st.integers(-3, 40).map(str), st.sampled_from(["1.5", "nan", "", "1e3", "x"]))
+_S_GRID = st.one_of(
+    st.integers(-3, 40).map(str),
+    st.sampled_from(["1.5", "nan", "", "1e3", "x"]),
+    st.integers(10**8, 10**400).map(str),  # over the memory budget
+)
 
 
 def _joined(items):

@@ -1,5 +1,7 @@
 import math
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from agqc.compiler import (
@@ -26,12 +28,14 @@ from agqc.pauli import (
     Commutation,
     NonCliffordAngleError,
     RotatedPauliOp,
+    SiteTable,
     commutation_masks,
     commutes,
     single,
 )
+from agqc._gf2 import set_bits
 
-from conftest import chain_gflow, cluster_gflow, in_span
+from conftest import chain_gflow, cluster_gflow, commuting_replacement_oracle, in_span
 
 
 def rop(p):
@@ -489,3 +493,181 @@ def test_every_mode_shares_one_x_term_per_vertex():
         ids = _x_objects(sched)
         assert sorted(ids) == sorted(g.non_outputs)
         assert all(len(objs) == 1 for objs in ids.values())
+
+
+def _verdict_schedules():
+    """``(reordered, schedule)`` of every mode over chains at random
+    non-Clifford angles, the zig-zag gflows g^1, g^2 and g^n, and clusters."""
+    rng = np.random.default_rng(11)
+    out = []
+    for n in range(5, 13):
+        angles = [0.0] + [float(a) for a in rng.uniform(0.1, 3.0, n - 2)] + [0.0]
+        g, gf = generate_chain(n, angles), chain_gflow(n)
+        order = [int(v) for v in rng.permutation(n - 1)]
+        clifford = generate_chain(n, [math.pi / 2 * int(k) for k in rng.integers(0, 4, n)])
+        out += [(False, compile_stepwise(g, gf)), (False, compile_layered(g, gf)),
+                (False, compile_one_step(clifford, gf)),
+                (True, compile_reordered_fixed(g, gf, order)[0]),
+                (True, compile_reordered_strip(g, gf, order))]
+    for n in (5, 8):
+        g = generate_zigzag(n)
+        for r in (1, 2, n):
+            gf = zigzag_gflow_family(n, r)
+            out += [(False, compile(g, gf)) for compile in
+                    (compile_stepwise, compile_layered, compile_one_step)]
+    for rows, cols in ((2, 3), (5, 6), (8, 10)):
+        g, gf = generate_cluster(rows, cols), cluster_gflow(rows, cols)
+        out += [(False, compile(g, gf)) for compile in
+                (compile_stepwise, compile_layered, compile_one_step)]
+    return out
+
+
+def test_verdicts_match_the_all_terms_oracle(monkeypatch):
+    exact = []
+
+    def counting(a, b):
+        exact.append(1)
+        return commutes(a, b)
+
+    monkeypatch.setattr("agqc.pauli.commutes", counting)
+    verdicts = set()
+    reached_exact = 0
+    for _, sched in _verdict_schedules():
+        for step in sched.steps:
+            before = len(exact)
+            verdict = step.is_commuting_replacement()
+            reached_exact += len(exact) > before
+            assert verdict == commuting_replacement_oracle(step)
+            verdicts.add(verdict)
+    assert verdicts == {True, False}
+    assert reached_exact > 0  # twisted pairs were decided by the exact check
+
+
+def test_static_terms_are_the_same_objects_in_the_same_order():
+    """The earlier groups' X's, then the later groups' T's, as every step
+    built them one by one; reordered steps take the later T's by vertex."""
+    for reordered, sched in _verdict_schedules():
+        if any(step.strip for step in sched.steps):
+            continue
+        xs = {v: x for step in sched.steps for v, x in step.introduced.items()}
+        ts = {v: t for step in sched.steps for v, t in step.removed.items()}
+        groups = [list(step.introduced) for step in sched.steps]
+        for i, step in enumerate(sched.steps):
+            done = [u for grp in groups[:i] for u in grp]
+            later = [w for grp in groups[i + 1:] for w in grp]
+            if reordered:
+                want = [ts[w] for w in sorted(later)] + [xs[u] for u in done]
+            else:
+                want = [xs[u] for u in done] + [ts[w] for w in later]
+            assert [id(op) for op in step.static_terms] == [id(op) for op in want]
+
+
+def _mutations(step, rng):
+    """Steps built directly from ``step``: as it is, and with one fault each."""
+    v = sorted(step.introduced)[0]
+    site = step.introduced[v].pauli.x.bit_length() - 1  # the X site of X_v
+    n = step.introduced[v].n
+    statics = list(step.static_terms)
+    rest = {u: x for u, x in step.introduced.items() if u != v}
+    out = [
+        (None, ScheduleStep(step.removed, step.introduced, step.static_terms)),
+        (False, ScheduleStep(step.removed, step.introduced, step.static_terms, strip=True)),
+        (None, ScheduleStep(step.removed, step.introduced, ())),
+        (False, ScheduleStep(step.removed, rest, step.static_terms)),
+        (None, ScheduleStep({u: step.removed[u] for u in rest}, rest, step.static_terms)),
+    ]
+    if not statics:
+        return out
+    j = int(rng.integers(len(statics)))
+    anti = RotatedPauliOp.from_pauli(single(n, site, "Z"))
+    twisted = RotatedPauliOp.from_parts(statics[j].pauli, {**statics[j].twist_map, site: 0.3})
+    for bad in (anti, twisted):
+        swapped = tuple(statics[:j] + [bad] + statics[j + 1:])
+        out.append((False, ScheduleStep(step.removed, step.introduced, swapped)))
+        # the same fault inside the schedule's shared table
+        universe = list(step.sites.terms)
+        universe[list(set_bits(step.static_mask))[j]] = bad
+        out.append((False, ScheduleStep(
+            step.removed, step.introduced, swapped,
+            sites=SiteTable.of(universe), static_mask=step.static_mask,
+        )))
+    return out
+
+
+def test_mutated_steps_match_the_all_terms_oracle():
+    rng = np.random.default_rng(5)
+    angles = [0.0, 0.4, 1.3, 2.2, 0.7, 2.9, 1.7, 0.0]
+    cases = [
+        compile_stepwise(generate_chain(8, angles), chain_gflow(8)),
+        compile_layered(generate_cluster(5, 6), cluster_gflow(5, 6)),
+        compile_layered(generate_zigzag(8), zigzag_gflow_family(8, 2)),
+        compile_one_step(generate_zigzag(5), zigzag_gflow_family(5, 2)),
+    ]
+    seen = set()
+    for sched in cases:
+        for step in sched.steps:
+            for want, mutated in _mutations(step, rng):
+                oracle = commuting_replacement_oracle(mutated)
+                assert mutated.is_commuting_replacement() == oracle
+                if want is not None:
+                    assert oracle is want
+                seen.add(oracle)
+    assert seen == {True, False}
+
+
+@pytest.mark.parametrize("graph, gf, message", [
+    (generate_chain(6, [0.0, 0.3, 1.1, 0.7, 2.0, 0.0]), Gflow(chain_gflow(6).g, dict.fromkeys(range(5), 0)),
+     "layer [0, 1, 2, 3, 4] not simultaneously replaceable: [T_0, X_1] != 0"),
+    (generate_cluster(3, 4), Gflow(cluster_gflow(3, 4).g, dict.fromkeys(range(9), 0)),
+     "layer [0, 1, 2, 3, 4, 5, 6, 7, 8] not simultaneously replaceable: [T_0, X_4] != 0"),
+    (generate_cluster(3, 4), Gflow(cluster_gflow(3, 4).g, {v: v // 6 for v in range(9)}),
+     "layer [0, 1, 2, 3, 4, 5] not simultaneously replaceable: [T_0, X_4] != 0"),
+])
+def test_layered_error_names_the_first_offending_pair(monkeypatch, graph, gf, message):
+    # layers too coarse for the gflow: verification would reject them first
+    monkeypatch.setattr("agqc.compiler.verify_gflow",
+                        lambda g, f: SimpleNamespace(valid=True, violations=[]))
+    with pytest.raises(CompileError) as err:
+        compile_layered(graph, gf)
+    assert str(err.value) == message
+
+
+def test_cluster_verdicts_check_only_overlapping_static_terms(monkeypatch):
+    """The static half of the verdict scales with the movers' supports, not
+    with the schedule: about 2 N^2 = 72,000 terms if every static term of
+    every step were checked."""
+    g = generate_cluster(10, 20)
+    sched = compile_stepwise(g, cluster_gflow(10, 20))
+    handed = []
+
+    def counting(terms, op):
+        handed.append(len(terms))
+        return commutation_masks(terms, op)
+
+    monkeypatch.setattr("agqc.compiler.commutation_masks", counting)
+    assert all(step.is_commuting_replacement() for step in sched.steps)
+    n = len(g.non_outputs)
+    # the pair half hands each step's one removed term to its introduced one
+    assert sum(handed) - n <= 20 * n
+
+
+def test_reorder_frustration_matches_the_all_terms_check():
+    """A step is frustrated when a static term fails to commute with X_v or
+    with T_v; both halves of the test are reached."""
+    rng = np.random.default_rng(17)
+    cases = []
+    for n in range(4, 10):
+        angles = [0.0] + [float(a) for a in rng.uniform(0.1, 3.0, n - 2)] + [0.0]
+        cases += [(generate_chain(n, angles), chain_gflow(n)) for _ in range(3)]
+    cases += [(generate_cluster(3, 4), cluster_gflow(3, 4))] * 3
+    reasons = set()
+    for g, gf in cases:
+        order = [int(v) for v in rng.permutation(sorted(g.non_outputs))]
+        sched, report = compile_reordered_fixed(g, gf, order)
+        for step, fs in zip(sched.steps, report.steps):
+            (x,), (t,) = step.introduced.values(), step.removed.values()
+            by_x = any(commutation_masks(step.static_terms, x))
+            by_t = any(commutation_masks(step.static_terms, t))
+            assert fs.frustrated == (by_x or by_t)
+            reasons.add((by_x, by_t))
+    assert {(True, False), (False, True), (False, False)} <= reasons

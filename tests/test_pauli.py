@@ -10,6 +10,7 @@ from agqc.pauli import (
     NonCliffordAngleError,
     PauliString,
     RotatedPauliOp,
+    SiteTable,
     apply_op,
     build_T,
     commutation_masks,
@@ -204,6 +205,30 @@ def test_build_T_cluster_interior_degree():
 def test_support_and_degree():
     assert rop(PauliString(3, 0b010, 0b101)).support == {0, 1, 2}
     assert rop(identity(3)).degree == 0
+
+
+def test_support_mask_holds_the_twist_sites():
+    op = rop(single(4, 1, "X"), {3: 0.3})
+    assert op.support_mask == 0b1010
+    assert op.support == {1, 3} and op.degree == 2
+
+
+def test_site_table_finds_exactly_the_overlapping_terms(rng):
+    for _ in range(100):
+        n = int(rng.integers(2, 9))
+        terms = [random_rotated(rng, n) for _ in range(int(rng.integers(0, 12)))]
+        table = SiteTable.of(terms)
+        within = int(rng.integers(1 << len(terms))) if terms else 0
+        op = random_rotated(rng, n)
+        want = [t for i, t in enumerate(terms) if within >> i & 1 and t.support_mask & op.support_mask]
+        got = table.overlapping(op, within)
+        assert [id(t) for t in got] == [id(t) for t in want]
+        assert [id(t) for t in table.overlapping(op)] == [
+            id(t) for t in terms if t.support_mask & op.support_mask
+        ]
+        # the terms left out commute with op
+        left = [t for i, t in enumerate(terms) if within >> i & 1 and all(t is not u for u in got)]
+        assert commutation_masks(left, op) == (0, 0)
 
 
 # --- one-step update ------------------------------------------------------

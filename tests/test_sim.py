@@ -1030,3 +1030,16 @@ def test_one_step_equals_stepwise_on_cnot():
     res_sw = evolve(compile_stepwise(g, gf), 60.0)
     res_os = evolve(compile_one_step(g, gf), 240.0)
     assert compare(res_os.logical_unitary, res_sw.logical_unitary) < 1e-3
+
+
+def test_spectra_are_charged_before_allocating():
+    class Points:  # a grid that would take ~1 GB as floats
+        def __len__(self):
+            return 1 << 27
+
+        def __iter__(self):
+            raise AssertionError("the grid was read before the charge")
+
+    sched, _ = compile_reordered_fixed(generate_chain(4, [0.0] * 4), chain_gflow(4), [2, 0, 1])
+    with pytest.raises(SizeCapError, match="spectra at 1.34e"):
+        step_blocks(sched, 0).spectra(Points())
