@@ -72,25 +72,84 @@ def su2_ordered(
     return su2_mul(alpha[0], beta[0], *v)
 
 
-def su2_ramp(
-    a: np.ndarray, b: np.ndarray, dt: float, weights: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``prod_w exp(-i dt (A/2 + w B))`` over ``weights`` in order, for each
-    2x2 Hermitian pair of the stacks ``a`` and ``b``, as ``(phase, alpha,
-    beta)``: the product is ``phase`` times the pair.
-
-    ``h0``, ``z`` and ``h10`` of ``A/2 + w B`` are linear in w, so no matrix
-    is formed; the scalar parts commute with everything and add up to one
-    phase, ``exp(-i dt (W a0/2 + b0 sum w))`` for W weights.  Chunks of
-    weights keep alpha and beta within ``CHUNK_BYTES``.
-    """
-    a0, az, a10, _ = _two_level(a)
-    b0, bz, b10, _ = _two_level(b)
-    za, zb, ha, hb = 0.5 * dt * az, dt * bz, 0.5 * dt * a10, dt * b10
-    u = np.ones(a0.shape, dtype=complex), np.zeros(a0.shape, dtype=complex)
-    per = max(1, CHUNK_BYTES // (32 * a0.size))
+def su2_sweep(
+    za: np.ndarray, zb: np.ndarray, ha: np.ndarray, hb: np.ndarray, weights: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The pair of ``prod_w exp(-i n(w).sigma)`` over ``weights`` in order,
+    elementwise over the stacks, with ``z = za + w zb`` and ``h10 = ha + w hb``
+    (:func:`su2_exp`).  Chunks of weights keep the pairs within ``CHUNK_BYTES``."""
+    u = np.ones(za.shape, dtype=complex), np.zeros(za.shape, dtype=complex)
+    per = max(1, CHUNK_BYTES // (32 * za.size))
     for lo in range(0, weights.shape[0], per):
         w = weights[lo:lo + per, None]
         u = su2_ordered(*su2_exp(za + w * zb, ha + w * hb), u)
+    return u
+
+
+def _distinct_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(first, inverse)`` for the rows of the 2-D float array x grouped by
+    byte equality: ``x[first]`` holds one row of each class and
+    ``x[first][inverse] == x``.  Callers normalize -0.0 to 0.0 first."""
+    rows = np.ascontiguousarray(x).view(np.dtype((np.void, x.itemsize * x.shape[1])))[:, 0]
+    order = np.argsort(rows, kind="stable")
+    rows = rows[order]
+    new = np.empty(rows.shape, dtype=bool)
+    new[0], new[1:] = True, rows[1:] != rows[:-1]
+    inverse = np.empty(rows.shape, dtype=np.intp)
+    inverse[order] = np.cumsum(new) - 1
+    return order[new], inverse
+
+
+def _su2_classes(
+    a: np.ndarray, b: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The 2x2 Hermitian stacks a and b as ``(a0, b0, key, inverse, conj,
+    neg)``: their scalar parts, and their traceless pairs grouped up to a
+    joint conjugation by I, X, Y or Z.
+
+    A pair's traceless part is the row ``(z, Re h10, Im h10)`` of A and then
+    of B.  Z conjugation negates h10, X negates z and Im h10, Y negates z
+    and Re h10.  Each pair is mapped to the one member of its class whose
+    first nonzero z entry (A's, else B's) is positive, then its first
+    nonzero Re h10 entry, then its first nonzero Im h10 entry, as far as
+    those are free.  Sign flips are exact, so row ``inverse[j]`` of the
+    ``(classes, 6)`` array ``key`` is pair j conjugated; ``conj`` marks an
+    X or Y conjugation and ``neg`` a Z or X one.
+    """
+    (a0, az, a10, _), (b0, bz, b10, _) = _two_level(a), _two_level(b)
+    v = np.stack([az, a10.real, a10.imag, bz, b10.real, b10.imag], axis=-1).reshape(-1, 2, 3)
+    lead = np.where(v[:, 0] != 0, v[:, 0], v[:, 1])
+    free, down = (lead != 0).T, (lead < 0).T
+    flip_r = np.where(free[1], down[1], down[2] ^ down[0])
+    conj = np.where(free[0], down[0], flip_r ^ down[2])
+    neg = conj ^ flip_r
+    key = (v * (1.0 - 2.0 * np.stack([conj, flip_r, neg], axis=-1))[:, None]).reshape(-1, 6)
+    key += 0.0  # -0.0 to 0.0
+    first, inverse = _distinct_rows(key)
+    return a0, b0, key[first], inverse, conj, neg
+
+
+def su2_ramp(
+    a: np.ndarray, b: np.ndarray, dt: float, weights: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """``prod_w exp(-i dt (A/2 + w B))`` over ``weights`` in order, for each
+    2x2 Hermitian pair of the stacks ``a`` and ``b``, as ``(phase, alpha,
+    beta, distinct)``: the product is ``phase`` times the pair, and
+    ``distinct`` the number of traceless problems actually ramped.
+
+    ``h0``, ``z`` and ``h10`` of ``A/2 + w B`` are linear in w, so no matrix
+    is formed (:func:`su2_sweep`); the scalar parts commute with everything
+    and add up to one phase, ``exp(-i dt (W a0/2 + b0 sum w))`` for W
+    weights.  Blocks whose traceless parts agree up to a Pauli conjugation P
+    (:func:`_su2_classes`) share one sweep, mapped back exactly: ``P U P``
+    is ``(alpha, -beta)`` for Z, ``(conj alpha, -conj beta)`` for X and
+    ``(conj alpha, conj beta)`` for Y.
+    """
+    a0, b0, key, inverse, conj, neg = _su2_classes(a, b)
+    za, ra, ia, zb, rb, ib = key.T
+    u = su2_sweep(0.5 * dt * za, dt * zb, 0.5 * dt * (ra + 1j * ia), dt * (rb + 1j * ib), weights)
+    u = np.array(u)[:, inverse]
+    np.conjugate(u, out=u, where=conj)
+    np.negative(u[1], out=u[1], where=neg)
     phase = np.exp(-1j * dt * (0.5 * weights.shape[0] * a0 + weights.sum() * b0))
-    return (phase, *u)
+    return phase, u[0], u[1], key.shape[0]

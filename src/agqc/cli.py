@@ -45,6 +45,11 @@ def _file_text(spec: str) -> str | None:
         raise CliError(f"cannot read {spec!r}: {exc}") from exc
 
 
+def _clip(text: str, limit: int = 60) -> str:
+    """``text`` cut to ``limit`` characters, so that an error line stays short."""
+    return text if len(text) <= limit else text[:limit] + "..."
+
+
 def _load_graph(spec: str) -> OpenGraph:
     """Graph source: a JSON file path or a generator spec.
 
@@ -76,8 +81,8 @@ def _load_graph(spec: str) -> OpenGraph:
     except SizeCapError:  # a well-formed spec over the budget: its message is short
         raise
     except (IndexError, ValueError) as exc:
-        raise CliError(f"bad graph spec {spec!r}: {exc}") from exc
-    raise CliError(f"graph source {spec!r} is neither a file nor a known generator")
+        raise CliError(f"bad graph spec {_clip(spec)!r}: {_clip(str(exc), 80)}") from exc
+    raise CliError(f"graph source {_clip(spec)!r} is neither a file nor a known generator")
 
 
 def _load_gflow(spec: str, graph: OpenGraph) -> Gflow:
@@ -94,7 +99,7 @@ def _load_gflow(spec: str, graph: OpenGraph) -> Gflow:
         r = int(spec.split(":")[1])
         n = graph.n_vertices // 2
         return gflow_mod.zigzag_gflow_family(n, r)
-    raise CliError(f"gflow source {spec!r} is neither a file nor find/zigzag:R")
+    raise CliError(f"gflow source {_clip(spec)!r} is neither a file nor find/zigzag:R")
 
 
 def _write(out: str | None, text: str) -> None:
@@ -274,17 +279,20 @@ def _reorder_doc(report) -> dict:
 
 
 def cmd_gapscan(args) -> int:
+    if args.levels < 1:
+        raise CliError(f"--levels must be at least 1, got {_clip(str(args.levels))}")
     grid = _s_grid(args.s_grid)
     schedule, _ = _compile(args, args.mode)
-    lines = []
-    levels = args.levels
-    header = (
+    n_steps = len(schedule.steps)
+    if args.step is not None and not 1 <= args.step <= n_steps:
+        raise CliError(f"--step must lie in 1..{n_steps}, got {_clip(str(args.step))}")
+    levels = min(args.levels, 1 << schedule.n_qubits)
+    lines = [
         "step,s,"
         + ",".join(f"E{i}" for i in range(levels))
         + ",gap,gap_above_degenerate,degeneracy"
-    )
-    lines.append(header)
-    step_indices = [args.step - 1] if args.step else range(len(schedule.steps))
+    ]
+    step_indices = range(n_steps) if args.step is None else [args.step - 1]
     for k in step_indices:
         scan = sim.spectral_scan(schedule, k, grid, n_levels=levels)
         for i, s in enumerate(scan.s_grid):
@@ -326,7 +334,7 @@ def cmd_evolve(args) -> int:
             else None
         ),
         "propagation": [
-            {"step": k, "method": p.method, "n_sub": p.n_sub, "dim": p.dim}
+            {"step": k, "method": p.method, "n_sub": p.n_sub, "dim": p.dim, "distinct": p.distinct}
             for k, p in enumerate(res.propagation, start=1)
         ],
     }
@@ -502,7 +510,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     gs = sub.add_parser("gapscan", help="exact spectra across the interpolation")
     _add_schedule(gs)
-    gs.add_argument("--step", type=int, default=0, help="1-based step (default: all)")
+    gs.add_argument("--step", type=int, help="1-based step (default: all)")
     gs.add_argument("--s-grid", type=int, default=101, dest="s_grid")
     gs.add_argument("--levels", type=int, default=6)
     gs.set_defaults(func=cmd_gapscan)

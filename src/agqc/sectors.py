@@ -146,22 +146,26 @@ class StepBlocks:
         rows = np.concatenate([eigvalsh(h) for h in self._stacks(1.0, s)])
         return np.sort(rows.reshape(s.shape[0], -1), axis=1)
 
-    def propagate(self, psi: np.ndarray, dt: float, weights: np.ndarray) -> np.ndarray:
+    def propagate(self, psi: np.ndarray, dt: float, weights: np.ndarray) -> tuple[np.ndarray, int]:
         """Apply ``exp(-i dt (A/2 + w B))`` for each w of ``weights`` in turn,
-        block by block.  Two-dimensional blocks take the product as an SU(2)
-        pair and a phase (:func:`~agqc._linalg.su2_ramp`), applied once;
+        block by block, and count the distinct problems propagated.
+        Two-dimensional blocks take the product as an SU(2) pair and a
+        phase, one pair per class of blocks whose traceless parts agree up to
+        a Pauli conjugation (:func:`~agqc._linalg.su2_ramp`), applied once;
         larger ones stack the exponentials over (w x block) and multiply them
-        in order by :func:`~agqc._linalg.ordered_apply`."""
+        in order by :func:`~agqc._linalg.ordered_apply`, every block distinct."""
         c = self.to_blocks(psi)
         if self.dim == 2:
-            phase, alpha, beta = (x[:, None] for x in su2_ramp(self.a, self.b, dt, weights))
+            phase, alpha, beta, distinct = su2_ramp(self.a, self.b, dt, weights)
+            phase, alpha, beta = phase[:, None, None], alpha[:, None], beta[:, None]
             c0, c1 = c[:, 0], c[:, 1]
-            c = phase[:, None] * np.stack(
+            c = phase * np.stack(
                 [alpha * c0 - beta.conj() * c1, beta * c0 + alpha.conj() * c1], axis=1)
         else:
             for h in self._stacks(0.5, weights):
                 c = ordered_apply(expmi(dt * h), c)
-        return self.from_blocks(c).reshape(psi.shape)
+            distinct = self.a.shape[0]
+        return self.from_blocks(c).reshape(psi.shape), distinct
 
 
 def step_blocks(schedule: Schedule, step_index: int) -> StepBlocks:

@@ -12,8 +12,9 @@ step from the step's algebra, the smaller of two exact ones:
 * ``"blocks"``: every other step.  A maximal set of ``m`` commuting Pauli
   operators that commute with its terms (see :mod:`agqc.sectors`) splits
   ``H(s) = A + sB`` exactly into ``2^m`` blocks of dimension ``2^(n-m)``,
-  which are propagated, and diagonalized in :func:`spectral_scan` and the
-  ground projection, block by block.
+  which are propagated (2x2 blocks once per class, see
+  :func:`~agqc._linalg.su2_ramp`), and diagonalized in
+  :func:`spectral_scan` and the ground projection, block by block.
 
 Both use the same CF4 weight grid, so they agree to roundoff.  Every 2x2
 propagator is an ordered product of SU(2) pairs times one phase, and every
@@ -32,7 +33,7 @@ from typing import Sequence
 import numpy as np
 import scipy.linalg
 
-from ._linalg import su2_ramp
+from ._linalg import su2_sweep
 from .budget import SizeCapError, check_bytes, check_dense, check_vectors
 from .compiler import DEGENERACY_TOL, Schedule, ScheduleStep
 from .gflow import Gflow
@@ -193,12 +194,15 @@ def _terms_commute(terms: Sequence[RotatedPauliOp]) -> bool:
 class StepPropagation:
     """How :func:`evolve` integrated one step: ``method`` is ``"pair"`` or
     ``"blocks"`` (see the module docstring), ``n_sub`` the number of CF4
-    substeps and ``dim`` the dimension of the matrices exponentiated: 2, or
-    the block dimension (``2^n`` for a step with one block)."""
+    substeps, ``dim`` the dimension of the matrices exponentiated: 2, or
+    the block dimension (``2^n`` for a step with one block), and
+    ``distinct`` the number of distinct problems propagated (1 for
+    ``"pair"``, every block for blocks larger than 2x2)."""
 
     method: str
     n_sub: int
     dim: int
+    distinct: int
 
 
 @dataclass(frozen=True)
@@ -248,9 +252,9 @@ def _cf4_weights(n_sub: int) -> np.ndarray:
 
 def _propagate_blocks(
     blocks: StepBlocks, psi: np.ndarray, tau: float, dt_max: float
-) -> np.ndarray:
+) -> tuple[np.ndarray, int]:
     """CF4 Magnus integration of H(s) = A + sB block by block, s ramping
-    0 -> 1 over tau."""
+    0 -> 1 over tau, and the number of distinct problems propagated."""
     n_sub = _n_substeps(tau, dt_max)
     return blocks.propagate(psi, tau / n_sub, _cf4_weights(n_sub))
 
@@ -271,15 +275,15 @@ def _pair_coefficients(
     gamma: float, tau: float, dt_max: float
 ) -> tuple[complex, complex, complex, complex]:
     """``(c0, c1, c2, c3)`` with ``U = c0 + c1 sz + c2 sx + c3 sz sx`` the CF4
-    propagator of ``h(s) = -gamma [(1-s) sz + s sx]`` over tau: the one-block
-    case of :func:`~agqc._linalg.su2_ramp`, with ``A = -gamma sz`` and
-    ``B = -gamma (sx - sz)``, both traceless, so that U is the pair
+    propagator of ``h(s) = -gamma [(1-s) sz + s sx]`` over tau: the
+    :func:`~agqc._linalg.su2_sweep` of ``dt (A/2 + w B)`` with ``A = -gamma
+    sz`` (``z = -gamma``, ``h10 = 0``) and ``B = -gamma (sx - sz)`` (``z =
+    gamma``, ``h10 = -gamma``), both traceless, so that U is the pair
     ``[[alpha, -conj(beta)], [beta, conj(alpha)]]`` itself."""
-    sz, sx = np.diag([1.0, -1.0]), np.array([[0.0, 1.0], [1.0, 0.0]])
     n_sub = _n_substeps(tau, dt_max)
-    _, (alpha,), (beta,) = su2_ramp(
-        -gamma * sz[None], -gamma * (sx - sz)[None], tau / n_sub, _cf4_weights(n_sub)
-    )
+    dt = tau / n_sub
+    (alpha,), (beta,) = su2_sweep(np.array([0.5 * dt * -gamma]), np.array([dt * gamma]),
+                                  np.zeros(1), np.array([dt * -gamma]), _cf4_weights(n_sub))
     return (complex(alpha.real), complex(0.0, alpha.imag),
             complex(0.0, beta.imag), complex(-beta.real))
 
@@ -347,12 +351,12 @@ def evolve(
             if tau not in pair_coeffs:
                 pair_coeffs[tau] = _pair_coefficients(schedule.gamma, tau, dt_max)
             psi = _propagate_pair_step(step, pair_coeffs[tau], schedule.gamma * tau, psi)
-            method, dim = "pair", 2
+            method, dim, distinct = "pair", 2, 1
         else:
             blocks = step_blocks(schedule, k)
-            psi = _propagate_blocks(blocks, psi, tau, dt_max)
+            psi, distinct = _propagate_blocks(blocks, psi, tau, dt_max)
             method, dim = "blocks", blocks.dim
-        propagation.append(StepPropagation(method, _n_substeps(tau, dt_max), dim))
+        propagation.append(StepPropagation(method, _n_substeps(tau, dt_max), dim, distinct))
 
     finals = _final_terms(schedule)
     commuting = _terms_commute(finals)

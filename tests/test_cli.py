@@ -125,17 +125,45 @@ def test_evolve_json_report(capsys):
     assert np.allclose(u @ u.conj().T, np.eye(2), atol=1e-8)
 
 
+def test_gapscan_header_matches_its_rows(capsys):
+    # chain:3 has 2^3 = 8 levels: --levels 20 keeps all of them
+    code, out = run(capsys, "gapscan", "--graph", "chain:3", "--s-grid", "2", "--levels", "20")
+    header, *rows = out.strip().splitlines()
+    assert code == 0 and header.split(",")[2:11] == [f"E{i}" for i in range(8)] + ["gap"]
+    assert rows and all(len(r.split(",")) == len(header.split(",")) for r in rows)
+
+
+@pytest.mark.parametrize("option", [["--levels", "0"], ["--levels", "-2"], ["--levels", "-" + "9" * 400],
+                                    ["--step", "0"], ["--step", "-1"], ["--step", "3"],
+                                    ["--step", "9"], ["--step", "9" * 400]])
+def test_gapscan_rejects_levels_and_steps_out_of_range(capsys, option):
+    code, out, err = run_err(capsys, "gapscan", "--graph", "chain:3", "--s-grid", "2", *option)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and option[0] in err
+    assert len(err) < 200
+
+
+def test_long_graph_spec_is_clipped_in_its_error_line(capsys):
+    for spec in ("chain:" + "1" * 5000, "chain:3:" + "x" * 5000, "cluster:" + "x" * 5000,
+                 "nosuch:" + "x" * 5000):
+        code, out, err = run_err(capsys, "graph", "validate", "--graph", spec)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1 and len(err.encode()) < 200
+
+
 def test_evolve_report_lists_each_step_method(capsys):
     code, out = run(capsys, "evolve", "--graph", "chain:3:0,0.7", "--tau", "50")
     assert code == 0
     assert json.loads(out)["propagation"] == [
-        {"step": 1, "method": "pair", "n_sub": 200, "dim": 2},
-        {"step": 2, "method": "pair", "n_sub": 200, "dim": 2},
+        {"step": 1, "method": "pair", "n_sub": 200, "dim": 2, "distinct": 1},
+        {"step": 2, "method": "pair", "n_sub": 200, "dim": 2, "distinct": 1},
     ]
     code, out = run(
         capsys, "evolve", "--graph", "chain:4", "--mode", "reorder-strip", "--order", "3,1,2", "--tau", "2"
     )
-    assert [(p["method"], p["dim"]) for p in json.loads(out)["propagation"]] == [("blocks", 2)] * 3
+    # 8 blocks a step, with 2 or 1 traceless parts up to a Pauli conjugation
+    assert [(p["method"], p["dim"], p["distinct"]) for p in json.loads(out)["propagation"]] == [
+        ("blocks", 2, 2), ("blocks", 2, 1), ("blocks", 2, 1)]
 
 
 def test_reorder_fixed_reports_infeasible(capsys):
@@ -614,6 +642,14 @@ _S_GRID = st.one_of(
 )
 
 
+# --levels and gapscan's --step: in and out of range, huge and malformed
+_COUNT = st.one_of(
+    st.integers(-3, 12).map(str),
+    st.sampled_from(["", "x", "1.5", "1e3"]),
+    st.integers(10**8, 10**400).map(str),
+)
+
+
 def _joined(items):
     return st.lists(items, min_size=1, max_size=3).map(",".join)
 
@@ -633,6 +669,10 @@ def _numeric_argv(draw):
         argv = [command, "--graph", "chain:3", "--s-grid", draw(_S_GRID), "--gamma", draw(_VALUE)]
         if command == "bounds":
             argv += ["--c-delta", draw(_VALUE), "--epsilon", draw(_VALUE)]
+        else:
+            for option in ("--levels", "--step"):
+                if draw(st.booleans()):
+                    argv += [option, draw(_COUNT)]
     elif command == "mbqc":
         # amplitudes past sqrt(max float), whose squares overflow
         amp = st.one_of(_VALUE, st.floats(1e155, 1e308).map(repr))
@@ -659,5 +699,9 @@ def test_numeric_arguments_exit_0_1_or_2(capsys, argv):
     if code == 2:
         assert captured.out == ""
         assert captured.err.count("\n") == 1 and captured.err.startswith("error:")
+        assert len(captured.err) < 200
     if code == 0:
         assert "nan" not in captured.out.lower()
+    if code == 0 and argv[0] == "gapscan":
+        header, *rows = captured.out.splitlines()
+        assert all(row.count(",") == header.count(",") for row in rows)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -350,7 +351,7 @@ def test_su2_ramp_matches_products_of_eigh_exponentials(rng, kind):
     a, b = scale * a, scale * b
     per = budget.CHUNK_BYTES // (32 * n_blocks)
     weights = rng.uniform(0.0, 1.0, 2 * per + 37)  # crosses two chunk boundaries
-    phase, alpha, beta = su2_ramp(a, b, dt, weights)
+    phase, alpha, beta, _ = su2_ramp(a, b, dt, weights)
     want = np.broadcast_to(np.eye(2), a.shape)
     for w in weights:
         want = expmi(dt * (0.5 * a + w * b)) @ want
@@ -363,9 +364,147 @@ def test_su2_ramp_stays_unitary_over_8000_factors(rng):
     a, b = _hermitian_stack(rng, 8, 1.0), _hermitian_stack(rng, 8, 1.0)
     weights = _cf4_weights(4000)
     assert weights.shape == (8000,)
-    phase, alpha, beta = su2_ramp(a, b, 0.25, weights)
+    phase, alpha, beta, _ = su2_ramp(a, b, 0.25, weights)
     assert np.max(np.abs(np.abs(alpha) ** 2 + np.abs(beta) ** 2 - 1.0)) <= 1e-13
     assert np.max(np.abs(np.abs(phase) - 1.0)) <= 1e-15
+
+
+def _su2_ramp_per_block(a, b, dt, weights):
+    """Reference: :func:`su2_ramp` with every block ramped on its own, as
+    ``(phase, alpha, beta)``."""
+    a0, az, a10, _ = _two_level(a)
+    b0, bz, b10, _ = _two_level(b)
+    za, zb, ha, hb = 0.5 * dt * az, dt * bz, 0.5 * dt * a10, dt * b10
+    u = np.ones(a0.shape, dtype=complex), np.zeros(a0.shape, dtype=complex)
+    per = max(1, budget.CHUNK_BYTES // (32 * a0.size))
+    for lo in range(0, weights.shape[0], per):
+        w = weights[lo:lo + per, None]
+        u = su2_ordered(*su2_exp(za + w * zb, ha + w * hb), u)
+    phase = np.exp(-1j * dt * (0.5 * weights.shape[0] * a0 + weights.sum() * b0))
+    return (phase, *u)
+
+
+def _assert_ramp_matches_per_block(a, b, dt, weights, scale=1.0):
+    """su2_ramp against the per-block reference, within the bound of the eigh
+    comparison; returns the number of classes ramped."""
+    phase, alpha, beta, distinct = su2_ramp(a, b, dt, weights)
+    want = _su2_ramp_per_block(a, b, dt, weights)
+    tol = 1e-15 * len(weights) * max(1.0, dt * scale)
+    for got, ref in zip((phase, alpha, beta), want):
+        assert np.max(np.abs(got - ref)) < tol
+    return distinct
+
+
+_PAULIS = {"I": np.eye(2), "X": np.array([[0, 1], [1, 0]]), "Y": np.array([[0, -1j], [1j, 0]]),
+           "Z": np.diag([1.0, -1.0])}
+
+
+@pytest.mark.parametrize("scale", [1.0, 30.0])
+def test_su2_ramp_shares_one_ramp_among_pauli_conjugates(rng, scale):
+    # dyadic entries and integer traces, so that shifting a block by its
+    # trace leaves its traceless part exact; P h P is exact for a Pauli P
+    base_a, base_b = (np.round(1024 * _hermitian_stack(rng, 5, scale)) / 1024 for _ in range(2))
+    pick = rng.integers(0, 5, 64)
+    paulis = [_PAULIS[p] for p in rng.choice(list("IXYZ"), 64)]
+    a, b = (np.stack([p @ base[i] @ p for p, i in zip(paulis, pick)])
+            + rng.integers(-3, 4, (64, 1, 1)) * np.eye(2) for base in (base_a, base_b))
+    weights = rng.uniform(0.0, 1.0, 301)
+    assert _assert_ramp_matches_per_block(a, b, 0.3, weights, scale) == len(set(pick.tolist()))
+
+
+def test_su2_ramp_groups_signed_zeros_identical_and_distinct_blocks(rng):
+    weights = rng.uniform(0.0, 1.0, 97)
+    # -0.0 and 0.0 entries, with and without a conjugate among them
+    a = np.array([[[1, 0], [0, -1]], [[1, -0.0], [complex(-0.0, -0.0), -1]], [[-1, 0], [0, 1]]],
+                 dtype=complex)
+    b = np.array([[[0.0, 1.0], [1.0, 0.0]], [[-0.0, 1.0], [1.0, -0.0]], [[0.0, 1.0], [1.0, 0.0]]])
+    assert _assert_ramp_matches_per_block(a, b, 0.5, weights) == 1
+    zero = np.zeros((4, 2, 2))
+    assert _assert_ramp_matches_per_block(zero, -0.0 * zero, 0.5, weights) == 1
+    h = _hermitian_stack(rng, 2, 1.0)
+    same_a, same_b = np.repeat(h[:1], 40, axis=0), np.repeat(h[1:], 40, axis=0)
+    assert _assert_ramp_matches_per_block(same_a, same_b, 0.5, weights) == 1
+    a, b = _hermitian_stack(rng, 40, 1.0), _hermitian_stack(rng, 40, 1.0)
+    assert _assert_ramp_matches_per_block(a, b, 0.5, weights) == 40
+
+
+def _reordered_chain_schedules():
+    orders = {4: [2, 0, 1], 5: [1, 3, 0, 2], 10: [1, 0, 3, 2, 5, 4, 7, 6, 8],
+              12: [2, 0, 1, 5, 3, 4, 8, 6, 7, 10, 9]}
+    for n, order in orders.items():
+        g = generate_chain(n, [0.0] * n)
+        yield f"chain{n}-fixed", compile_reordered_fixed(g, chain_gflow(n), order)[0]
+        yield f"chain{n}-strip", compile_reordered_strip(g, chain_gflow(n), order)
+
+
+def test_su2_ramp_matches_per_block_on_reordered_chains():
+    weights, dt = _cf4_weights(40), 0.25
+    for name, sched in _reordered_chain_schedules():
+        for k, step in enumerate(sched.steps):
+            if _is_pair_step(step):
+                continue
+            blocks = step_blocks(sched, k)
+            assert blocks.dim == 2, (name, k)
+            distinct = _assert_ramp_matches_per_block(blocks.a, blocks.b, dt, weights, sched.gamma)
+            assert distinct <= 4 < blocks.a.shape[0], (name, k, distinct)
+
+
+def test_each_class_of_a_step_is_propagated_once(monkeypatch, rng):
+    widths = []
+    exp2, expn = _linalg.su2_exp, sectors.expmi
+
+    def su2_exp_recording(z, h10):
+        widths.append(z.shape[-1])
+        return exp2(z, h10)
+
+    def expmi_recording(h):
+        widths.append(h.shape[1])
+        return expn(h)
+
+    monkeypatch.setattr(_linalg, "su2_exp", su2_exp_recording)
+    monkeypatch.setattr(sectors, "expmi", expmi_recording)
+    g = generate_chain(6, [0.0] * 6)
+    seeded = generate_chain(5, [0.0, 0.4, 1.3, 2.2, 0.0])
+    merged = False
+    for sched in (compile_reordered_fixed(g, chain_gflow(6), [2, 0, 1, 4, 3])[0],
+                  compile_reordered_strip(g, chain_gflow(6), [2, 0, 1, 4, 3]),
+                  compile_reordered_fixed(seeded, chain_gflow(5), [1, 3, 0, 2])[0]):
+        for k, step in enumerate(sched.steps):
+            if _is_pair_step(step):
+                continue
+            blocks = step_blocks(sched, k)
+            widths.clear()
+            _, distinct = _propagate_blocks(blocks, _random_states(rng, sched.n_qubits), 2.0, 0.25)
+            assert widths and set(widths) == {distinct}
+            if blocks.dim == 2:
+                merged |= distinct < blocks.a.shape[0]
+            else:  # larger blocks are propagated one by one
+                assert distinct == blocks.a.shape[0]
+    assert merged
+
+
+def test_two_level_propagation_fits_the_block_budget_charge(rng):
+    # step_blocks charges (160 + 96 dim) 2^n bytes plus one chunk for the
+    # sector tables, the blocks and their stacks; grouping must stay inside
+    # it, with a few classes (chain 12) and with every block distinct
+    n = 12
+    g = generate_chain(n, [0.0] * n)
+    sched, _ = compile_reordered_fixed(g, chain_gflow(n), [2, 0, 1, 5, 3, 4, 8, 6, 7, 10, 9])
+    psi, weights = _random_states(rng, n, cols=1), _cf4_weights(40)
+    charge = ((160 + 96 * 2) << n) + budget.CHUNK_BYTES
+
+    def distinct_blocks():
+        pair = (_hermitian_stack(rng, 1 << (n - 1), 1.0) for _ in range(2))
+        return sectors.StepBlocks(np.ones(1 << n, dtype=complex), np.arange(1 << n), 0, *pair)
+
+    for make in (lambda: step_blocks(sched, 0), distinct_blocks):
+        tracemalloc.start()
+        try:
+            _, distinct = make().propagate(psi, 0.25, weights)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert distinct in (2, 1 << (n - 1)) and peak < charge, (distinct, peak, charge)
 
 
 def _cf4_nodes(n_sub):
@@ -607,7 +746,7 @@ def test_block_propagation_matches_dense_oracle(sched, rng):
         # each dense exponential costs ~4^n: the longer ramp only up to n = 6
         for tau in (2.0, 10.0) if sched.n_qubits <= 6 else (2.0,):
             want = propagate_step(a, b, psi, tau, dt_max)
-            got = _propagate_blocks(blocks, psi, tau, dt_max)
+            got, _ = _propagate_blocks(blocks, psi, tau, dt_max)
             assert np.max(np.abs(got - want)) < 1e-12, (k, tau)
 
 
@@ -705,7 +844,7 @@ def test_block_form_at_16_qubits_matches_closed_forms(rng):
     tau, dt_max = 3.0, 0.25
     coeffs = _pair_coefficients(sched.gamma, tau, dt_max)
     want_psi = _propagate_pair_step(step, coeffs, sched.gamma * tau, psi)
-    got = _propagate_blocks(blocks, psi, tau, dt_max)
+    got, _ = _propagate_blocks(blocks, psi, tau, dt_max)
     assert np.max(np.abs(got - want_psi)) < 1e-12
 
 
