@@ -28,7 +28,8 @@ def expmi(h: np.ndarray) -> np.ndarray:
     """exp(-i h) for Hermitian h (or a stack of them), by diagonalization;
     unitary to roundoff."""
     w, v = np.linalg.eigh(h)
-    return (v * np.exp(-1j * w)[..., None, :]) @ np.swapaxes(v.conj(), -1, -2)
+    phased = v * np.exp(-1j * w)[..., None, :]
+    return phased @ np.swapaxes(np.conj(v, out=v), -1, -2)  # in place: one stack fewer
 
 
 def ordered_apply(u: np.ndarray, c: np.ndarray) -> np.ndarray:

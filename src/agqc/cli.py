@@ -46,7 +46,9 @@ def _file_text(spec: str) -> str | None:
 
 
 def _clip(text: str, limit: int = 60) -> str:
-    """``text`` cut to ``limit`` characters, so that an error line stays short."""
+    """``text`` with non-ASCII characters escaped, cut to ``limit``
+    characters, so that an error line stays short in bytes too."""
+    text = text.encode("ascii", "backslashreplace").decode("ascii")
     return text if len(text) <= limit else text[:limit] + "..."
 
 
@@ -465,11 +467,12 @@ def _add_schedule(p: argparse.ArgumentParser) -> None:
 
 
 class _Parser(argparse.ArgumentParser):
-    """Reports a malformed command line as one ``error:`` line, exit 2;
-    subparsers inherit the class."""
+    """Reports a malformed command line as one short ``error:`` line, exit
+    2; subparsers inherit the class."""
 
     def error(self, message: str) -> NoReturn:
-        self.exit(2, f"error: {' '.join(message.split())}\n")
+        # argparse echoes an invalid value in full
+        self.exit(2, f"error: {_clip(' '.join(message.split()), 180)}\n")
 
 
 def build_parser() -> argparse.ArgumentParser:

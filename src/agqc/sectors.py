@@ -163,7 +163,8 @@ class StepBlocks:
                 [alpha * c0 - beta.conj() * c1, beta * c0 + alpha.conj() * c1], axis=1)
         else:
             for h in self._stacks(0.5, weights):
-                c = ordered_apply(expmi(dt * h), c)
+                h *= dt  # in place, to hold one stack fewer
+                c = ordered_apply(expmi(h), c)
             distinct = self.a.shape[0]
         return self.from_blocks(c).reshape(psi.shape), distinct
 
@@ -195,7 +196,11 @@ def pauli_sum_blocks(
     xgens, zgens, pivots = conserved_generators([p for _, _, p in strings], n)
     k = len(xgens)
     dim, d = 1 << (n - k - len(zgens)), 1 << n
-    check_bytes(((160 + 96 * dim) << n) + CHUNK_BYTES, f"{n}-qubit sector tables and blocks")
+    # per basis index: 160 bytes of sector tables, and 16 dim for each of A,
+    # B and the four stacks that StepBlocks.propagate holds at once (the
+    # weighted sum, eigh's vectors, their phased copy and the product), each
+    # the size of A or at most a quarter chunk, which two chunks cover
+    check_bytes(((160 + 96 * dim) << n) + 2 * CHUNK_BYTES, f"{n}-qubit sector tables and blocks")
     idx = np.arange(d, dtype=np.int64)
     rep, omega_c, label, zlabel = idx.copy(), np.ones(d, dtype=complex), 0 * idx, 0 * idx
     for i, g in enumerate(xgens):

@@ -31,7 +31,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-import scipy.linalg
 
 from ._linalg import su2_sweep
 from .budget import SizeCapError, check_bytes, check_dense, check_vectors
@@ -320,9 +319,10 @@ def evolve(
     basis is prepared from the initial Hamiltonian's terms and the input
     logical frame, every column is evolved through each step with a linear
     ramp, and the overlap with the reference final basis is polar-corrected
-    into a unitary.  ``initial`` optionally right-multiplies the evolved
-    basis by a logical state (amplitudes in frame order), in which case
-    ``final_states`` has a single column.
+    into a unitary, ``W V^dagger`` from its SVD ``W S V^dagger``.
+    ``initial`` optionally right-multiplies the evolved basis by a logical
+    state (amplitudes in frame order), in which case ``final_states`` has a
+    single column.
 
     Requires ``|inputs| == |outputs|`` for unitary extraction.
     """
@@ -369,9 +369,9 @@ def evolve(
     if commuting and len(graph.inputs) == len(graph.outputs):
         ref = logical_basis_from_ops(finals, final_frame(graph), n)
         overlap = ref.conj().T @ psi
-        u, _ = scipy.linalg.polar(overlap)
-        logical_unitary = u
-        defect = float(np.linalg.norm(overlap - u, 2))
+        w, _, vh = np.linalg.svd(overlap)
+        logical_unitary = w @ vh
+        defect = float(np.linalg.norm(overlap - logical_unitary, 2))
     if initial is not None:
         initial = np.asarray(initial, dtype=complex)
         psi = psi @ initial.reshape(-1, 1)

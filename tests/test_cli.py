@@ -1,6 +1,9 @@
 import copy
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
 
@@ -8,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import agqc
 from agqc.cli import main
 from agqc.gflow import find_gflow, gflow_to_json
 from agqc.graph import generate_chain, generate_cluster, generate_cnot_graph, graph_to_json
@@ -145,7 +149,7 @@ def test_gapscan_rejects_levels_and_steps_out_of_range(capsys, option):
 
 def test_long_graph_spec_is_clipped_in_its_error_line(capsys):
     for spec in ("chain:" + "1" * 5000, "chain:3:" + "x" * 5000, "cluster:" + "x" * 5000,
-                 "nosuch:" + "x" * 5000):
+                 "nosuch:" + "x" * 5000, "chain:3:" + "\u00e9" * 5000, "\udcff" * 5000):
         code, out, err = run_err(capsys, "graph", "validate", "--graph", spec)
         assert code == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1 and len(err.encode()) < 200
@@ -164,6 +168,29 @@ def test_evolve_report_lists_each_step_method(capsys):
     # 8 blocks a step, with 2 or 1 traceless parts up to a Pauli conjugation
     assert [(p["method"], p["dim"], p["distinct"]) for p in json.loads(out)["propagation"]] == [
         ("blocks", 2, 2), ("blocks", 2, 1), ("blocks", 2, 1)]
+
+
+_WITHOUT_SCIPY = """
+import importlib, pkgutil, sys
+sys.modules["scipy"] = None  # any import of scipy now raises ImportError
+import agqc
+for module in pkgutil.iter_modules(agqc.__path__):
+    importlib.import_module("agqc." + module.name)
+from agqc import cli
+code = cli.main(["evolve", "--graph", "chain:3:0,0.7", "--target", "chain"])
+loaded = sorted(k for k, v in sys.modules.items() if k.split(".")[0] == "scipy" and v is not None)
+print(code, loaded)
+"""
+
+
+def test_agqc_runs_without_scipy():
+    src = os.path.dirname(os.path.dirname(agqc.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", _WITHOUT_SCIPY], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "0 []"
+    assert '"distance_to_chain_prediction"' in done.stdout
 
 
 def test_reorder_fixed_reports_infeasible(capsys):
@@ -524,6 +551,9 @@ def test_parser_is_built_once_and_keeps_its_messages(monkeypatch, capsys):
         (["compile", "--graph", "chain:3", "--mode", "bogus"], "--mode"),
         (["evolve", "--tau", "3"], "--graph"),
         (["gapscan", "--graph", "chain:4", "--bogus"], "--bogus"),
+        (["gapscan", "--graph", "chain:3", "--step", "9" * 5000], "--step"),
+        (["evolve", "--graph", "chain:3", "--tau", "x" * 5000], "--tau"),
+        (["evolve", "--graph", "chain:3", "--tau", "\u00e9" * 5000], "--tau"),
     ],
 )
 def test_malformed_command_line_is_one_error_line(capsys, argv, option):
@@ -532,7 +562,7 @@ def test_malformed_command_line_is_one_error_line(capsys, argv, option):
     captured = capsys.readouterr()
     assert exc.value.code == 2 and captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
-    assert option in captured.err
+    assert option in captured.err and len(captured.err.encode()) < 200
 
 
 def test_help_still_prints_usage(capsys):

@@ -483,28 +483,62 @@ def test_each_class_of_a_step_is_propagated_once(monkeypatch, rng):
     assert merged
 
 
-def test_two_level_propagation_fits_the_block_budget_charge(rng):
-    # step_blocks charges (160 + 96 dim) 2^n bytes plus one chunk for the
-    # sector tables, the blocks and their stacks; grouping must stay inside
-    # it, with a few classes (chain 12) and with every block distinct
+def _traced_propagation(make, psi, weights):
+    """``(blocks, distinct, peak)`` of building a block form and propagating psi."""
+    tracemalloc.start()
+    try:
+        blocks = make()
+        _, distinct = blocks.propagate(psi, 0.25, weights)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return blocks, distinct, peak
+
+
+def _block_charge(n, dim):
+    return ((160 + 96 * dim) << n) + 2 * budget.CHUNK_BYTES
+
+
+def test_block_propagation_fits_the_block_budget_charge(rng):
+    # step_blocks charges (160 + 96 dim) 2^n bytes plus two chunks for the
+    # sector tables, the blocks and the stacks of propagate; grouping must
+    # stay inside it, with a few classes (chain 12) and with every block
+    # distinct, and so must blocks of dimension 4 and 8 (seeded chains)
     n = 12
     g = generate_chain(n, [0.0] * n)
     sched, _ = compile_reordered_fixed(g, chain_gflow(n), [2, 0, 1, 5, 3, 4, 8, 6, 7, 10, 9])
     psi, weights = _random_states(rng, n, cols=1), _cf4_weights(40)
-    charge = ((160 + 96 * 2) << n) + budget.CHUNK_BYTES
 
     def distinct_blocks():
         pair = (_hermitian_stack(rng, 1 << (n - 1), 1.0) for _ in range(2))
         return sectors.StepBlocks(np.ones(1 << n, dtype=complex), np.arange(1 << n), 0, *pair)
 
     for make in (lambda: step_blocks(sched, 0), distinct_blocks):
-        tracemalloc.start()
-        try:
-            _, distinct = make().propagate(psi, 0.25, weights)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert distinct in (2, 1 << (n - 1)) and peak < charge, (distinct, peak, charge)
+        _, distinct, peak = _traced_propagation(make, psi, weights)
+        assert distinct in (2, 1 << (n - 1)) and peak < _block_charge(n, 2), (distinct, peak)
+
+    dims = set()
+    for n, angles, order in ((5, [0.0, 0.4, 1.3, 2.2, 0.0], [1, 3, 0, 2]),
+                             (6, [0.0, 0.4, 1.3, 2.2, 0.9, 0.0], [1, 3, 0, 4, 2]),
+                             (8, [0.0, 0.4, 1.3, 2.2, 0.9, 2.8, 0.5, 0.0], [1, 3, 0, 5, 2, 6, 4])):
+        sched, _ = compile_reordered_fixed(generate_chain(n, angles), chain_gflow(n), order)
+        psi, weights = _random_states(rng, n, cols=2), _cf4_weights(10)
+        for k in range(len(sched.steps)):
+            blocks, _, peak = _traced_propagation(lambda: step_blocks(sched, k), psi, weights)
+            assert peak < _block_charge(n, blocks.dim), (n, k, blocks.dim, peak)
+            dims.add(blocks.dim)
+    assert dims == {4, 8}
+
+    # past a quarter chunk per weight, each stack is the size of A
+    n, dim = 11, 128
+    pair = [_hermitian_stack(rng, (1 << n) // dim, 1.0, dim) for _ in range(2)]
+
+    def large_blocks():
+        a, b = (h.copy() for h in pair)
+        return sectors.StepBlocks(np.ones(1 << n, dtype=complex), np.arange(1 << n), 0, a, b)
+
+    _, _, peak = _traced_propagation(large_blocks, _random_states(rng, n, cols=2), _cf4_weights(2))
+    assert peak < _block_charge(n, dim), peak
 
 
 def _cf4_nodes(n_sub):
