@@ -573,10 +573,10 @@ def main(argv: Sequence[str] | None = None) -> int:
             raise CliError(f"--gamma must lie in [{low:g}, {high:g}], got {args.gamma}")
         return args.func(args)
     except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {_clip(str(exc), 180)}", file=sys.stderr)
         return exc.code
     except (graph_mod.GraphFormatError, gflow_mod.GflowFormatError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {_clip(str(exc), 180)}", file=sys.stderr)
         return 2
 
 

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from . import _gf2
+from .budget import approx
 from .gflow import Gflow, verify_gflow
 from .graph import OpenGraph, Plane, is_clifford_angle
 from .pauli import (
@@ -219,25 +220,16 @@ def compile_stepwise(graph: OpenGraph, gf: Gflow, gamma: float = 1.0) -> Schedul
 def compile_layered(graph: OpenGraph, gf: Gflow, gamma: float = 1.0) -> Schedule:
     """One step per layer; all T_v of a layer are replaced simultaneously.
 
-    The simultaneous replacement is sound only when ``[T_u, X_v] = 0`` for
-    u != v inside the layer; each layer is checked and a violation rejects
-    the compilation.
+    The simultaneous replacement needs ``[T_u, X_v] = 0`` for u != v inside
+    a layer, which a verified gflow guarantees.  T_u is the product of the
+    twisted generators of g(u): G1 puts every member of g(u), where its X
+    letters and twists sit, in a later layer than u's, and G2 keeps the
+    other vertices of u's layer out of Odd(g(u)), where its other Z letters
+    sit.
     """
     _require_valid_gflow(graph, gf)
     terms = stabilizer_set(graph, gf)
-    xs = _x_terms(graph)
     layers = [list(vs) for _, vs in itertools.groupby(gf.measurement_order(), gf.layer.get)]
-    for members in layers:
-        layer_xs = [xs[v] for v in members]
-        for j, u in enumerate(members):
-            anti, neither = commutation_masks(layer_xs, terms[u])
-            clash = (anti | neither) & ~(1 << j)
-            if clash:
-                v = members[next(_gf2.set_bits(clash))]
-                raise CompileError(
-                    f"layer {sorted(members)} not simultaneously replaceable: "
-                    f"[T_{u}, X_{v}] != 0"
-                )
     return _replacement_schedule(graph, gf, terms, layers, gamma)
 
 
@@ -549,11 +541,24 @@ class GadgetParameters:
 
 def gadget_parameters(k: int, lam: float) -> GadgetParameters:
     """Perturbation-gadget effective coupling ``-k(-lam)^k / (k-1)!`` and the
-    convergence threshold ``lam < (k-1) / (4k)`` for simulating a degree-k term."""
+    convergence threshold ``lam < (k-1) / (4k)`` for simulating a degree-k term.
+
+    The coupling's size is taken from logarithms, so any ``k`` returns at
+    once; a size below the float range is a signed zero, and one above it
+    raises ``ValueError``.
+    """
     if k < 2:
         raise ValueError("gadgets require degree k >= 2")
     if lam <= 0:
         raise ValueError("lambda must be positive")
-    coefficient = -k * (-lam) ** k / math.factorial(k - 1)
-    lambda_max = (k - 1) / (4.0 * k)
+    try:  # k, log (k-1)! or the coupling itself past the float range
+        size = math.exp(math.log(k) + k * math.log(lam) - math.lgamma(k))
+    except OverflowError:
+        size = math.inf
+    if size == math.inf:
+        raise ValueError(
+            f"gadget coefficient for k = {approx(k)}, lambda = {lam:g} is past the float range"
+        )
+    coefficient = -size if k % 2 == 0 else size
+    lambda_max = (k - 1) / k / 4
     return GadgetParameters(coefficient, lambda_max, lam < lambda_max)

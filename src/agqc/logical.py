@@ -1,6 +1,6 @@
 """Symbolic tracking of encoded information: logical operator frames,
-Heisenberg updates through replacement steps, and the predicted net unitary
-for 1D chains.
+Heisenberg updates through replacement steps, the logical basis a frame
+defines, and the predicted net unitary for 1D chains.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .budget import check_vectors
 from .compiler import ScheduleStep
 from .gflow import Gflow
 from .graph import OpenGraph
@@ -18,10 +19,15 @@ from .pauli import (
     Commutation,
     PauliString,
     RotatedPauliOp,
+    apply_op,
+    commutation_masks,
     commutes,
+    projector_apply,
     single,
-    to_matrix,
 )
+
+#: Fixed seed of the reference vector used to pin logical basis states.
+_BASIS_SEED = 2010
 
 
 class NestedExponentError(ValueError):
@@ -70,6 +76,49 @@ def final_frame(graph: OpenGraph) -> LogicalFrame:
         for o in graph.outputs
     )
     return LogicalFrame(pairs)
+
+
+# ---------------------------------------------------------------------------
+# reference logical bases
+
+
+def _seeded_vector(dim: int) -> np.ndarray:
+    rng = np.random.default_rng(_BASIS_SEED)
+    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    return v
+
+
+def logical_basis_from_ops(
+    stabilizing: Sequence[RotatedPauliOp | PauliString],
+    frame: LogicalFrame,
+    n: int,
+) -> np.ndarray:
+    """Columns |b>_L of the joint +1 eigenspace of ``stabilizing``, labelled
+    by the frame: |0...0>_L is the +1 eigenstate of every Z_L, and X_L
+    products generate the rest, fixing all relative phases.
+    """
+    k = len(frame.pairs)
+    check_vectors(n, 1 << k)
+    dim = 1 << n
+    v = _seeded_vector(dim)
+    v = projector_apply(stabilizing, v)
+    v = projector_apply([z for _, z in frame.pairs], v)
+    norm = np.linalg.norm(v)
+    if norm < 1e-9:
+        raise ValueError("reference vector annihilated; stabilizing set inconsistent?")
+    v = v / norm
+    basis = np.empty((dim, 1 << k), dtype=complex)
+    for b in range(1 << k):
+        col = v
+        for i in range(k):
+            if b >> i & 1:
+                col = apply_op(frame.pairs[i][0], col)
+        basis[:, b] = col
+    return basis
+
+
+# ---------------------------------------------------------------------------
+# Heisenberg propagation
 
 
 def _commute_out(op: RotatedPauliOp, step: ScheduleStep) -> RotatedPauliOp:
@@ -199,9 +248,12 @@ def frame_unitary(frame: LogicalFrame, graph: OpenGraph) -> np.ndarray:
     """Unitary (up to phase) whose conjugation realises a propagated frame.
 
     The frame's operators must be supported on the outputs and twist-free
-    (Clifford); the returned matrix U satisfies U sigma U+ = image for every
-    logical X/Z, solved as the one-dimensional nullspace of the stacked
-    conjugation constraints.
+    (Clifford).  Restricted to the outputs, the images must obey the Pauli
+    relations: each is Hermitian, ``X~_i`` anticommutes with ``Z~_j``
+    exactly when i = j, and the ``X~`` commute, as do the ``Z~``.  The
+    ``Z~`` are then independent, their joint +1 space is one state
+    |0>_L, and the columns ``X~^b |0>_L`` of the returned U satisfy
+    U sigma U+ = image for every logical X/Z.
     """
     k = len(frame.pairs)
     outs = graph.outputs
@@ -209,7 +261,7 @@ def frame_unitary(frame: LogicalFrame, graph: OpenGraph) -> np.ndarray:
         raise ValueError("frame-to-unitary needs |inputs| == |outputs|")
     out_index = {o: i for i, o in enumerate(outs)}
 
-    def op_matrix(op: RotatedPauliOp) -> np.ndarray:
+    def restrict(op: RotatedPauliOp) -> RotatedPauliOp:
         if op.twist:
             raise NestedExponentError("frame is not Clifford; no Pauli conjugation table")
         if not op.support <= set(outs):
@@ -221,20 +273,17 @@ def frame_unitary(frame: LogicalFrame, graph: OpenGraph) -> np.ndarray:
                 small_x |= 1 << out_index[o]
             if op.pauli.z >> o & 1:
                 small_z |= 1 << out_index[o]
-        return to_matrix(PauliString(k, small_x, small_z, op.pauli.phase_exp))
+        return RotatedPauliOp.from_pauli(PauliString(k, small_x, small_z, op.pauli.phase_exp))
 
-    dim = 1 << k
-    rows = []
-    for i, (x_img, z_img) in enumerate(frame.pairs):
-        for base, img in ((single(k, i, "X"), x_img), (single(k, i, "Z"), z_img)):
-            a = to_matrix(base)
-            b = op_matrix(img)
-            # column-major vec: vec(U A) = (A^T x I) vec(U), vec(B U) = (I x B) vec(U)
-            rows.append(np.kron(a.T, np.eye(dim)) - np.kron(np.eye(dim), b))
-    m = np.vstack(rows)
-    _, svals, vh = np.linalg.svd(m, full_matrices=False)
-    if svals[-1] > 1e-9:
+    pairs = tuple((restrict(x), restrict(z)) for x, z in frame.pairs)
+    xs = [x for x, _ in pairs]
+    zs = [z for _, z in pairs]
+    consistent = all(op.pauli.phase_exp % 2 == 0 for op in xs + zs) and all(
+        commutation_masks(zs, x) == (1 << i, 0)
+        and commutation_masks(xs, x) == (0, 0)
+        and commutation_masks(zs, z) == (0, 0)
+        for i, (x, z) in enumerate(pairs)
+    )
+    if not consistent:
         raise ValueError("frame images are not a consistent Pauli-map; no unitary")
-    u = vh[-1].conj().reshape(dim, dim, order="F")
-    u = u * math.sqrt(dim) / np.linalg.norm(u)
-    return u
+    return logical_basis_from_ops([], LogicalFrame(pairs), k)

@@ -37,7 +37,7 @@ from .budget import SizeCapError, check_bytes, check_dense, check_vectors
 from .compiler import DEGENERACY_TOL, Schedule, ScheduleStep
 from .gflow import Gflow
 from .graph import OpenGraph
-from .logical import LogicalFrame, final_frame, initial_frame
+from .logical import _seeded_vector, final_frame, initial_frame, logical_basis_from_ops
 from .pauli import (
     PauliString,
     RotatedPauliOp,
@@ -48,9 +48,6 @@ from .pauli import (
     to_matrix,
 )
 from .sectors import StepBlocks, frame_strings, pauli_sum_blocks, step_blocks, twist_frame
-
-#: Fixed seed of the reference vector used to pin logical basis states.
-_BASIS_SEED = 2010
 
 # Fourth-order commutator-free Magnus coefficients (two exponentials per
 # substep, Gauss nodes).  Verified by an order-of-accuracy test.
@@ -115,45 +112,6 @@ def spectral_scan(
         tuple(float(s) for s in s_grid), spectra[:, :keep].copy(), gaps, gaps_deg,
         tuple(deg.tolist()),
     )
-
-
-# ---------------------------------------------------------------------------
-# reference logical bases
-
-
-def _seeded_vector(dim: int) -> np.ndarray:
-    rng = np.random.default_rng(_BASIS_SEED)
-    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    return v
-
-
-def logical_basis_from_ops(
-    stabilizing: Sequence[RotatedPauliOp | PauliString],
-    frame: LogicalFrame,
-    n: int,
-) -> np.ndarray:
-    """Columns |b>_L of the joint +1 eigenspace of ``stabilizing``, labelled
-    by the frame: |0...0>_L is the +1 eigenstate of every Z_L, and X_L
-    products generate the rest, fixing all relative phases.
-    """
-    k = len(frame.pairs)
-    check_vectors(n, 1 << k)
-    dim = 1 << n
-    v = _seeded_vector(dim)
-    v = projector_apply(stabilizing, v)
-    v = projector_apply([z for _, z in frame.pairs], v)
-    norm = np.linalg.norm(v)
-    if norm < 1e-9:
-        raise ValueError("reference vector annihilated; stabilizing set inconsistent?")
-    v = v / norm
-    basis = np.empty((dim, 1 << k), dtype=complex)
-    for b in range(1 << k):
-        col = v
-        for i in range(k):
-            if b >> i & 1:
-                col = apply_op(frame.pairs[i][0], col)
-        basis[:, b] = col
-    return basis
 
 
 def _ground_components(

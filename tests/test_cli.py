@@ -272,6 +272,25 @@ def test_gadget_subcommand(capsys):
     assert main(["gadget", "--k", "1", "--lam", "0.1"]) == 2
 
 
+@pytest.mark.parametrize("k, lam, code, coefficient", [
+    ("200", "0.1", 0, -0.0),
+    ("10", "1e100", 2, None),
+    ("2", "1e300", 2, None),
+    ("999999999", "0.1", 0, 0.0),
+    (str(10**400), "0.1", 2, None),
+])
+def test_gadget_past_the_float_range(capsys, k, lam, code, coefficient):
+    # a coupling below the float range is a signed zero, one above it exit 2
+    assert main(["gadget", "--k", k, "--lam", lam]) == code
+    captured = capsys.readouterr()
+    if coefficient is None:
+        assert captured.out == "" and captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1 and "past the float range" in captured.err
+    else:
+        got = json.loads(captured.out)["coefficient"]
+        assert got == 0.0 and math.copysign(1.0, got) == math.copysign(1.0, coefficient)
+
+
 def test_onestep_non_clifford_is_exit_2(capsys):
     code = main(["compile", "--graph", "chain:4:0,1.0,0,0", "--mode", "onestep"])
     assert code == 2
@@ -544,7 +563,7 @@ def test_parser_is_built_once_and_keeps_its_messages(monkeypatch, capsys):
 
 
 @pytest.mark.parametrize(
-    "argv, option",
+    "argv, mention",
     [
         (["bounds", "--graph", "chain:3", "--c-delta", "-inf"], "--c-delta"),
         (["compile", "--graph", "chain:3", "--gamma", "x"], "--gamma"),
@@ -554,15 +573,25 @@ def test_parser_is_built_once_and_keeps_its_messages(monkeypatch, capsys):
         (["gapscan", "--graph", "chain:3", "--step", "9" * 5000], "--step"),
         (["evolve", "--graph", "chain:3", "--tau", "x" * 5000], "--tau"),
         (["evolve", "--graph", "chain:3", "--tau", "\u00e9" * 5000], "--tau"),
+        # rejected past argparse, by messages that echo the value
+        (["reorder", "--graph", "chain:4", "--order", "3,1,2", "--tau", "x" * 5000], "float"),
+        (["mbqc", "--graph", "chain:3", "--outcomes", "y" * 5000], "outcome"),
+        (["compile", "--graph", "chain:4", "--mode", "reorder-fixed", "--order", ",".join(["1"] * 3000)],
+         "order"),
+        (["compile", "--graph", "zigzag:4", "--gflow", "zigzag:" + "x" * 5000], "int()"),
+        (["compile", "--graph", "chain:4", "--mode", "reorder-fixed", "--order", "3,1," + "x" * 5000],
+         "int()"),
     ],
 )
-def test_malformed_command_line_is_one_error_line(capsys, argv, option):
-    with pytest.raises(SystemExit) as exc:
-        main(argv)
+def test_malformed_command_line_is_one_error_line(capsys, argv, mention):
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse
+        code = exc.code
     captured = capsys.readouterr()
-    assert exc.value.code == 2 and captured.out == ""
+    assert code == 2 and captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
-    assert option in captured.err and len(captured.err.encode()) < 200
+    assert mention in captured.err and len(captured.err.encode()) < 200
 
 
 def test_help_still_prints_usage(capsys):
@@ -686,7 +715,7 @@ def _joined(items):
 
 @st.composite
 def _numeric_argv(draw):
-    command = draw(st.sampled_from(["evolve", "reorder", "gapscan", "bounds", "mbqc", "zigzag"]))
+    command = draw(st.sampled_from(["evolve", "reorder", "gapscan", "bounds", "mbqc", "zigzag", "gadget"]))
     if command == "evolve":
         argv = ["evolve", "--graph", "chain:3", "--tau", draw(_VALUE), "--gamma", draw(_VALUE)]
         if draw(st.booleans()):
@@ -708,6 +737,8 @@ def _numeric_argv(draw):
         amp = st.one_of(_VALUE, st.floats(1e155, 1e308).map(repr))
         pair = st.lists(amp, min_size=2, max_size=2).map(",".join)
         argv = ["mbqc", "--graph", "chain:3", "--input", draw(st.one_of(pair, _joined(amp)))]
+    elif command == "gadget":
+        argv = ["gadget", "--k", draw(_COUNT), "--lam", draw(_VALUE)]
     else:
         r = draw(st.one_of(st.integers(-2, 4).map(str), st.sampled_from(["", "x", "1.0", "99999999999"])))
         argv = [draw(st.sampled_from(["evolve", "mbqc"])), "--graph", "zigzag:2", "--gflow", f"zigzag:{r}"]

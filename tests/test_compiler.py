@@ -1,5 +1,6 @@
 import math
-from types import SimpleNamespace
+import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -23,7 +24,14 @@ from agqc.compiler import (
     step_norm_hdot,
 )
 from agqc.gflow import Gflow, find_gflow, zigzag_gflow_family
-from agqc.graph import Plane, generate_chain, generate_cluster, generate_zigzag, make_graph
+from agqc.graph import (
+    Plane,
+    generate_chain,
+    generate_cluster,
+    generate_cnot_graph,
+    generate_zigzag,
+    make_graph,
+)
 from agqc.pauli import (
     Commutation,
     NonCliffordAngleError,
@@ -35,7 +43,13 @@ from agqc.pauli import (
 )
 from agqc._gf2 import set_bits
 
-from conftest import chain_gflow, cluster_gflow, commuting_replacement_oracle, in_span
+from conftest import (
+    chain_gflow,
+    cluster_gflow,
+    commuting_replacement_oracle,
+    in_span,
+    random_open_graph,
+)
 
 
 def rop(p):
@@ -408,6 +422,20 @@ def test_gadget_parameters_values():
         gadget_parameters(1, 0.1)
 
 
+def test_gadget_coefficient_matches_exact_rationals():
+    """The coupling from logarithms against -k(-lam)^k / (k-1)! in exact
+    rational arithmetic (a float lam is a dyadic rational), over the k the
+    factorial formula reaches in floats."""
+    for k in (2, 3, 7, 30, 101, 170):
+        for lam in (1e-5, 0.1, 0.25, 1.0, 3.7, 1e3):
+            exact = float(-k * (-Fraction(lam)) ** k / math.factorial(k - 1))
+            got = gadget_parameters(k, lam).coefficient
+            if abs(exact) < sys.float_info.min:  # below the normal range
+                assert abs(got) < sys.float_info.min and math.copysign(1, got) == math.copysign(1, exact)
+            else:
+                assert got == pytest.approx(exact, rel=1e-12)
+
+
 def test_in_order_steps_satisfy_lemma_preconditions():
     # removed/introduced pairs anticommute; statics commute with both
     cases = [
@@ -615,21 +643,37 @@ def test_mutated_steps_match_the_all_terms_oracle():
     assert seen == {True, False}
 
 
-@pytest.mark.parametrize("graph, gf, message", [
-    (generate_chain(6, [0.0, 0.3, 1.1, 0.7, 2.0, 0.0]), Gflow(chain_gflow(6).g, dict.fromkeys(range(5), 0)),
-     "layer [0, 1, 2, 3, 4] not simultaneously replaceable: [T_0, X_1] != 0"),
-    (generate_cluster(3, 4), Gflow(cluster_gflow(3, 4).g, dict.fromkeys(range(9), 0)),
-     "layer [0, 1, 2, 3, 4, 5, 6, 7, 8] not simultaneously replaceable: [T_0, X_4] != 0"),
-    (generate_cluster(3, 4), Gflow(cluster_gflow(3, 4).g, {v: v // 6 for v in range(9)}),
-     "layer [0, 1, 2, 3, 4, 5] not simultaneously replaceable: [T_0, X_4] != 0"),
+@pytest.mark.parametrize("graph, gf", [
+    (generate_chain(6, [0.0, 0.3, 1.1, 0.7, 2.0, 0.0]), Gflow(chain_gflow(6).g, dict.fromkeys(range(5), 0))),
+    (generate_cluster(3, 4), Gflow(cluster_gflow(3, 4).g, dict.fromkeys(range(9), 0))),
+    (generate_cluster(3, 4), Gflow(cluster_gflow(3, 4).g, {v: v // 6 for v in range(9)})),
 ])
-def test_layered_error_names_the_first_offending_pair(monkeypatch, graph, gf, message):
-    # layers too coarse for the gflow: verification would reject them first
-    monkeypatch.setattr("agqc.compiler.verify_gflow",
-                        lambda g, f: SimpleNamespace(valid=True, violations=[]))
-    with pytest.raises(CompileError) as err:
+def test_layered_rejects_too_coarse_layers_at_verification(graph, gf):
+    # a layer holding u and some v with [T_u, X_v] != 0 breaks G1 or G2
+    with pytest.raises(InvalidGflowError):
         compile_layered(graph, gf)
-    assert str(err.value) == message
+
+
+def test_layered_steps_on_verified_gflows_are_commuting_replacements():
+    """A verified gflow makes every layer simultaneously replaceable, which
+    is why compile_layered needs no check of its own."""
+    cases = [(generate_zigzag(n), zigzag_gflow_family(n, r))
+             for n in range(2, 12) for r in range(1, n + 1)]
+    cases += [(generate_cluster(r, c), cluster_gflow(r, c)) for r, c in ((2, 2), (2, 5), (3, 4), (4, 4))]
+    cnot = generate_cnot_graph()
+    cases.append((cnot, find_gflow(cnot)))
+    rng = np.random.default_rng(140)
+    while len(cases) < 140:
+        g = random_open_graph(rng, int(rng.integers(3, 10)))
+        gf = find_gflow(g)
+        if gf is not None:
+            cases.append((g, gf))
+    shared = 0
+    for g, gf in cases:
+        sched = compile_layered(g, gf)
+        assert all(step.is_commuting_replacement() for step in sched.steps)
+        shared += any(len(step.introduced) > 1 for step in sched.steps)
+    assert shared > 100
 
 
 def test_cluster_verdicts_check_only_overlapping_static_terms(monkeypatch):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from agqc.compiler import compile_layered, compile_stepwise
 from agqc.gflow import find_gflow, zigzag_gflow_family
 from agqc.graph import generate_chain, generate_cnot_graph, generate_zigzag
 from agqc.logical import (
+    LogicalFrame,
     NestedExponentError,
     chain_unitary,
     compare,
@@ -17,7 +19,7 @@ from agqc.logical import (
     propagate_schedule,
 )
 from agqc.pauli import Commutation, PauliString, RotatedPauliOp, commutes, single, to_matrix
-from agqc.sim import evolve
+from agqc.sim import evolve, mbqc_logical_unitary
 
 from conftest import chain_gflow
 
@@ -288,3 +290,58 @@ def test_frame_unitary_identity_frame():
     fr = final_frame(g)
     u = frame_unitary(fr, g)
     assert compare(u, np.eye(2)) < 1e-9
+
+
+def _zigzag_frame(n):
+    g = generate_zigzag(n)
+    gf = zigzag_gflow_family(n, n)
+    return propagate_schedule(initial_frame(g, gf), compile_layered(g, gf).steps), g, gf
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_frame_unitary_reproduces_the_conjugation_table(n):
+    fr, g, _ = _zigzag_frame(n)
+    u = frame_unitary(fr, g)
+    assert np.abs(u.conj().T @ u - np.eye(1 << n)).max() < 1e-12
+    for i, pair in enumerate(fr.pairs):
+        for base, img in zip((single(n, i, "X"), single(n, i, "Z")), pair):
+            got = u @ to_matrix(base) @ u.conj().T
+            assert np.abs(got - _logical_matrix(img, g)).max() < 1e-12
+
+
+def test_frame_unitary_at_five_logical_qubits_matches_mbqc_in_small_memory():
+    fr, g, gf = _zigzag_frame(5)
+    tracemalloc.start()
+    try:
+        u = frame_unitary(fr, g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20
+    assert compare(u, mbqc_logical_unitary(g, gf)) < 1e-12
+
+
+def _frame(*pairs):
+    """Frame on the 4-vertex zig-zag (outputs 2 and 3) from (X_L, Z_L)
+    images given as (x, z, phase_exp) triples."""
+    return LogicalFrame(tuple(
+        tuple(rop(PauliString(4, x, z, ph)) for x, z, ph in pair) for pair in pairs
+    ))
+
+
+_X2, _Z2, _X3, _Z3 = (0b0100, 0, 0), (0, 0b0100, 0), (0b1000, 0, 0), (0, 0b1000, 0)
+
+
+@pytest.mark.parametrize("frame, error, match", [
+    (LogicalFrame(((RotatedPauliOp.from_parts(single(4, 2, "X"), {2: 0.3}), rop(single(4, 2, "Z"))),
+                   (rop(single(4, 3, "X")), rop(single(4, 3, "Z"))))),
+     NestedExponentError, "not Clifford"),
+    (_frame((_X2, (0, 0b0001, 0)), (_X3, _Z3)), ValueError, "not supported on the outputs"),
+    (_frame((_X2, _Z2)), ValueError, r"\|inputs\| == \|outputs\|"),
+    (_frame((_X2, _X2), (_X3, _Z3)), ValueError, "not a consistent Pauli-map"),
+    (_frame(((0b0100, 0, 1), _Z2), (_X3, _Z3)), ValueError, "not a consistent Pauli-map"),
+    (_frame((_X2, _Z2), ((0b1000, 0b0100, 0), _Z3)), ValueError, "not a consistent Pauli-map"),
+], ids=["twisted", "off-outputs", "k-mismatch", "x-equals-z", "odd-phase", "anticommuting-xs"])
+def test_frame_unitary_rejects_frames_that_are_no_pauli_map(frame, error, match):
+    with pytest.raises(error, match=match):
+        frame_unitary(frame, generate_zigzag(2))
