@@ -104,11 +104,18 @@ def _load_gflow(spec: str, graph: OpenGraph) -> Gflow:
     raise CliError(f"gflow source {_clip(spec)!r} is neither a file nor find/zigzag:R")
 
 
+def _write_file(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:  # a missing directory, a directory, no permission
+        raise CliError(f"cannot write {_clip(path)!r}: {exc.strerror or exc}") from exc
+
+
 def _write(out: str | None, text: str) -> None:
     if out is None or out == "-":
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
     else:
-        Path(out).write_text(text)
+        _write_file(out, text)
 
 
 #: The energy scales ``--gamma`` may take: every product of gamma with a
@@ -368,7 +375,7 @@ def cmd_reorder(args) -> int:
         if args.leakage_csv:
             lines = ["tau,leakage,fidelity"]
             lines += [f"{r['tau']:.12g},{r['leakage']:.12g},{r['fidelity']:.12g}" for r in rows]
-            Path(args.leakage_csv).write_text("\n".join(lines) + "\n")
+            _write_file(args.leakage_csv, "\n".join(lines) + "\n")
     _write(args.out, json.dumps(doc, indent=2))
     if report is not None and not report.feasible:
         return 1

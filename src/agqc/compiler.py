@@ -311,18 +311,12 @@ def compile_reordered_fixed(
     """
     _require_valid_gflow(graph, gf)
     terms = stabilizer_set(graph, gf)
-    xs = _x_terms(graph)
     seq = _as_permutation(order, graph.non_outputs)
+    schedule = _replacement_schedule(graph, gf, terms, [[v] for v in seq], gamma)
     vertices = sorted(terms)
     vindex = {v: i for i, v in enumerate(vertices)}
     originals = [terms[w] for w in vertices]
-    # one site table over the T's in vertex order, then the X's in step order;
-    # the static terms are the T's still left (bits ``later``) and the X's
-    # introduced so far
-    n = len(vertices)
-    x_seq = tuple(xs[u] for u in seq)
-    sites = SiteTable.of(originals + list(x_seq))
-    left, later = list(originals), (1 << n) - 1
+    later = (1 << len(vertices)) - 1  # the T's not yet replaced
 
     def to_set(mask: int) -> frozenset[int]:
         return frozenset(vertices[i] for i in _gf2.set_bits(mask))
@@ -331,24 +325,15 @@ def compile_reordered_fixed(
     # meet every constraint so far: e_v is in its span iff no constraint has bit v
     cert_basis = [1 << i for i in range(len(vertices))]
     constrained = 0
-    steps = []
     feas = []
-    for k, v in enumerate(seq):
-        bit = 1 << vindex[v]
-        del left[(later & (bit - 1)).bit_count()]  # T_v's place among the T's left
-        later ^= bit
-        static_mask = later | ((1 << k) - 1) << n
-        xv = xs[v]
-        tv = terms[v]
-        static = tuple(left) + x_seq[:k]
-        step = ScheduleStep({v: tv}, {v: xv}, static, sites=sites, static_mask=static_mask)
-        steps.append(step)
+    for v, step in zip(seq, schedule.steps):
+        later ^= 1 << vindex[v]
 
         # products of the original T's must overlap the terms anticommuting
         # with X_v evenly and avoid the terms in a "neither" relation with it
-        anti, neither = commutation_masks(originals, xv)
+        anti, neither = commutation_masks(originals, step.introduced[v])
         # the static X's commute with X_v, so only a later T can clash with it
-        frustrated = bool((anti | neither) & later) or step.static_clash(tv)
+        frustrated = bool((anti | neither) & later) or step.static_clash(step.removed[v])
         tracked_available = not constrained >> vindex[v] & 1
         constrained |= anti | neither
         new_basis = _gf2.kernel_filter(cert_basis, anti)
@@ -392,7 +377,7 @@ def compile_reordered_fixed(
             )
         )
         cert_basis = new_basis
-    return Schedule(tuple(steps), gamma, graph, gf), ReorderReport(tuple(feas))
+    return schedule, ReorderReport(tuple(feas))
 
 
 def compile_reordered_strip(

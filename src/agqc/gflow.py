@@ -10,6 +10,7 @@ import json
 from dataclasses import dataclass
 
 from . import _gf2
+from .budget import approx, check_bytes
 from .graph import OpenGraph, Plane
 
 #: Sentinel layer assigned to outputs in comparisons (beyond all real layers).
@@ -227,9 +228,14 @@ def zigzag_gflow_family(n: int, r: int) -> Gflow:
     ``g^r(v)`` is the run of r outputs starting at ``n + v`` (clamped at the
     last vertex), and layers group the inputs into consecutive blocks of r,
     giving depth ``ceil(n / r)``.
+
+    Charged to the memory budget before it is built: ~512 bytes a vertex
+    and ~96 a correcting-set entry, of which there are ``sum_v min(r, n - v)``.
     """
     if not 1 <= r <= n:
         raise ValueError(f"r must satisfy 1 <= r <= {n}, got {r}")
+    entries = r * (n - r + 1) + r * (r - 1) // 2
+    check_bytes(512 * n + 96 * entries, f"the {approx(entries)} correcting-set entries of g^r")
     g = {v: frozenset(range(n + v, min(n + v + r, 2 * n))) for v in range(n)}
     layer = {v: v // r for v in range(n)}
     return Gflow(g, layer)

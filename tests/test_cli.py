@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 import warnings
 
@@ -581,9 +582,15 @@ def test_parser_is_built_once_and_keeps_its_messages(monkeypatch, capsys):
         (["compile", "--graph", "zigzag:4", "--gflow", "zigzag:" + "x" * 5000], "int()"),
         (["compile", "--graph", "chain:4", "--mode", "reorder-fixed", "--order", "3,1," + "x" * 5000],
          "int()"),
+        # output paths that cannot be written; {tmp} is the test's own directory
+        (["compile", "--graph", "chain:3", "--out", "{tmp}/missing/x.json"], "cannot write"),
+        (["compile", "--graph", "chain:3", "--out", "{tmp}"], "cannot write"),
+        (["reorder", "--graph", "chain:4", "--order", "3,1,2", "--tau", "10",
+          "--leakage-csv", "{tmp}/missing/x.csv"], "cannot write"),
     ],
 )
-def test_malformed_command_line_is_one_error_line(capsys, argv, mention):
+def test_malformed_command_line_is_one_error_line(capsys, tmp_path, argv, mention):
+    argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
     try:
         code = main(argv)
     except SystemExit as exc:  # argparse
@@ -651,6 +658,22 @@ def test_generator_specs_are_charged_before_building(capsys):
         code, out, err = run_err(capsys, "graph", "validate", "--graph", spec)
         assert code == 2 and out == ""
         assert "memory budget" in err and err.count("\n") == 1
+
+
+def test_zigzag_gflow_is_charged_before_building(monkeypatch, capsys):
+    from agqc import budget
+
+    start = time.perf_counter()
+    code, out, err = run_err(capsys, "gflow", "zigzag", "--n", "100000000", "--r", "1")
+    assert time.perf_counter() - start < 5  # building it would take minutes and ~60 GB
+    assert code == 2 and out == ""
+    assert "memory budget" in err and err.count("\n") == 1
+    # the zigzag:40 graph is charged 21,650 bytes, its g^1 24,320 and its g^40 99,200
+    monkeypatch.setattr(budget, "MEMORY_BUDGET", 50_000)
+    assert run_err(capsys, "compile", "--graph", "zigzag:40", "--gflow", "zigzag:1")[0] == 0
+    code, out, err = run_err(capsys, "compile", "--graph", "zigzag:40", "--gflow", "zigzag:40")
+    assert code == 2 and out == ""
+    assert "correcting-set entries" in err and err.count("\n") == 1
 
 
 def test_schedule_doc_renders_each_term_object_once(monkeypatch, capsys):

@@ -190,13 +190,23 @@ def test_reorder_fixed_second_site_first_is_feasible():
 
 
 def test_reorder_fixed_in_order_has_no_flags():
-    g = generate_chain(4, [0.0] * 4)
-    sched, report = compile_reordered_fixed(g, chain_gflow(4), [0, 1, 2])
-    assert report.feasible
-    assert not any(fs.frustrated for fs in report.steps)
-    ref = compile_stepwise(g, chain_gflow(4))
-    for a, b in zip(sched.steps, ref.steps):
-        assert a.removed.keys() == b.removed.keys()
+    # in measurement order the reordered schedule is the stepwise one, term
+    # for term and static order included
+    for graph, gf in (
+        (generate_chain(4, [0.0] * 4), chain_gflow(4)),
+        (generate_chain(7, [0.0, 0.4, 1.3, 0.0, 2.2, 0.9, 0.0]), chain_gflow(7)),
+        (generate_cluster(3, 4), cluster_gflow(3, 4)),
+    ):
+        sched, report = compile_reordered_fixed(graph, gf, gf.measurement_order())
+        assert report.feasible
+        assert not any(fs.frustrated for fs in report.steps)
+        ref = compile_stepwise(graph, gf)
+        assert len(sched.steps) == len(ref.steps)
+        for a, b in zip(sched.steps, ref.steps):
+            assert a.removed.keys() == b.removed.keys() == a.introduced.keys()
+            assert [(op.pauli, op.twist) for op in a.all_terms()] == [
+                (op.pauli, op.twist) for op in b.all_terms()
+            ]
 
 
 def test_reorder_fixed_general_angle_certificates_are_genuine():
@@ -524,8 +534,8 @@ def test_every_mode_shares_one_x_term_per_vertex():
 
 
 def _verdict_schedules():
-    """``(reordered, schedule)`` of every mode over chains at random
-    non-Clifford angles, the zig-zag gflows g^1, g^2 and g^n, and clusters."""
+    """Schedules of every mode over chains at random non-Clifford angles,
+    the zig-zag gflows g^1, g^2 and g^n, and clusters."""
     rng = np.random.default_rng(11)
     out = []
     for n in range(5, 13):
@@ -533,19 +543,17 @@ def _verdict_schedules():
         g, gf = generate_chain(n, angles), chain_gflow(n)
         order = [int(v) for v in rng.permutation(n - 1)]
         clifford = generate_chain(n, [math.pi / 2 * int(k) for k in rng.integers(0, 4, n)])
-        out += [(False, compile_stepwise(g, gf)), (False, compile_layered(g, gf)),
-                (False, compile_one_step(clifford, gf)),
-                (True, compile_reordered_fixed(g, gf, order)[0]),
-                (True, compile_reordered_strip(g, gf, order))]
+        out += [compile_stepwise(g, gf), compile_layered(g, gf), compile_one_step(clifford, gf),
+                compile_reordered_fixed(g, gf, order)[0], compile_reordered_strip(g, gf, order)]
     for n in (5, 8):
         g = generate_zigzag(n)
         for r in (1, 2, n):
             gf = zigzag_gflow_family(n, r)
-            out += [(False, compile(g, gf)) for compile in
+            out += [compile(g, gf) for compile in
                     (compile_stepwise, compile_layered, compile_one_step)]
     for rows, cols in ((2, 3), (5, 6), (8, 10)):
         g, gf = generate_cluster(rows, cols), cluster_gflow(rows, cols)
-        out += [(False, compile(g, gf)) for compile in
+        out += [compile(g, gf) for compile in
                 (compile_stepwise, compile_layered, compile_one_step)]
     return out
 
@@ -560,7 +568,7 @@ def test_verdicts_match_the_all_terms_oracle(monkeypatch):
     monkeypatch.setattr("agqc.pauli.commutes", counting)
     verdicts = set()
     reached_exact = 0
-    for _, sched in _verdict_schedules():
+    for sched in _verdict_schedules():
         for step in sched.steps:
             before = len(exact)
             verdict = step.is_commuting_replacement()
@@ -573,8 +581,8 @@ def test_verdicts_match_the_all_terms_oracle(monkeypatch):
 
 def test_static_terms_are_the_same_objects_in_the_same_order():
     """The earlier groups' X's, then the later groups' T's, as every step
-    built them one by one; reordered steps take the later T's by vertex."""
-    for reordered, sched in _verdict_schedules():
+    built them one by one, in every mode but strip."""
+    for sched in _verdict_schedules():
         if any(step.strip for step in sched.steps):
             continue
         xs = {v: x for step in sched.steps for v, x in step.introduced.items()}
@@ -583,10 +591,7 @@ def test_static_terms_are_the_same_objects_in_the_same_order():
         for i, step in enumerate(sched.steps):
             done = [u for grp in groups[:i] for u in grp]
             later = [w for grp in groups[i + 1:] for w in grp]
-            if reordered:
-                want = [ts[w] for w in sorted(later)] + [xs[u] for u in done]
-            else:
-                want = [xs[u] for u in done] + [ts[w] for w in later]
+            want = [xs[u] for u in done] + [ts[w] for w in later]
             assert [id(op) for op in step.static_terms] == [id(op) for op in want]
 
 

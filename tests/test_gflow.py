@@ -151,6 +151,18 @@ def test_gflow_size_zigzag_bounded_by_r_plus_2():
     assert gflow_size(generate_zigzag(4), zigzag_gflow_family(4, 4), 0) == 5
 
 
+def test_zigzag_family_charges_its_correcting_set_entries(monkeypatch):
+    # the closed-form entry count equals the sum of the correcting-set sizes
+    from agqc import gflow as gflow_mod
+
+    charged = []
+    monkeypatch.setattr(gflow_mod, "check_bytes", lambda n_bytes, what: charged.append(n_bytes))
+    families = [zigzag_gflow_family(n, r) for n in (1, 2, 5, 9) for r in range(1, n + 1)]
+    assert charged == [
+        512 * len(gf.g) + 96 * sum(len(s) for s in gf.g.values()) for gf in families
+    ]
+
+
 def test_gflow_size_rejects_output():
     g = generate_chain(3, [0.0] * 3)
     with pytest.raises(ValueError):
