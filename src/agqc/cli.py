@@ -8,8 +8,10 @@ infeasible request.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import math
+import os
 import sys
 from pathlib import Path
 from typing import NoReturn, Sequence
@@ -104,18 +106,35 @@ def _load_gflow(spec: str, graph: OpenGraph) -> Gflow:
     raise CliError(f"gflow source {_clip(spec)!r} is neither a file nor find/zigzag:R")
 
 
-def _write_file(path: str, text: str) -> None:
+def _check_writable(path: str | None) -> None:
+    """Refuse an output path that cannot be written, before any work is
+    done; the file itself is created only by the write."""
+    if path is None or path == "-":
+        return
+    target = Path(path)
     try:
-        Path(path).write_text(text)
-    except OSError as exc:  # a missing directory, a directory, no permission
-        raise CliError(f"cannot write {_clip(path)!r}: {exc.strerror or exc}") from exc
+        if target.is_dir():
+            reason = os.strerror(errno.EISDIR)
+        elif not target.parent.is_dir():
+            reason = os.strerror(errno.ENOTDIR if target.parent.exists() else errno.ENOENT)
+        elif not os.access(target if target.exists() else target.parent, os.W_OK):
+            reason = os.strerror(errno.EACCES)
+        else:
+            return
+    except OSError as exc:  # e.g. a name too long for the file system
+        reason = exc.strerror or str(exc)
+    raise CliError(f"cannot write {_clip(path)!r}: {reason}")
 
 
 def _write(out: str | None, text: str) -> None:
+    """Write ``text`` to the file ``out``, or to stdout for None or '-'."""
     if out is None or out == "-":
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
-    else:
-        _write_file(out, text)
+        return
+    try:
+        Path(out).write_text(text)
+    except OSError as exc:  # the path changed since it was checked, a full disk
+        raise CliError(f"cannot write {_clip(out)!r}: {exc.strerror or exc}") from exc
 
 
 #: The energy scales ``--gamma`` may take: every product of gamma with a
@@ -375,7 +394,7 @@ def cmd_reorder(args) -> int:
         if args.leakage_csv:
             lines = ["tau,leakage,fidelity"]
             lines += [f"{r['tau']:.12g},{r['leakage']:.12g},{r['fidelity']:.12g}" for r in rows]
-            _write_file(args.leakage_csv, "\n".join(lines) + "\n")
+            _write(args.leakage_csv, "\n".join(lines) + "\n")
     _write(args.out, json.dumps(doc, indent=2))
     if report is not None and not report.feasible:
         return 1
@@ -537,7 +556,8 @@ def build_parser() -> argparse.ArgumentParser:
     ro.add_argument("--mode", choices=["fixed", "strip"], default="fixed")
     ro.add_argument("--tau", default=None, help="comma-separated taus for a leakage table")
     ro.add_argument("--leakage-csv", default=None, dest="leakage_csv",
-                    help="also write the leakage table as CSV (tau,leakage,fidelity)")
+                    help="also write the leakage table as CSV (tau,leakage,fidelity); "
+                    "'-' for stdout, which then needs --out FILE")
     ro.add_argument("--gamma", type=float, default=1.0)
     ro.set_defaults(func=cmd_reorder)
 
@@ -578,6 +598,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         low, high = GAMMA_RANGE
         if "gamma" in args and not low <= args.gamma <= high:
             raise CliError(f"--gamma must lie in [{low:g}, {high:g}], got {args.gamma}")
+        outputs = [getattr(args, dest, None) for dest in ("out", "leakage_csv")]
+        for path in outputs:
+            _check_writable(path)
+        if outputs[1] == "-" and outputs[0] in (None, "-"):
+            raise CliError("--leakage-csv - and --out would both write to stdout")
         return args.func(args)
     except CliError as exc:
         print(f"error: {_clip(str(exc), 180)}", file=sys.stderr)

@@ -213,10 +213,51 @@ def chain_unitary(angles: Sequence[float]) -> np.ndarray:
     return u
 
 
+#: Points of the phase scan that ``compare`` falls back on.
+_SCAN_POINTS = 256
+
+#: Width of the phase bracket at which ``compare`` stops refining.
+_PHASE_TOL = 1e-14
+
+
+def _bracket_half_width(a: np.ndarray, b: np.ndarray, t: complex, d_f: np.ndarray) -> float:
+    """Half-width of the phase interval around phi_F = arg t that holds the
+    minimum of ``||A - e^{i phi} B||_2``, padded by its rounding bound: 0 when
+    ``||d_f||_2`` is already within ``||B||_F * _PHASE_TOL`` of the minimum,
+    inf when no interval narrower than the circle is certain."""
+    eps = np.finfo(float).eps
+    norm_a, norm_b = float(np.linalg.norm(a)), float(np.linalg.norm(b))
+    u = a.size * eps  # relative rounding of a sum over the entries
+    err_t = u * norm_a * norm_b  # of t
+    if abs(t) <= 2 * err_t:
+        return math.inf
+    eta = 2 * err_t / abs(t)  # bounds |phi_F - arg of the exact t|
+    err_d = 4 * eps * (norm_a + norm_b)  # of d_f, entry by entry
+    rank = min(a.shape)
+    f_hi = float(np.linalg.svd(d_f, compute_uv=False)[0]) * (1 + u) + err_d
+    frob_lo = max(float(np.linalg.norm(d_f)) * (1 - u) - err_d, 0.0)
+    # the minimum is at least min_phi ||D(phi)||_F / sqrt(rank)
+    floor = math.sqrt(max(frob_lo**2 - 2 * abs(t) * eta**2, 0.0) / rank)
+    if f_hi - floor <= norm_b * _PHASE_TOL:
+        return 0.0
+    s2 = (rank * f_hi**2 - frob_lo**2) / (4 * (abs(t) - err_t)) + (eta / 2) ** 2
+    return 2 * math.asin(math.sqrt(s2)) + eta if s2 < 1 else math.inf
+
+
 def compare(candidate: np.ndarray, target: np.ndarray) -> float:
-    """Phase-quotiented operator-2-norm distance min_phi ||A - e^{i phi} B||."""
-    a = np.asarray(candidate, dtype=complex)
-    b = np.asarray(target, dtype=complex)
+    """Phase-quotiented operator-2-norm distance min_phi ||A - e^{i phi} B||.
+
+    With t = tr(B^dag A), phi_F = arg t and D(phi) = A - e^{i phi} B,
+    ``||D(phi)||_F^2 = ||D(phi_F)||_F^2 + 4|t| sin^2((phi - phi_F)/2)``
+    exactly, and ``||D||_F^2 <= r ||D||_2^2`` at rank r.  So every phase
+    that beats ``||D(phi_F)||_2`` lies in a bracket around phi_F, and the
+    minimum is at least ``||D(phi_F)||_F / sqrt(r)``.  When that bracket is
+    wider than one cell of a 256-point scan, the scan's best cell replaces
+    it.  Golden-section steps refine the bracket; the result is the smaller
+    2-norm at its midpoint and at phi_F.
+    """
+    a = np.atleast_2d(np.asarray(candidate, dtype=complex))
+    b = np.atleast_2d(np.asarray(target, dtype=complex))
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch {a.shape} vs {b.shape}")
 
@@ -225,13 +266,18 @@ def compare(candidate: np.ndarray, target: np.ndarray) -> float:
         diff = a - np.exp(1j * np.asarray(phis))[:, None, None] * b
         return np.linalg.svd(diff, compute_uv=False)[:, 0]
 
-    # coarse scan + golden-section refinement; the objective is smooth in phi
-    phis = np.linspace(-math.pi, math.pi, 256, endpoint=False)
-    i0 = int(np.argmin(dists(phis)))
-    lo = phis[i0] - 2 * math.pi / 256
-    hi = phis[i0] + 2 * math.pi / 256
+    t = complex(np.vdot(b, a))
+    phi_f = float(np.angle(t))
+    half = _bracket_half_width(a, b, t, a - np.exp(1j * phi_f) * b)
+    cell = 2 * math.pi / _SCAN_POINTS
+    if 2 * half <= cell:
+        lo, hi = phi_f - half, phi_f + half
+    else:
+        phis = np.linspace(-math.pi, math.pi, _SCAN_POINTS, endpoint=False)
+        i0 = int(np.argmin(dists(phis)))
+        lo, hi = phis[i0] - cell, phis[i0] + cell
     golden = (math.sqrt(5.0) - 1.0) / 2.0
-    for _ in range(60):
+    while hi - lo > _PHASE_TOL:
         m1 = hi - golden * (hi - lo)
         m2 = lo + golden * (hi - lo)
         d1, d2 = dists([m1, m2])
@@ -239,9 +285,7 @@ def compare(candidate: np.ndarray, target: np.ndarray) -> float:
             hi = m2
         else:
             lo = m1
-    # the Frobenius-optimal phase arg tr(B^dag A) bounds the minimum too
-    frobenius = np.angle(np.vdot(b, a))
-    return float(np.min(dists([0.5 * (lo + hi), frobenius])))
+    return float(np.min(dists([0.5 * (lo + hi), phi_f])))
 
 
 def frame_unitary(frame: LogicalFrame, graph: OpenGraph) -> np.ndarray:

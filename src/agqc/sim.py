@@ -428,24 +428,29 @@ def mbqc_reference_run(
     :func:`agqc.pauli.correction_operator`, and the surviving output state
     is returned with final corrections applied.  The result is independent
     of the outcome sequence; ``outcomes`` may be "zeros", "random", or an
-    explicit bit sequence.
+    explicit bit sequence.  A ``(2^{|inputs|}, m)`` input runs its m columns
+    in one pass, under one outcome sequence, each column normalized and
+    checked for a zero-weight branch on its own; ``output_state`` is then
+    ``(2^{|outputs|}, m)``.
     """
     n = graph.n_vertices
-    check_vectors(n, 2)
-    dim = 1 << n
     inputs = graph.inputs
-    input_state = np.asarray(input_state, dtype=complex).reshape(-1)
-    if input_state.shape[0] != 1 << len(inputs):
-        raise ValueError(f"input state must have dimension 2**{len(inputs)}")
+    given = np.asarray(input_state, dtype=complex)
+    if given.ndim not in (1, 2) or given.shape[0] != 1 << len(inputs):
+        raise ValueError(f"input state must have dimension 2**{len(inputs)} (or that many rows)")
+    columns = given.reshape(given.shape[0], -1)
+    m = columns.shape[1]
+    check_vectors(n, 2 * m)
+    dim = 1 << n
 
     idx = np.arange(dim, dtype=np.int64)
     in_bits = np.zeros(dim, dtype=np.int64)
     for i, v in enumerate(inputs):
         in_bits |= ((idx >> v) & 1) << i
-    state = input_state[in_bits] * (2.0 ** (-0.5 * (n - len(inputs))))
-    for a, b in sorted(graph.edges):
-        both = ((idx >> a) & 1) & ((idx >> b) & 1)
-        state = np.where(both, -state, state)
+    parity = np.zeros(dim, dtype=np.int64)  # CZ signs: parity of the edges inside each index
+    for a, b in graph.edges:
+        parity ^= (idx >> a) & (idx >> b) & 1
+    state = columns[in_bits] * ((1 - 2 * parity) * 2.0 ** (-0.5 * (n - len(inputs))))[:, None]
 
     order = gf.measurement_order()
     if isinstance(outcomes, str):
@@ -473,15 +478,13 @@ def mbqc_reference_run(
         # Measurement basis |±_theta> = (|0> ± e^{-i theta}|1>)/sqrt(2): the
         # phase sign that makes one measured qubit implement H exp(-i theta Z/2),
         # matching the rotated-generator Hamiltonian picture exactly.
-        bit_v = (idx >> v) & 1
-        amp0 = state[bit_v == 0]
-        amp1 = state[bit_v == 1]
+        # halves[:, b] holds the amplitudes with bit v = b
+        halves = state.reshape(dim >> (v + 1), 2, 1 << v, m)
         sign = -1.0 if r_obs else 1.0
-        reduced = (amp0 + sign * np.exp(1j * theta) * amp1) / math.sqrt(2.0)
-        state = np.zeros_like(state)
-        state[bit_v == 0] = reduced
-        norm = np.linalg.norm(state)
-        if norm < 1e-12:
+        halves[:, 0] = (halves[:, 0] + sign * np.exp(1j * theta) * halves[:, 1]) / math.sqrt(2.0)
+        halves[:, 1] = 0.0
+        norm = np.linalg.norm(state, axis=0)
+        if np.any(norm < 1e-12):
             raise RuntimeError("measurement branch has zero weight")
         state = state / norm
         # Adapted basis vectors are byproduct * (ideal basis), so the observed
@@ -505,10 +508,10 @@ def mbqc_reference_run(
     out_bits = np.zeros(kept_idx.shape[0], dtype=np.int64)
     for i, v in enumerate(graph.outputs):
         out_bits |= ((kept_idx >> v) & 1) << i
-    output_state = np.zeros(1 << len(graph.outputs), dtype=complex)
+    output_state = np.zeros((1 << len(graph.outputs), m), dtype=complex)
     output_state[out_bits] = sub
-    output_state = output_state / np.linalg.norm(output_state)
-    return MbqcRun(output_state, tuple(observed))
+    output_state = output_state / np.linalg.norm(output_state, axis=0)
+    return MbqcRun(output_state if given.ndim == 2 else output_state[:, 0], tuple(observed))
 
 
 def mbqc_logical_unitary(
@@ -518,9 +521,4 @@ def mbqc_logical_unitary(
     k = len(graph.inputs)
     if len(graph.outputs) != k:
         raise ValueError("logical unitary needs |inputs| == |outputs|")
-    cols = []
-    for b in range(1 << k):
-        e = np.zeros(1 << k, dtype=complex)
-        e[b] = 1.0
-        cols.append(mbqc_reference_run(graph, gf, e, outcomes, seed).output_state)
-    return np.stack(cols, axis=1)
+    return mbqc_reference_run(graph, gf, np.eye(1 << k), outcomes, seed).output_state

@@ -587,6 +587,11 @@ def test_parser_is_built_once_and_keeps_its_messages(monkeypatch, capsys):
         (["compile", "--graph", "chain:3", "--out", "{tmp}"], "cannot write"),
         (["reorder", "--graph", "chain:4", "--order", "3,1,2", "--tau", "10",
           "--leakage-csv", "{tmp}/missing/x.csv"], "cannot write"),
+        (["evolve", "--graph", "chain:3", "--out", "{tmp}/" + "x" * 5000], "cannot write"),
+        # '-' is stdout for both flags, and only one of them may take it
+        (["reorder", "--graph", "chain:4", "--order", "1,2,3", "--tau", "10",
+          "--leakage-csv", "-", "--out", "-"], "stdout"),
+        (["reorder", "--graph", "chain:4", "--order", "1,2,3", "--leakage-csv", "-"], "stdout"),
     ],
 )
 def test_malformed_command_line_is_one_error_line(capsys, tmp_path, argv, mention):
@@ -599,6 +604,38 @@ def test_malformed_command_line_is_one_error_line(capsys, tmp_path, argv, mentio
     assert code == 2 and captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert mention in captured.err and len(captured.err.encode()) < 200
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["evolve", "--graph", "chain:16", "--tau", "5", "--out", "{tmp}/missing/x.json"],
+        ["evolve", "--graph", "chain:16", "--tau", "5", "--out", "{tmp}"],
+        ["reorder", "--graph", "chain:4", "--order", "3,1,2", "--tau", "10",
+         "--leakage-csv", "{tmp}/missing/x.csv", "--out", "{tmp}/x.json"],
+        ["reorder", "--graph", "chain:4", "--order", "3,1,2", "--tau", "10",
+         "--leakage-csv", "{tmp}/x.csv", "--out", "{tmp}/missing/x.json"],
+    ],
+)
+def test_unwritable_output_is_refused_before_any_work(capsys, tmp_path, monkeypatch, argv):
+    def no_work(*args):
+        raise AssertionError("the graph was loaded before the output paths were checked")
+
+    monkeypatch.setattr(agqc.cli, "_load_graph", no_work)
+    code, out, err = run_err(capsys, *(arg.replace("{tmp}", str(tmp_path)) for arg in argv))
+    assert code == 2 and out == "" and err.startswith("error: cannot write")
+    assert sorted(p.name for p in tmp_path.iterdir()) == []
+
+
+def test_leakage_csv_dash_writes_the_table_to_stdout(capsys, tmp_path):
+    report = tmp_path / "report.json"
+    code, out = run(capsys, "reorder", "--graph", "chain:4", "--order", "3,1,2", "--mode", "strip",
+                    "--tau", "100", "--leakage-csv", "-", "--out", str(report))
+    assert code == 0 and not (tmp_path / "-").exists()
+    lines = out.splitlines()
+    assert lines[0] == "tau,leakage,fidelity" and len(lines) == 2
+    row = json.loads(report.read_text())["leakage"][0]
+    assert lines[1] == f"{row['tau']:.12g},{row['leakage']:.12g},{row['fidelity']:.12g}"
 
 
 def test_help_still_prints_usage(capsys):

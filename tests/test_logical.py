@@ -4,9 +4,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from agqc.compiler import compile_layered, compile_stepwise
+from agqc.compiler import compile_layered, compile_one_step, compile_stepwise
 from agqc.gflow import find_gflow, zigzag_gflow_family
-from agqc.graph import generate_chain, generate_cnot_graph, generate_zigzag
+from agqc.graph import generate_chain, generate_cluster, generate_cnot_graph, generate_zigzag
 from agqc.logical import (
     LogicalFrame,
     NestedExponentError,
@@ -21,7 +21,7 @@ from agqc.logical import (
 from agqc.pauli import Commutation, PauliString, RotatedPauliOp, commutes, single, to_matrix
 from agqc.sim import evolve, mbqc_logical_unitary
 
-from conftest import chain_gflow
+from conftest import chain_gflow, cluster_gflow
 
 H = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
 
@@ -278,6 +278,70 @@ def test_compare_never_exceeds_the_scan_or_the_frobenius_phase():
         assert got <= _compare_by_scan(a, b) + 1e-12
         assert got <= _frobenius_phase_distance(a, b) + 1e-14
     assert compare(H, np.eye(2)) == pytest.approx(math.sqrt(2.0), abs=1e-12)
+
+
+def _svd_inputs(monkeypatch):
+    """Record the shape of every array ``np.linalg.svd`` is given; a stack
+    of 256 matrices is the phase scan."""
+    seen = []
+    svd = np.linalg.svd
+
+    def spy(m, *args, **kwargs):
+        seen.append(np.shape(m))
+        return svd(m, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    return seen
+
+
+def _agrees_with_scan(a, b, monkeypatch):
+    """compare(a, b), checked against the scan to 1e-13; also returns
+    whether it ran the scan."""
+    want = _compare_by_scan(a, b)
+    seen = _svd_inputs(monkeypatch)
+    got = compare(a, b)
+    monkeypatch.undo()
+    assert abs(got - want) < 1e-13
+    return got, any(len(shape) == 3 and shape[0] == 256 for shape in seen)
+
+
+def test_compare_of_a_proportional_pair_is_zero_without_a_scan(monkeypatch):
+    rng = np.random.default_rng(5)
+    for d in (1, 2, 4, 8):
+        q, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+        got, scanned = _agrees_with_scan(np.exp(2.1j) * q, q, monkeypatch)
+        assert got < 1e-15 and not scanned
+
+
+def test_compare_brackets_near_unitary_overlaps_without_a_scan(monkeypatch):
+    near_unitary = _compare_cases()[1::2]
+    assert len(near_unitary) == 30
+    for a, b in near_unitary:
+        assert not _agrees_with_scan(a, b, monkeypatch)[1]
+
+
+def test_compare_falls_back_on_the_scan_for_general_pairs(monkeypatch):
+    # H - e^{i phi} I is normal with a kink at its minimum, and tr(H) = 0
+    got, scanned = _agrees_with_scan(H, np.eye(2), monkeypatch)
+    assert got == pytest.approx(math.sqrt(2.0), abs=1e-12) and scanned
+    general = _compare_cases()[2::2]
+    assert len(general) == 30
+    for a, b in general:
+        assert _agrees_with_scan(a, b, monkeypatch)[1]
+
+
+@pytest.mark.parametrize(
+    "graph, gf, compile_fn",
+    [(generate_chain(n, [0.0, *np.linspace(0.4, 2.9, n - 2), 0.0]), chain_gflow(n), compile_stepwise)
+     for n in (3, 4, 5)]
+    + [(generate_zigzag(u), zigzag_gflow_family(u, u), compile_layered) for u in (2, 3)]
+    + [(generate_cluster(2, 2), cluster_gflow(2, 2), fn)
+       for fn in (compile_stepwise, compile_layered, compile_one_step)],
+)
+def test_compare_on_evolved_overlaps_needs_no_scan(graph, gf, compile_fn, monkeypatch):
+    res = evolve(compile_fn(graph, gf), 200.0)
+    got, scanned = _agrees_with_scan(res.overlap_matrix, mbqc_logical_unitary(graph, gf), monkeypatch)
+    assert got < 1e-2 and not scanned
 
 
 def test_compare_dimension_mismatch():

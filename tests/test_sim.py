@@ -1162,6 +1162,67 @@ def test_mbqc_nontrivial_gflow_family_deterministic(rng):
         assert abs(np.vdot(base.output_state, run.output_state)) > 1 - 1e-10
 
 
+def _mbqc_test_graphs():
+    """Every (graph, gflow) the MBQC tests run, with more outputs than
+    inputs in the last."""
+    return [
+        *((generate_chain(n, [0.0, *np.linspace(0.9, 2.2, n - 2), 0.0]), chain_gflow(n))
+          for n in (2, 3, 4, 5)),
+        (generate_cnot_graph(), find_gflow(generate_cnot_graph())),
+        *((generate_zigzag(u), zigzag_gflow_family(u, r)) for u, r in ((2, 2), (3, 2), (3, 3), (5, 5))),
+        (generate_cluster(2, 2), cluster_gflow(2, 2)),
+        (make_graph(3, [(0, 1), (1, 2)], [0], [1, 2], {0: 0.7}), Gflow({0: frozenset({1})}, {0: 0})),
+    ]
+
+
+@pytest.mark.parametrize("graph, gf", _mbqc_test_graphs())
+def test_mbqc_columns_run_as_one_pass(graph, gf):
+    rng = np.random.default_rng(31)
+    k = len(graph.inputs)
+    inputs = rng.standard_normal((1 << k, 3)) + 1j * rng.standard_normal((1 << k, 3))
+    explicit = [int(b) for b in rng.integers(0, 2, size=len(gf.measurement_order()))]
+    for outcomes in ("zeros", "random", explicit):
+        batch = mbqc_reference_run(graph, gf, inputs, outcomes, seed=11)
+        assert batch.output_state.shape == (1 << len(graph.outputs), 3)
+        for j in range(3):
+            one = mbqc_reference_run(graph, gf, inputs[:, j], outcomes, seed=11)
+            assert one.output_state.ndim == 1 and one.outcomes == batch.outcomes
+            assert np.abs(batch.output_state[:, j] - one.output_state).max() < 1e-12
+    if len(graph.outputs) == k:
+        for outcomes in ("zeros", "random"):
+            columns = [mbqc_reference_run(graph, gf, e, outcomes, seed=11).output_state
+                       for e in np.eye(1 << k)]
+            u = mbqc_logical_unitary(graph, gf, outcomes, seed=11)
+            assert np.abs(u - np.stack(columns, axis=1)).max() < 1e-12
+
+
+def test_mbqc_checks_each_column_for_a_zero_weight_branch():
+    g = generate_chain(3, [0.0, 0.4, 0.0])
+    with pytest.raises(RuntimeError, match="zero weight"):
+        mbqc_reference_run(g, chain_gflow(3), np.array([[1.0, 0.0], [0.0, 0.0]]))
+
+
+def test_mbqc_columns_are_charged_before_allocating(monkeypatch):
+    # one column of chain:4 fits in 2,048 bytes; four do not
+    g = generate_chain(4, [0.0] * 4)
+    monkeypatch.setattr(budget, "MEMORY_BUDGET", 2048)
+    assert mbqc_reference_run(g, chain_gflow(4), np.eye(2)[:, :1]).output_state.shape == (2, 1)
+    with pytest.raises(SizeCapError):
+        mbqc_reference_run(g, chain_gflow(4), np.ones((2, 4)))
+    monkeypatch.undo()
+    # at the real budget, four columns of 22 qubits are refused before the
+    # first 2^22-entry array exists
+    g = generate_chain(22, [0.0] * 22)
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeCapError):
+            mbqc_reference_run(g, chain_gflow(22), np.ones((2, 4)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 def test_mbqc_input_dimension_check():
     g = generate_chain(3, [0.0] * 3)
     with pytest.raises(ValueError):
