@@ -430,17 +430,14 @@ def correction_operator(
 
 
 def _parity(v: np.ndarray) -> np.ndarray:
-    v = v.copy()
-    for shift in (32, 16, 8, 4, 2, 1):
-        v ^= v >> shift
-    return v & 1
+    """Bit parity of each non-negative entry, as int64 so that it shifts
+    past bit 7 (``np.bitwise_count`` gives uint8)."""
+    return (np.bitwise_count(v) & 1).astype(np.int64)
 
 
-def _action(
-    op: RotatedPauliOp | PauliString, idx: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """``(rows, coeff)`` with ``op |idx[i]> = coeff[i] |rows[i]>`` for the
-    basis indices ``idx`` (default: all of them, in order).
+def _action(op: RotatedPauliOp | PauliString) -> tuple[np.ndarray, np.ndarray]:
+    """``(src, coeff)`` with ``op |src[i]> = coeff[i] |i>`` for every basis
+    index i, in order.
 
     Basis convention: bit v of the index is the computational state of
     vertex v.
@@ -448,33 +445,29 @@ def _action(
     if isinstance(op, PauliString):
         op = RotatedPauliOp.from_pauli(op)
     p = op.pauli
-    if idx is None:
-        idx = np.arange(1 << p.n, dtype=np.int64)
-    coeff = np.full(idx.shape, p.phase * (1j) ** ((p.x & p.z).bit_count()), dtype=complex)
-    coeff *= 1.0 - 2.0 * _parity(idx & p.z)
-    rows = idx ^ p.x
+    idx = np.arange(1 << p.n, dtype=np.int64)
+    src = idx ^ p.x
+    coeff = p.phase * (1j) ** ((p.x & p.z).bit_count()) * (1.0 - 2.0 * _parity(src & p.z))
     for v, a in op.twist:
-        bit = rows >> v & 1
+        bit = idx >> v & 1
         coeff = coeff * np.where(bit, np.exp(1j * a), np.exp(-1j * a))
-    return rows, coeff
+    return src, coeff
 
 
 def apply_op(op: RotatedPauliOp | PauliString, state: np.ndarray) -> np.ndarray:
     """Apply the operator to a state vector (or stacked columns) in O(2^n)."""
     if state.shape[0] != 1 << op.n:
         raise ValueError(f"state dimension {state.shape[0]} != 2**{op.n}")
-    rows, coeff = _action(op)
-    out = np.zeros_like(state, dtype=complex)
-    out[rows] = (coeff[:, None] * state) if state.ndim == 2 else coeff * state
-    return out
+    src, coeff = _action(op)
+    return (coeff[:, None] if state.ndim == 2 else coeff) * state[src]
 
 
 def to_matrix(op: RotatedPauliOp | PauliString) -> np.ndarray:
     """Dense matrix of the operator (exact, one nonzero per column)."""
-    rows, coeff = _action(op)
-    dim = rows.shape[0]
+    src, coeff = _action(op)
+    dim = src.shape[0]
     mat = np.zeros((dim, dim), dtype=complex)
-    mat[rows, np.arange(dim)] = coeff
+    mat[np.arange(dim), src] = coeff
     return mat
 
 

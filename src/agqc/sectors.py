@@ -23,7 +23,7 @@ from ._linalg import eigvalsh, expmi, ordered_apply, su2_ramp
 from .budget import CHUNK_BYTES, approx, check_bytes
 from .compiler import Schedule
 from .graph import CLIFFORD_TOL
-from .pauli import PauliString, RotatedPauliOp, _action, _parity
+from .pauli import PauliString, RotatedPauliOp, _parity
 
 
 def twist_frame(terms: Sequence[RotatedPauliOp]) -> dict[int, float]:
@@ -185,13 +185,18 @@ def pauli_sum_blocks(
 
     The block basis is ``|c(r, sigma)> = 2^(-k/2) sum_S (-1)^|sigma & S|
     g_S |r>`` over the X-type generators ``g_i`` of
-    :func:`conserved_generators` and the ``|r>`` with pivot bits 0.  One
-    pass per ``g_i`` gives each index j its S(j), r(j) and ``omega(j)`` with
-    ``g_S(j)|r(j)> = omega(j)|j>``; a Pauli string with ``P|r> = coef |j'>``
-    is then the phased permutation ``P|c(r, sigma)> = coef conj(omega(j'))
+    :func:`conserved_generators` and the ``|r>`` with pivot bits 0.  Each
+    ``g_i = i^|x_i & z_i| X^x_i Z^z_i`` flips only its own pivot bit among
+    the pivots, so one walk over them in order gives each index j its S(j)
+    (its pivot bits), r(j) and ``omega(j)`` with ``g_S(j)|r(j)> =
+    omega(j)|j>``: where j has pivot bit i, the walk adds ``|x_i & z_i| + 2
+    |r & z_i|`` to an exponent e and flips ``x_i`` in r, and then
+    ``conj(omega(j)) = i^(e & 3)``.  A Pauli string with ``P|r> = coef
+    |j'>`` is the phased permutation ``P|c(r, sigma)> = coef conj(omega(j'))
     (-1)^|sigma & S(j')| |c(r(j'), sigma)>``, where ``S(j') = S(x_P)`` since
-    r has no pivot bits, scattered for all ``2^n`` pairs (r, sigma) at once.
-    Blocks run by Z label, then sigma; representatives ascend within a block.
+    r has no pivot bits, built for all ``2^n`` pairs (r, sigma) of a group of
+    strings at once and scattered string by string, in order.  Blocks run by
+    Z label, then sigma; representatives ascend within a block.
     """
     xgens, zgens, pivots = conserved_generators([p for _, _, p in strings], n)
     k = len(xgens)
@@ -202,12 +207,14 @@ def pauli_sum_blocks(
     # the size of A or at most a quarter chunk, which two chunks cover
     check_bytes(((160 + 96 * dim) << n) + 2 * CHUNK_BYTES, f"{n}-qubit sector tables and blocks")
     idx = np.arange(d, dtype=np.int64)
-    rep, omega_c, label, zlabel = idx.copy(), np.ones(d, dtype=complex), 0 * idx, 0 * idx
+    rep, expo, label, zlabel = idx.copy(), 0 * idx, 0 * idx, 0 * idx
     for i, g in enumerate(xgens):
-        on = (idx & (g & -g)) != 0
-        rep[on], coeff = _action(PauliString(n, g & (d - 1), g >> n), rep[on])
-        omega_c[on] *= coeff
+        x, z = g & (d - 1), g >> n
+        on = idx >> (x & -x).bit_length() - 1 & 1  # the pivot is x's lowest bit
+        expo += on * ((x & z).bit_count() + 2 * _parity(rep & z))
+        rep ^= on * x
         label |= on << i
+    omega_c = np.array([1, 1j, -1, -1j])[expo & 3]
     for i, z in enumerate(zgens):
         zlabel |= _parity(idx & (z >> n)) << i
     reps = idx[(idx & pivots) == 0]
@@ -217,11 +224,22 @@ def pauli_sum_blocks(
     sigma = np.arange(1 << k)
     base = (dest[reps] - pos[reps]) * dim + pos[reps]
     a_blk, b_blk = np.zeros((2, d // dim, dim, dim), dtype=complex)
-    for wa, wb, p in strings:
-        to, coeff = _action(p, reps)
-        flat = (base + dest[to] % dim * dim)[:, None] + sigma * dim * dim
-        val = (coeff * omega_c[to])[:, None] * (1.0 - 2.0 * _parity(label[p.x] & sigma))
-        a_blk.reshape(-1)[flat] += wa * val
-        b_blk.reshape(-1)[flat] += wb * val
-    angle = sum((a * (1.0 - 2.0 * (idx >> v & 1)) for v, a in theta.items()), np.zeros(d))
+    a_flat, b_flat = a_blk.reshape(-1), b_blk.reshape(-1)
+    # a group's int64 indices and complex values, 24 bytes for each of its
+    # strings' 2^n entries, stay within a quarter chunk
+    per = max(1, CHUNK_BYTES // (96 << n))
+    for lo in range(0, len(strings), per):
+        group = strings[lo:lo + per]
+        xs = np.array([p.x for _, _, p in group])[:, None]
+        zs = np.array([p.z for _, _, p in group])[:, None]
+        c0 = np.array([p.phase * (1j) ** (p.x & p.z).bit_count() for _, _, p in group])[:, None]
+        to = reps ^ xs
+        coeff = c0 * (1.0 - 2.0 * _parity(reps & zs))
+        flat = (base + dest[to] % dim * dim)[:, :, None] + sigma * dim * dim
+        sign = 1.0 - 2.0 * _parity(label[xs] & sigma)
+        val = (coeff * omega_c[to])[:, :, None] * sign[:, None, :]
+        for (wa, wb, _), f, v in zip(group, flat, val):
+            a_flat[f] += wa * v
+            b_flat[f] += wb * v
+    angle = sum((a * (1.0 - 2.0 * (idx >> v & 1)) for v, a in theta.items() if a), np.zeros(d))
     return StepBlocks(np.exp(-0.5j * angle) * omega_c.conj(), dest, k, a_blk, b_blk)

@@ -11,6 +11,7 @@ from agqc.pauli import (
     PauliString,
     RotatedPauliOp,
     SiteTable,
+    _parity,
     apply_op,
     build_T,
     commutation_masks,
@@ -101,6 +102,18 @@ def test_apply_matches_matrix(rng):
         op = random_rotated(rng, 5)
         v = rng.standard_normal(32) + 1j * rng.standard_normal(32)
         assert np.allclose(apply_op(op, v), to_matrix(op) @ v, atol=1e-12)
+        cols = rng.standard_normal((32, 3)) + 1j * rng.standard_normal((32, 3))
+        want = np.stack([apply_op(op, c) for c in cols.T], axis=1)
+        assert np.array_equal(apply_op(op, cols), want)
+
+
+def test_parity_matches_int_bit_count(rng):
+    v = np.concatenate([[0, 1, 2**62], rng.integers(0, 2**62, size=500, endpoint=True)])
+    got = _parity(v)
+    assert got.dtype == np.int64
+    assert got.tolist() == [int(u).bit_count() & 1 for u in v]
+    # a uint8 parity would wrap when shifted into a label bit past 7
+    assert (got << 40).tolist() == [(int(u).bit_count() & 1) << 40 for u in v]
 
 
 # --- commutation ----------------------------------------------------------

@@ -845,6 +845,18 @@ def test_sector_tables_match_chunked_basis(sched, rng):
 
 
 @pytest.mark.parametrize("sched", _block_oracle_cases())
+def test_string_groups_of_one_build_the_same_blocks(sched, monkeypatch):
+    # at n <= 8 all of a step's strings fit one group; a one-byte chunk
+    # scatters them one group each, in the same order
+    whole = [step_blocks(sched, k) for k in range(len(sched.steps))]
+    monkeypatch.setattr(sectors, "CHUNK_BYTES", 1)
+    for k, want in enumerate(whole):
+        got = step_blocks(sched, k)
+        for field in ("a", "b", "phase", "dest"):
+            assert np.array_equal(getattr(got, field), getattr(want, field)), (k, field)
+
+
+@pytest.mark.parametrize("sched", _block_oracle_cases())
 def test_sector_transform_round_trips(sched, rng):
     for k in range(len(sched.steps)):
         blocks = step_blocks(sched, k)
