@@ -40,13 +40,6 @@ def check_bytes(n_bytes: float, what: str) -> None:
         )
 
 
-def check_dense(n: int) -> None:
-    """Six dense ``2^n x 2^n`` complex matrices alive at once: the step
-    matrices of :func:`agqc.sim.step_endpoint_matrices`, which only the
-    tests' dense oracle forms."""
-    check_bytes(6 * 16 << 2 * n, f"dense {n}-qubit matrices")
-
-
 def check_vectors(n: int, columns: int) -> None:
     """``columns`` ``2^n``-entry state vectors plus their Pauli-action
     temporaries."""

@@ -20,13 +20,15 @@ import numpy as np
 
 from . import compiler, gflow as gflow_mod, graph as graph_mod, logical, sim
 from .budget import SizeCapError, approx, check_bytes
-from .compiler import AdiabaticBudget, CompileError, ReorderReport, Schedule
+from .compiler import AdiabaticBudget, ReorderReport, Schedule
 from .gflow import Gflow
 from .graph import OpenGraph
-from .pauli import NonCliffordAngleError
 
 
-class CliError(Exception):
+class CliError(ValueError):
+    """A request the CLI refuses, with its exit code; every other
+    ValueError (malformed files included) exits 2."""
+
     def __init__(self, message: str, code: int = 2):
         super().__init__(message)
         self.code = code
@@ -82,7 +84,7 @@ def _load_graph(spec: str) -> OpenGraph:
             return graph_mod.generate_zigzag(int(parts[1]))
         if kind == "cnot":
             return graph_mod.generate_cnot_graph()
-    except SizeCapError:  # a well-formed spec over the budget: its message is short
+    except (CliError, SizeCapError):  # a wrong angle count, or a spec over the budget
         raise
     except (IndexError, ValueError) as exc:
         raise CliError(f"bad graph spec {_clip(spec)!r}: {_clip(str(exc), 80)}") from exc
@@ -169,23 +171,18 @@ def _compile(args: argparse.Namespace, mode: str) -> tuple[Schedule, ReorderRepo
     order = None
     if args.order:
         order = [int(x) - 1 for x in args.order.split(",")]
-    try:
-        if mode == "stepwise":
-            return compiler.compile_stepwise(graph, gf, args.gamma), None
-        if mode == "layered":
-            return compiler.compile_layered(graph, gf, args.gamma), None
-        if mode == "onestep":
-            return compiler.compile_one_step(graph, gf, args.gamma), None
-        if mode == "reorder-fixed":
-            if order is None:
-                raise CliError("reorder-fixed needs --order")
-            return compiler.compile_reordered_fixed(graph, gf, order, args.gamma)
-        if mode == "reorder-strip":
-            if order is None:
-                raise CliError("reorder-strip needs --order")
-            return compiler.compile_reordered_strip(graph, gf, order, args.gamma), None
-    except (CompileError, NonCliffordAngleError) as exc:
-        raise CliError(str(exc)) from exc
+    if mode.startswith("reorder-") and order is None:
+        raise CliError(f"{mode} needs --order")
+    if mode == "stepwise":
+        return compiler.compile_stepwise(graph, gf, args.gamma), None
+    if mode == "layered":
+        return compiler.compile_layered(graph, gf, args.gamma), None
+    if mode == "onestep":
+        return compiler.compile_one_step(graph, gf, args.gamma), None
+    if mode == "reorder-fixed":
+        return compiler.compile_reordered_fixed(graph, gf, order, args.gamma)
+    if mode == "reorder-strip":
+        return compiler.compile_reordered_strip(graph, gf, order, args.gamma), None
     raise CliError(f"unknown mode {mode!r}")
 
 
@@ -247,10 +244,7 @@ def cmd_gflow_find(args) -> int:
 def cmd_gflow_verify(args) -> int:
     g = _load_graph(args.graph)
     gf = _load_gflow(args.gflow, g)
-    try:
-        report = gflow_mod.verify_gflow(g, gf)
-    except gflow_mod.GflowStructureError as exc:
-        raise CliError(str(exc)) from exc
+    report = gflow_mod.verify_gflow(g, gf)
     doc = {
         "valid": report.valid,
         "depth": report.depth,
@@ -352,7 +346,6 @@ def cmd_evolve(args) -> int:
     doc = {
         "mode": args.mode,
         "tau_per_step": list(res.tau_used),
-        "seed": args.seed,
         "leakage": res.leakage,
         "fidelity": res.fidelity,
         "unitarity_defect": None if math.isnan(res.unitarity_defect) else res.unitarity_defect,
@@ -382,7 +375,6 @@ def cmd_reorder(args) -> int:
     doc: dict = {
         "order": [int(x) for x in args.order.split(",")],
         "mode": args.mode,
-        "seed": args.seed,
         "report": None if report is None else _reorder_doc(report),
     }
     if args.tau:
@@ -421,10 +413,7 @@ def cmd_mbqc(args) -> int:
     else:
         state = np.zeros(1 << k, dtype=complex)
         state[0] = 1.0
-    try:
-        run = sim.mbqc_reference_run(g, gf, state, args.outcomes, seed=args.seed)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    run = sim.mbqc_reference_run(g, gf, state, args.outcomes, seed=args.seed)
     doc = {
         "outcomes": list(run.outcomes),
         "seed": args.seed,
@@ -455,10 +444,7 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_gadget(args) -> int:
-    try:
-        gp = compiler.gadget_parameters(args.k, args.lam)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    gp = compiler.gadget_parameters(args.k, args.lam)
     doc = {
         "k": args.k,
         "lambda": args.lam,
@@ -480,7 +466,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
         default="find",
         help="gflow file, 'find', or 'zigzag:R' (default: find)",
     )
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None, help="output path (default: stdout)")
 
 
@@ -565,6 +550,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(mb)
     mb.add_argument("--input", default=None, help="comma-separated complex amplitudes")
     mb.add_argument("--outcomes", default="zeros", help="zeros | random")
+    mb.add_argument("--seed", type=int, default=0, help="seed of --outcomes random")
     mb.set_defaults(func=cmd_mbqc)
 
     bo = sub.add_parser("bounds", help="per-step runtime bounds as CSV")
@@ -604,12 +590,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         if outputs[1] == "-" and outputs[0] in (None, "-"):
             raise CliError("--leakage-csv - and --out would both write to stdout")
         return args.func(args)
-    except CliError as exc:
+    except ValueError as exc:
         print(f"error: {_clip(str(exc), 180)}", file=sys.stderr)
-        return exc.code
-    except (graph_mod.GraphFormatError, gflow_mod.GflowFormatError, ValueError) as exc:
-        print(f"error: {_clip(str(exc), 180)}", file=sys.stderr)
-        return 2
+        return exc.code if isinstance(exc, CliError) else 2
 
 
 if __name__ == "__main__":

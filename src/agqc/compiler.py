@@ -162,10 +162,11 @@ class AdiabaticBudget:
 def _require_valid_gflow(graph: OpenGraph, gf: Gflow) -> None:
     for v, plane in graph.planes.items():
         if plane is not Plane.XY:
-            raise CompileError(f"only XY-plane graphs compile (vertex {v} is {plane.value})")
+            raise CompileError(f"only XY-plane graphs compile (vertex {v + 1} is {plane.value})")
     report = verify_gflow(graph, gf)
     if not report.valid:
-        raise InvalidGflowError(f"gflow fails verification: {report.violations[:3]}")
+        shown = "; ".join(f"{ax}: {detail}" for _, ax, detail in report.violations[:3])
+        raise InvalidGflowError(f"gflow fails verification: {shown}")
 
 
 def _x_terms(graph: OpenGraph) -> dict[int, RotatedPauliOp]:
@@ -242,7 +243,7 @@ def compile_one_step(graph: OpenGraph, gf: Gflow, gamma: float = 1.0) -> Schedul
     for v, theta in graph.angles.items():
         if not is_clifford_angle(theta):
             raise NonCliffordAngleError(
-                f"angle {theta} at vertex {v} is not a multiple of pi/2; the "
+                f"angle {theta} at vertex {v + 1} is not a multiple of pi/2; the "
                 "one-step schedule exists only for Clifford angles"
             )
     updated = one_step_update(stabilizer_set(graph, gf), gf)
@@ -284,8 +285,8 @@ class ReorderReport:
 def _as_permutation(order: Sequence[int], non_outputs: Sequence[int]) -> list[int]:
     if sorted(order) != sorted(non_outputs):
         raise CompileError(
-            f"order {list(order)} is not a permutation of the non-outputs "
-            f"{sorted(non_outputs)}"
+            f"order {[v + 1 for v in order]} is not a permutation of the non-outputs "
+            f"{sorted(v + 1 for v in non_outputs)}"
         )
     return list(order)
 
@@ -462,11 +463,6 @@ def delta1_gap(theta2: float, s: float) -> float:
     g = math.sqrt(max(0.0, g2))
     a = 2.0 * (1.0 - s + s * s)
     return math.sqrt(max(0.0, a + g)) - math.sqrt(max(0.0, a - g))
-
-
-def delta1_min(theta2: float) -> float:
-    """Minimum of :func:`delta1_gap` over s, attained at s = 1 - cos(theta2)/2."""
-    return delta1_gap(theta2, 1.0 - 0.5 * math.cos(theta2))
 
 
 def runtime_bound(

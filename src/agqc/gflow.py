@@ -75,15 +75,15 @@ def _check_structure(graph: OpenGraph, gf: Gflow) -> None:
         missing = non_outputs - set(gf.g)
         extra = set(gf.g) - non_outputs
         raise GflowStructureError(
-            f"g must be defined exactly on non-outputs (missing {sorted(missing)}, "
-            f"extra {sorted(extra)})"
+            f"g must be defined exactly on non-outputs (missing "
+            f"{sorted(v + 1 for v in missing)}, extra {sorted(v + 1 for v in extra)})"
         )
     if set(gf.layer) != non_outputs:
         raise GflowStructureError("layer must be defined exactly on non-outputs")
     for v, corr in gf.g.items():
         for w in corr:
             if not 0 <= w < graph.n_vertices:
-                raise GflowStructureError(f"g({v}) contains unknown vertex {w}")
+                raise GflowStructureError(f"g({v + 1}) contains unknown vertex {w + 1}")
 
 
 def verify_gflow(graph: OpenGraph, gf: Gflow) -> GflowReport:
@@ -110,11 +110,12 @@ def verify_gflow(graph: OpenGraph, gf: Gflow) -> GflowReport:
     for v in sorted(gf.g):
         corr = gf.g[v]
         lv = gf.layer_of(v)
+        # details name vertices by their 1-based labels, like every report
+        label = v + 1
         for w in sorted(corr):
             if w != v and gf.layer_of(w) <= lv:
-                violations.append(
-                    (v, "G1", f"{w} in g({v}) is not in the future of {v}")
-                )
+                detail = f"{w + 1} in g({label}) is not in the future of {label}"
+                violations.append((v, "G1", detail))
         # bit w of odd: w is oddly connected to g(v)
         odd = 0
         for u in corr:
@@ -122,27 +123,26 @@ def verify_gflow(graph: OpenGraph, gf: Gflow) -> GflowReport:
         if odd & at_or_before[lv] & ~(1 << v):
             for w in gf.layer:
                 if w != v and gf.layer_of(w) <= lv and odd >> w & 1:
-                    violations.append(
-                        (v, "G2", f"{w} is oddly connected to g({v}) but not after {v}")
-                    )
+                    detail = f"{w + 1} is oddly connected to g({label}) but not after {label}"
+                    violations.append((v, "G2", detail))
         plane = graph.planes.get(v, Plane.XY)
         in_own = v in corr
         odd_self = odd >> v & 1
         if plane is Plane.XY:
             if in_own:
-                violations.append((v, "G3", f"XY plane requires {v} not in g({v})"))
+                violations.append((v, "G3", f"XY plane requires {label} not in g({label})"))
             if not odd_self:
-                violations.append((v, "G3", f"g({v}) must be oddly connected to {v}"))
+                violations.append((v, "G3", f"g({label}) must be oddly connected to {label}"))
         elif plane is Plane.XZ:
             if not in_own:
-                violations.append((v, "G3", f"XZ plane requires {v} in g({v})"))
+                violations.append((v, "G3", f"XZ plane requires {label} in g({label})"))
             if not odd_self:
-                violations.append((v, "G3", f"g({v}) must be oddly connected to {v}"))
+                violations.append((v, "G3", f"g({label}) must be oddly connected to {label}"))
         else:
             if not in_own:
-                violations.append((v, "G3", f"YZ plane requires {v} in g({v})"))
+                violations.append((v, "G3", f"YZ plane requires {label} in g({label})"))
             if odd_self:
-                violations.append((v, "G3", f"g({v}) must be evenly connected to {v}"))
+                violations.append((v, "G3", f"g({label}) must be evenly connected to {label}"))
     sizes, depth = layers_and_depth(gf)
     max_size = max((gflow_size(graph, gf, v) for v in gf.g), default=0)
     return GflowReport(not violations, tuple(violations), depth, max_size, sizes)
@@ -169,11 +169,6 @@ def gflow_size(graph: OpenGraph, gf: Gflow, v: int) -> int:
     return (x_mask | z_mask).bit_count()
 
 
-def gflow_lines(gf: Gflow) -> frozenset[tuple[int, int]]:
-    """Directed edges (v, w) for every w in g(v)."""
-    return frozenset((v, w) for v, corr in gf.g.items() for w in corr)
-
-
 def find_gflow(graph: OpenGraph) -> Gflow | None:
     """Maximally delayed gflow of an XY-plane open graph, or None.
 
@@ -186,7 +181,9 @@ def find_gflow(graph: OpenGraph) -> Gflow | None:
     """
     for v, plane in graph.planes.items():
         if plane is not Plane.XY:
-            raise ValueError(f"find_gflow supports XY-plane graphs only ({v} is {plane.value})")
+            raise ValueError(
+                f"find_gflow supports XY-plane graphs only ({v + 1} is {plane.value})"
+            )
     n = graph.n_vertices
     processed = set(graph.outputs)
     inputs = set(graph.inputs)

@@ -71,17 +71,6 @@ class OpenGraph:
         out = set(self.outputs)
         return tuple(v for v in self.vertices if v not in out)
 
-    @property
-    def non_inputs(self) -> tuple[int, ...]:
-        inp = set(self.inputs)
-        return tuple(v for v in self.vertices if v not in inp)
-
-    def neighbors(self, v: int) -> frozenset[int]:
-        if not 0 <= v < self.n_vertices:
-            raise ValueError(f"unknown vertex {v}")
-        mask = self.adjacency[v]
-        return frozenset(w for w in self.vertices if mask >> w & 1)
-
 
 def make_graph(
     n: int,
@@ -155,22 +144,9 @@ def validate(graph: OpenGraph) -> ValidationReport:
     return ValidationReport(not problems, tuple(problems))
 
 
-def odd_connectivity(graph: OpenGraph, vertex_set: Iterable[int], v: int) -> bool:
-    """True when ``v`` has an odd number of edges into ``vertex_set``."""
-    if not 0 <= v < graph.n_vertices:
-        raise ValueError(f"unknown vertex {v}")
-    mask = 0
-    for w in vertex_set:
-        if not 0 <= w < graph.n_vertices:
-            raise ValueError(f"unknown vertex {w}")
-        mask |= 1 << w
-    return bool((graph.adjacency[v] & mask).bit_count() & 1)
-
-
-def is_clifford_angle(theta: float, tol: float = CLIFFORD_TOL) -> bool:
-    """True when ``theta`` is a multiple of pi/2 within ``tol``."""
-    r = math.remainder(theta, math.pi / 2)
-    return abs(r) < tol
+def is_clifford_angle(theta: float) -> bool:
+    """True when ``theta`` is a multiple of pi/2 within :data:`CLIFFORD_TOL`."""
+    return abs(math.remainder(theta, math.pi / 2)) < CLIFFORD_TOL
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +181,7 @@ def generate_chain(n: int, angles: Sequence[float] | None = None) -> OpenGraph:
     return make_graph(n, edges, inputs=[0], outputs=[n - 1], angles=angle_map)
 
 
-def generate_cluster(rows: int, cols: int, angles: Mapping[int, float] | None = None) -> OpenGraph:
+def generate_cluster(rows: int, cols: int) -> OpenGraph:
     """Square-lattice cluster with inputs on the first column, outputs on the last.
 
     Vertex ``col * rows + row``; all angles default to 0.
@@ -233,7 +209,7 @@ def generate_cluster(rows: int, cols: int, angles: Mapping[int, float] | None = 
                 edges.append((vid(r, c), vid(r, c + 1)))
     inputs = [vid(r, 0) for r in range(rows)]
     outputs = [vid(r, cols - 1) for r in range(rows)]
-    return make_graph(n, edges, inputs, outputs, angles=angles)
+    return make_graph(n, edges, inputs, outputs)
 
 
 def generate_zigzag(n: int) -> OpenGraph:

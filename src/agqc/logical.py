@@ -41,14 +41,6 @@ class LogicalFrame:
 
     pairs: tuple[tuple[RotatedPauliOp, RotatedPauliOp], ...]
 
-    @property
-    def carriers(self) -> frozenset[int]:
-        """Vertices currently carrying any logical operator."""
-        out: set[int] = set()
-        for x_l, z_l in self.pairs:
-            out |= x_l.support | z_l.support
-        return frozenset(out)
-
 
 def initial_frame(graph: OpenGraph, gf: Gflow) -> LogicalFrame:
     """Input-site logical operators: X_L(i) = X_i prod_{w~i} Z_w, Z_L(i) = Z_i.

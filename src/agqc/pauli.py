@@ -106,10 +106,6 @@ class PauliString:
         return f"{sign} . {' '.join(sites)}" if sites else f"{sign} . I"
 
 
-def identity(n: int) -> PauliString:
-    return PauliString(n)
-
-
 def single(n: int, v: int, letter: str, phase_exp: int = 0) -> PauliString:
     """Single-site Pauli: X, Y, Z (or I) at vertex ``v``."""
     letter = letter.upper()
@@ -342,27 +338,19 @@ def stabilizer_generator(graph: OpenGraph, v: int) -> PauliString:
 
 
 def twisted_generator(graph: OpenGraph, v: int) -> RotatedPauliOp:
-    """``K_v`` with ``X_v`` replaced by ``exp(-i theta_v Z_v) X_v``."""
-    if v not in graph.angles:
-        raise ValueError(f"vertex {v} has no measurement angle")
-    return RotatedPauliOp.from_parts(
-        stabilizer_generator(graph, v), {v: graph.angles[v]}
-    )
-
-
-def _generator_for_correction(graph: OpenGraph, w: int) -> RotatedPauliOp:
-    # Outputs carry no measurement angle; their generators enter untwisted.
-    theta = graph.angles.get(w, 0.0)
-    return RotatedPauliOp.from_parts(stabilizer_generator(graph, w), {w: theta})
+    """``K_v`` with ``X_v`` replaced by ``exp(-i theta_v Z_v) X_v``; an
+    output carries no measurement angle, so its generator enters untwisted."""
+    theta = graph.angles.get(v, 0.0)
+    return RotatedPauliOp.from_parts(stabilizer_generator(graph, v), {v: theta})
 
 
 def build_T(graph: OpenGraph, gf: Gflow, v: int) -> RotatedPauliOp:
     """``T_v``: product of twisted generators over the correcting set g(v)."""
     if v not in gf.g:
         raise ValueError(f"vertex {v} is an output (or unknown); no T_v exists")
-    op = RotatedPauliOp.from_pauli(identity(graph.n_vertices))
+    op = RotatedPauliOp.from_pauli(PauliString(graph.n_vertices))
     for w in sorted(gf.g[v]):
-        op = op.mul(_generator_for_correction(graph, w))
+        op = op.mul(twisted_generator(graph, w))
     return op
 
 
@@ -418,7 +406,7 @@ def correction_operator(
         raise ValueError(f"vertex {v} is an output (or unknown); no correction exists")
     if outcome not in (0, 1):
         raise ValueError("outcome must be 0 or 1")
-    op = identity(graph.n_vertices)
+    op = PauliString(graph.n_vertices)
     if outcome:
         for u in sorted(gf.g[v]):
             op = op.mul(stabilizer_generator(graph, u))

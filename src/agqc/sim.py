@@ -33,7 +33,7 @@ from typing import Sequence
 import numpy as np
 
 from ._linalg import su2_sweep
-from .budget import SizeCapError, check_bytes, check_dense, check_vectors
+from .budget import check_bytes, check_vectors
 from .compiler import DEGENERACY_TOL, Schedule, ScheduleStep
 from .gflow import Gflow
 from .graph import OpenGraph
@@ -60,9 +60,11 @@ def step_endpoint_matrices(
     schedule: Schedule, step_index: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Dense (A, B) with H(s) = A + s B for the given step, including -gamma:
-    the input of the tests' dense oracle, which no library path calls."""
-    check_dense(schedule.n_qubits)
-    a = np.zeros((1 << schedule.n_qubits,) * 2, dtype=complex)
+    the input of the tests' dense oracle, which no library path calls.  Six
+    ``2^n x 2^n`` complex matrices are alive at once."""
+    n = schedule.n_qubits
+    check_bytes(6 * 16 << 2 * n, f"dense {n}-qubit matrices")
+    a = np.zeros((1 << n,) * 2, dtype=complex)
     b = np.zeros_like(a)
     for op, wa, wb in schedule.steps[step_index].endpoint_weights(schedule.gamma):
         m = to_matrix(op)
@@ -268,7 +270,6 @@ def _propagate_pair_step(
 def evolve(
     schedule: Schedule,
     tau_per_step: float | Sequence[float],
-    initial: np.ndarray | None = None,
     dt_max: float = 0.25,
 ) -> EvolutionResult:
     """Integrate the schedule and extract the logical transformation.
@@ -278,9 +279,6 @@ def evolve(
     logical frame, every column is evolved through each step with a linear
     ramp, and the overlap with the reference final basis is polar-corrected
     into a unitary, ``W V^dagger`` from its SVD ``W S V^dagger``.
-    ``initial`` optionally right-multiplies the evolved basis by a logical
-    state (amplitudes in frame order), in which case ``final_states`` has a
-    single column.
 
     Requires ``|inputs| == |outputs|`` for unitary extraction.
     """
@@ -330,9 +328,6 @@ def evolve(
         w, _, vh = np.linalg.svd(overlap)
         logical_unitary = w @ vh
         defect = float(np.linalg.norm(overlap - logical_unitary, 2))
-    if initial is not None:
-        initial = np.asarray(initial, dtype=complex)
-        psi = psi @ initial.reshape(-1, 1)
     return EvolutionResult(
         final_states=psi,
         overlap_matrix=overlap,
@@ -492,24 +487,16 @@ def mbqc_reference_run(
         if r_obs:
             byproduct = byproduct.mul(correction_operator(graph, gf, v, 1))
 
+    # every non-output was measured into bit 0: output index j, whose bit i
+    # is the state of outputs[i], is gathered from the full index src[j]
+    out_idx = np.arange(1 << len(graph.outputs), dtype=np.int64)
+    src = np.zeros_like(out_idx)
     out_mask = 0
-    for v in graph.outputs:
-        out_mask |= 1 << v
-    final_fix = PauliString(n, byproduct.x & out_mask, byproduct.z & out_mask)
-    state = apply_op(final_fix, state)
-
-    non_out = [v for v in range(n) if not (out_mask >> v & 1)]
-    keep = np.ones(dim, dtype=bool)
-    for v in non_out:
-        keep &= ((idx >> v) & 1) == 0
-    sub = state[keep]
-    # reindex by output bits in output-list order
-    kept_idx = idx[keep]
-    out_bits = np.zeros(kept_idx.shape[0], dtype=np.int64)
     for i, v in enumerate(graph.outputs):
-        out_bits |= ((kept_idx >> v) & 1) << i
-    output_state = np.zeros((1 << len(graph.outputs), m), dtype=complex)
-    output_state[out_bits] = sub
+        out_mask |= 1 << v
+        src |= (out_idx >> i & 1) << v
+    final_fix = PauliString(n, byproduct.x & out_mask, byproduct.z & out_mask)
+    output_state = apply_op(final_fix, state)[src]
     output_state = output_state / np.linalg.norm(output_state, axis=0)
     return MbqcRun(output_state if given.ndim == 2 else output_state[:, 0], tuple(observed))
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from typing import Iterable
 
 import numpy as np
 import pytest
@@ -91,6 +92,19 @@ def random_open_graph(rng: np.random.Generator, n: int) -> OpenGraph:
     return make_graph(n, edges, inputs, outputs, angles)
 
 
+def odd_connectivity(graph: OpenGraph, vertex_set: Iterable[int], v: int) -> bool:
+    """True when ``v`` has an odd number of edges into ``vertex_set``: the
+    gflow oracles' own reading of the axioms' Odd(.) sets."""
+    if not 0 <= v < graph.n_vertices:
+        raise ValueError(f"unknown vertex {v}")
+    mask = 0
+    for w in vertex_set:
+        if not 0 <= w < graph.n_vertices:
+            raise ValueError(f"unknown vertex {w}")
+        mask |= 1 << w
+    return bool((graph.adjacency[v] & mask).bit_count() & 1)
+
+
 def gflow_exists_bruteforce(graph: OpenGraph) -> bool:
     """Exhaustive gflow existence check for graphs with few non-outputs.
 
@@ -120,8 +134,6 @@ def gflow_exists_bruteforce(graph: OpenGraph) -> bool:
 
 
 def _axioms_hold(graph: OpenGraph, pos: dict[int, int], v: int, corr: set[int]) -> bool:
-    from agqc.graph import odd_connectivity
-
     inf = len(pos)
     for w in corr:
         if w != v and pos.get(w, inf) <= pos[v]:

@@ -72,6 +72,34 @@ def test_gflow_verify_invalid_is_exit_1(tmp_path, capsys):
     assert any(v["axiom"] == "G3" for v in json.loads(out)["violations"])
 
 
+def test_gflow_errors_name_vertices_by_their_1_based_labels(tmp_path, capsys):
+    fpath = tmp_path / "f.json"
+    fpath.write_text('{"g": {"1": [3], "2": [3]}, "layer": {"1": 0, "2": 0}}')
+    code, out = run(capsys, "gflow", "verify", "--graph", "chain:3", "--gflow", str(fpath))
+    violations = json.loads(out)["violations"]
+    assert code == 1
+    assert [(v["vertex"], v["axiom"], v["detail"]) for v in violations] == [
+        (1, "G2", "2 is oddly connected to g(1) but not after 1"),
+        (1, "G3", "g(1) must be oddly connected to 1"),
+    ]
+    code, _, err = run_err(capsys, "compile", "--graph", "chain:3", "--gflow", str(fpath))
+    assert code == 2
+    assert err == (
+        "error: gflow fails verification: G2: 2 is oddly connected to g(1) but not after 1; "
+        "G3: g(1) must be oddly connected to 1\n"
+    )
+    code, _, err = run_err(capsys, "compile", "--graph", "chain:4", "--mode", "reorder-fixed",
+                           "--order", "1,2,2")
+    assert code == 2
+    assert err == "error: order [1, 2, 2] is not a permutation of the non-outputs [1, 2, 3]\n"
+
+
+@pytest.mark.parametrize("mode", ["reorder-fixed", "reorder-strip"])
+def test_reorder_modes_need_an_order(capsys, mode):
+    code, out, err = run_err(capsys, "compile", "--graph", "chain:4", "--mode", mode)
+    assert (code, out, err) == (2, "", f"error: {mode} needs --order\n")
+
+
 def test_gflow_find_no_flow_is_exit_1(tmp_path, capsys):
     gpath = tmp_path / "tri.json"
     gpath.write_text(
@@ -505,7 +533,7 @@ def test_reorder_report_keeps_its_fields(capsys):
         capsys, "reorder", "--graph", "chain:4", "--order", "3,1,2", "--mode", "strip", "--tau", "10"
     )
     assert code == 0
-    assert list(json.loads(out)) == ["order", "mode", "seed", "report", "leakage"]
+    assert list(json.loads(out)) == ["order", "mode", "report", "leakage"]
 
 
 @pytest.mark.parametrize(

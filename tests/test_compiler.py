@@ -16,7 +16,6 @@ from agqc.compiler import (
     compile_reordered_strip,
     compile_stepwise,
     delta1_gap,
-    delta1_min,
     gadget_parameters,
     hamiltonian_degree,
     runtime_bound,
@@ -317,8 +316,6 @@ def test_delta1_values():
     assert delta1_gap(0.0, 0.5) == pytest.approx(math.sqrt(2.0), abs=1e-12)
     assert delta1_gap(math.pi / 2, 1.0) == pytest.approx(0.0, abs=1e-12)
     assert delta1_gap(math.pi / 3, 0.75) == pytest.approx(0.7388075144460889, abs=1e-12)
-    assert delta1_min(0.0) == pytest.approx(math.sqrt(2.0), abs=1e-12)
-    assert delta1_min(math.pi / 2) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_delta1_domain():

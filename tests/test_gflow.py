@@ -11,7 +11,6 @@ from agqc.gflow import (
     GflowStructureError,
     find_gflow,
     gflow_from_json,
-    gflow_lines,
     gflow_size,
     gflow_to_json,
     layers_and_depth,
@@ -27,7 +26,13 @@ from agqc.graph import (
     make_graph,
 )
 
-from conftest import chain_gflow, cluster_gflow, gflow_exists_bruteforce, random_open_graph
+from conftest import (
+    chain_gflow,
+    cluster_gflow,
+    gflow_exists_bruteforce,
+    odd_connectivity,
+    random_open_graph,
+)
 
 
 def test_verify_chain_natural_gflow():
@@ -167,21 +172,6 @@ def test_gflow_size_rejects_output():
     g = generate_chain(3, [0.0] * 3)
     with pytest.raises(ValueError):
         gflow_size(g, chain_gflow(3), 2)
-
-
-def test_gflow_lines_chain():
-    assert gflow_lines(chain_gflow(3)) == frozenset({(0, 1), (1, 2)})
-
-
-def test_gflow_lines_zigzag():
-    assert gflow_lines(zigzag_gflow_family(2, 2)) == frozenset(
-        {(0, 2), (0, 3), (1, 3)}
-    )
-
-
-def test_gflow_lines_cluster_along_rows():
-    gf = cluster_gflow(3, 3)
-    assert all(w - v == 3 for v, w in gflow_lines(gf))
 
 
 def test_find_gflow_zigzag_is_maximally_delayed():
@@ -337,39 +327,39 @@ def test_solve_unit_columns_matches_per_column_bruteforce():
 
 
 def _reference_violations(graph, gf):
-    """The per-vertex, per-pair axiom loop that verify_gflow replaced."""
-    from agqc.graph import odd_connectivity
-
+    """The per-vertex, per-pair axiom loop that verify_gflow replaced;
+    details name vertices by their 1-based labels u."""
     violations = []
     for v in sorted(gf.g):
+        u = v + 1
         corr = gf.g[v]
         lv = gf.layer_of(v)
         for w in sorted(corr):
             if w != v and gf.layer_of(w) <= lv:
-                violations.append((v, "G1", f"{w} in g({v}) is not in the future of {v}"))
+                violations.append((v, "G1", f"{w + 1} in g({u}) is not in the future of {u}"))
         for w in gf.layer:
             if w != v and gf.layer_of(w) <= lv and odd_connectivity(graph, corr, w):
                 violations.append(
-                    (v, "G2", f"{w} is oddly connected to g({v}) but not after {v}")
+                    (v, "G2", f"{w + 1} is oddly connected to g({u}) but not after {u}")
                 )
         plane = graph.planes.get(v, Plane.XY)
         in_own = v in corr
         odd_self = odd_connectivity(graph, corr, v)
         if plane is Plane.XY:
             if in_own:
-                violations.append((v, "G3", f"XY plane requires {v} not in g({v})"))
+                violations.append((v, "G3", f"XY plane requires {u} not in g({u})"))
             if not odd_self:
-                violations.append((v, "G3", f"g({v}) must be oddly connected to {v}"))
+                violations.append((v, "G3", f"g({u}) must be oddly connected to {u}"))
         elif plane is Plane.XZ:
             if not in_own:
-                violations.append((v, "G3", f"XZ plane requires {v} in g({v})"))
+                violations.append((v, "G3", f"XZ plane requires {u} in g({u})"))
             if not odd_self:
-                violations.append((v, "G3", f"g({v}) must be oddly connected to {v}"))
+                violations.append((v, "G3", f"g({u}) must be oddly connected to {u}"))
         else:
             if not in_own:
-                violations.append((v, "G3", f"YZ plane requires {v} in g({v})"))
+                violations.append((v, "G3", f"YZ plane requires {u} in g({u})"))
             if odd_self:
-                violations.append((v, "G3", f"g({v}) must be evenly connected to {v}"))
+                violations.append((v, "G3", f"g({u}) must be evenly connected to {u}"))
     return tuple(violations)
 
 

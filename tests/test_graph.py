@@ -12,12 +12,11 @@ from agqc.graph import (
     graph_from_json,
     graph_to_json,
     make_graph,
-    odd_connectivity,
     validate,
 )
 from agqc.gflow import verify_gflow, zigzag_gflow_family
 
-from conftest import random_open_graph
+from conftest import odd_connectivity, random_open_graph
 
 
 def test_validate_minimal_chain_passes():
@@ -135,7 +134,7 @@ def test_cnot_graph_generator_term():
 
 def test_cnot_graph_degrees_and_validity():
     g = generate_cnot_graph()
-    assert len(g.neighbors(1)) == 3  # a2
+    assert g.adjacency[1].bit_count() == 3  # a2
     assert len(g.inputs) == len(g.outputs) == 2
     assert validate(g).ok
 

@@ -17,7 +17,6 @@ from agqc.pauli import (
     commutation_masks,
     commutes,
     correction_operator,
-    identity,
     one_step_update,
     single,
     stabilizer_generator,
@@ -68,7 +67,7 @@ def test_hermitian_pauli_squares_to_identity():
 
 def test_multiply_universe_mismatch():
     with pytest.raises(ValueError):
-        rop(identity(2)).mul(rop(identity(3)))
+        rop(PauliString(2)).mul(rop(PauliString(3)))
 
 
 def test_group_axioms_random(rng):
@@ -184,9 +183,9 @@ def test_twisted_generator_keeps_general_twist():
 
 
 def test_twisted_generator_missing_angle():
-    g = generate_chain(3, [0.0] * 3)
-    with pytest.raises(ValueError, match="angle"):
-        twisted_generator(g, 2)  # output carries no angle
+    # an output carries no angle: its generator enters T_v untwisted
+    g = generate_chain(3, [0.0, 0.7, 0.0])
+    assert twisted_generator(g, 2) == rop(stabilizer_generator(g, 2))
 
 
 def test_build_T_chain_is_next_generator():
@@ -217,7 +216,7 @@ def test_build_T_cluster_interior_degree():
 
 def test_support_and_degree():
     assert rop(PauliString(3, 0b010, 0b101)).support == {0, 1, 2}
-    assert rop(identity(3)).degree == 0
+    assert rop(PauliString(3)).degree == 0
 
 
 def test_support_mask_holds_the_twist_sites():
@@ -284,7 +283,7 @@ def test_one_step_update_rejects_general_angle():
 
 def test_correction_operator_outcome_zero_is_identity():
     g = generate_chain(3, [0.0] * 3)
-    assert correction_operator(g, chain_gflow(3), 0, 0) == identity(3)
+    assert correction_operator(g, chain_gflow(3), 0, 0) == PauliString(3)
 
 
 def test_correction_operator_chain():
@@ -335,7 +334,7 @@ def test_rendering_canonical_string():
     g = generate_chain(3, [0.0, math.pi / 4, 0.0])
     op = twisted_generator(g, 1)
     assert op.render() == "+1 . Z1 X2 Z3 . twist{2: 0.7854}"
-    assert rop(identity(3)).render() == "+1 . I"
+    assert rop(PauliString(3)).render() == "+1 . I"
     assert single(2, 1, "Y", 3).render() == "-i . Y2"
 
 

@@ -20,6 +20,7 @@ from agqc.graph import generate_chain, generate_cluster, generate_cnot_graph, ge
 from agqc.logical import initial_frame
 from agqc.logical import chain_unitary, compare
 from agqc import _linalg, budget, sectors, sim
+from agqc.budget import SizeCapError
 from agqc._linalg import _two_level, eigvalsh, expmi, ordered_apply, su2_exp, su2_ordered, su2_ramp
 from agqc.pauli import (
     Commutation,
@@ -34,7 +35,6 @@ from agqc.pauli import (
     to_matrix,
 )
 from agqc.sim import (
-    SizeCapError,
     conserved_operator_check,
     evolve,
     logical_basis_from_ops,
@@ -268,8 +268,12 @@ def test_evolve_tau_list_per_step():
 def test_evolve_with_initial_state():
     g = generate_chain(3, [0.0, 0.0, 0.0])
     sched = compile_stepwise(g, chain_gflow(3))
-    res = evolve(sched, 80.0, initial=np.array([1.0, 0.0]))
-    assert res.final_states.shape == (8, 1)
+    res = evolve(sched, 80.0)
+    # final_states holds the evolved logical basis: a logical state is a
+    # combination of its columns, and evolution keeps its norm
+    assert res.final_states.shape == (8, 2)
+    psi = res.final_states @ np.array([1.0, 0.0])
+    assert abs(np.linalg.norm(psi) - 1.0) < 1e-9
 
 
 def test_evolve_rejects_bad_tau():
@@ -1063,12 +1067,13 @@ def test_conserved_check_forms_no_dense_matrix_at_14_qubits(monkeypatch):
     def refuse(*args):
         raise AssertionError("dense matrix formed")
 
-    monkeypatch.setattr(sim, "step_endpoint_matrices", refuse)
-    monkeypatch.setattr(sim, "to_matrix", refuse)
     g = generate_chain(14, [0.0] * 14)
     sched, _ = compile_reordered_fixed(g, chain_gflow(14), [2, 0, 1] + list(range(3, 13)))
-    with pytest.raises(SizeCapError):
-        budget.check_dense(14)
+    monkeypatch.setattr(sim, "to_matrix", refuse)
+    # the dense step matrices are refused before any of them is allocated
+    with pytest.raises(SizeCapError, match="dense 14-qubit"):
+        sim.step_endpoint_matrices(sched, 0)
+    monkeypatch.setattr(sim, "step_endpoint_matrices", refuse)
     t1t3 = rop(stabilizer_generator(g, 1).mul(stabilizer_generator(g, 3)))
     first = conserved_operator_check(sched, 0, [t1t3])[0]
     assert first.symbolic and first.conserved and first.max_commutator_norm == 0.0
@@ -1174,17 +1179,39 @@ def test_mbqc_nontrivial_gflow_family_deterministic(rng):
         assert abs(np.vdot(base.output_state, run.output_state)) > 1 - 1e-10
 
 
+def _crossed_rows(outputs):
+    """Rows 1-2-3 and 4-5-6 joined by the rung 2-5, inputs [1, 4] (at angle
+    0, the chains' convention), general angles on 2 and 5, and the two
+    outputs listed in the given order."""
+    g = make_graph(6, [(0, 1), (1, 2), (3, 4), (4, 5), (1, 4)], [0, 3], outputs, {1: 0.8, 4: 0.5})
+    return g, find_gflow(g)
+
+
 def _mbqc_test_graphs():
-    """Every (graph, gflow) the MBQC tests run, with more outputs than
-    inputs in the last."""
+    """Every (graph, gflow) the MBQC tests run, with outputs listed out of
+    vertex order in the second to last, and more outputs than inputs in
+    the last."""
     return [
         *((generate_chain(n, [0.0, *np.linspace(0.9, 2.2, n - 2), 0.0]), chain_gflow(n))
           for n in (2, 3, 4, 5)),
         (generate_cnot_graph(), find_gflow(generate_cnot_graph())),
         *((generate_zigzag(u), zigzag_gflow_family(u, r)) for u, r in ((2, 2), (3, 2), (3, 3), (5, 5))),
         (generate_cluster(2, 2), cluster_gflow(2, 2)),
+        _crossed_rows([5, 2]),
         (make_graph(3, [(0, 1), (1, 2)], [0], [1, 2], {0: 0.7}), Gflow({0: frozenset({1})}, {0: 0})),
     ]
+
+
+def test_mbqc_and_evolve_read_outputs_in_list_order():
+    # bit i of both logical bases is outputs[i], here [6, 3]
+    g, gf = _crossed_rows([5, 2])
+    res = evolve(compile_stepwise(g, gf), 100.0)
+    for outcomes in ("zeros", "random"):
+        assert compare(res.logical_unitary, mbqc_logical_unitary(g, gf, outcomes, seed=5)) < 1e-6
+    # listing the outputs the other way round swaps the two output bits
+    swap = np.eye(4)[[0, 2, 1, 3]]
+    ascending = mbqc_logical_unitary(*_crossed_rows([2, 5]))
+    assert np.abs(swap @ ascending - mbqc_logical_unitary(g, gf)).max() < 1e-12
 
 
 @pytest.mark.parametrize("graph, gf", _mbqc_test_graphs())
