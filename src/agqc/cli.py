@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import errno
+import itertools
 import json
 import math
 import os
@@ -129,9 +130,12 @@ def _check_writable(path: str | None) -> None:
 
 
 def _write(out: str | None, text: str) -> None:
-    """Write ``text`` to the file ``out``, or to stdout for None or '-'."""
+    """Write ``text``, newline-terminated, to the file ``out``, or to stdout
+    for None or '-'."""
+    if not text.endswith("\n"):
+        text += "\n"
     if out is None or out == "-":
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+        sys.stdout.write(text)
         return
     try:
         Path(out).write_text(text)
@@ -167,6 +171,14 @@ def _budget(args: argparse.Namespace) -> AdiabaticBudget:
 def _compile(args: argparse.Namespace, mode: str) -> tuple[Schedule, ReorderReport | None]:
     """Load ``--graph`` and ``--gflow`` and build the schedule of ``mode``."""
     graph = _load_graph(args.graph)
+    for v in graph.inputs:
+        # no generator sits on an input, so a schedule cannot carry its twist
+        angle = graph.angles.get(v, 0.0)
+        if abs(math.remainder(angle, 2 * math.pi)) > 1e-12:
+            raise CliError(
+                f"input vertex {v + 1} has angle {angle:.6g}; a compiled schedule "
+                "does not carry an input's angle, so it must be 0"
+            )
     gf = _load_gflow(args.gflow, graph)
     order = None
     if args.order:
@@ -187,25 +199,23 @@ def _compile(args: argparse.Namespace, mode: str) -> tuple[Schedule, ReorderRepo
 
 
 def _schedule_doc(schedule: Schedule) -> dict:
-    # steps share their term objects: render each object once
-    rendered: dict[int, str] = {}
-
-    def render(op) -> str:
-        text = rendered.get(id(op))
-        if text is None:
-            text = rendered[id(op)] = op.render()
-        return text
-
-    steps = []
-    for st in schedule.steps:
-        steps.append(
-            {
-                "removed": {str(v + 1): render(op) for v, op in sorted(st.removed.items())},
-                "introduced": {str(v + 1): render(op) for v, op in sorted(st.introduced.items())},
-                "static": [render(op) for op in st.static_terms],
-                "strip": st.strip,
-            }
-        )
+    # a compiled schedule removes or introduces each of its terms in some
+    # step, and its steps share the term objects: render each object once,
+    # keyed by id, as terms compare with a tolerance and do not hash
+    moved = itertools.chain.from_iterable(
+        (*st.removed.values(), *st.introduced.values()) for st in schedule.steps
+    )
+    rendered = {id(op): op.render() for op in moved}
+    text = rendered.__getitem__
+    steps = [
+        {
+            "removed": {str(v + 1): text(id(op)) for v, op in sorted(st.removed.items())},
+            "introduced": {str(v + 1): text(id(op)) for v, op in sorted(st.introduced.items())},
+            "static": list(map(text, map(id, st.static_terms))),
+            "strip": st.strip,
+        }
+        for st in schedule.steps
+    ]
     return {"gamma": schedule.gamma, "steps": steps}
 
 
@@ -227,7 +237,7 @@ def cmd_graph_validate(args) -> int:
     g = _load_graph(args.graph)
     report = graph_mod.validate(g)
     doc = {"ok": report.ok, "problems": list(report.problems)}
-    _write(args.out, json.dumps(doc, indent=2))
+    _write(args.out, json.dumps(doc))
     return 0 if report.ok else 1
 
 
@@ -235,7 +245,7 @@ def cmd_gflow_find(args) -> int:
     g = _load_graph(args.graph)
     gf = gflow_mod.find_gflow(g)
     if gf is None:
-        _write(args.out, json.dumps({"found": False}, indent=2))
+        _write(args.out, json.dumps({"found": False}))
         return 1
     _write(args.out, gflow_mod.gflow_to_json(gf))
     return 0
@@ -255,7 +265,7 @@ def cmd_gflow_verify(args) -> int:
             for v, ax, detail in report.violations
         ],
     }
-    _write(args.out, json.dumps(doc, indent=2))
+    _write(args.out, json.dumps(doc))
     return 0 if report.valid else 1
 
 
@@ -271,13 +281,17 @@ def cmd_compile(args) -> int:
     doc["hamiltonian_degree"] = compiler.hamiltonian_degree(schedule)
     if report is not None:
         doc["reorder_report"] = _reorder_doc(report)
-    _write(args.out, json.dumps(doc, indent=2))
+    _write(args.out, json.dumps(doc))
     if report is not None and not report.feasible:
         return 1
     return 0
 
 
-def _reorder_doc(report) -> dict:
+def _reorder_doc(report: ReorderReport) -> dict:
+    # steps share their product sets: sort each distinct one once; a step's
+    # protecting product is one of its conserved products
+    products = itertools.chain.from_iterable(fs.conserved_products for fs in report.steps)
+    one_based = {p: sorted(v + 1 for v in p) for p in dict.fromkeys(products)}
     return {
         "feasible": report.feasible,
         "steps": [
@@ -285,13 +299,9 @@ def _reorder_doc(report) -> dict:
                 "vertex": fs.vertex + 1,
                 "frustrated": fs.frustrated,
                 "protected": fs.protected,
-                "conserved_products": [
-                    sorted(v + 1 for v in prod) for prod in fs.conserved_products
-                ],
+                "conserved_products": list(map(one_based.__getitem__, fs.conserved_products)),
                 "protecting_product": (
-                    sorted(v + 1 for v in fs.protecting_product)
-                    if fs.protecting_product
-                    else None
+                    one_based[fs.protecting_product] if fs.protecting_product else None
                 ),
                 "detail": fs.detail,
             }
@@ -366,7 +376,7 @@ def cmd_evolve(args) -> int:
             [g.angles[v] for v in sorted(g.angles)]
         )
         doc["distance_to_chain_prediction"] = logical.compare(res.logical_unitary, pred)
-    _write(args.out, json.dumps(doc, indent=2))
+    _write(args.out, json.dumps(doc))
     return 0
 
 
@@ -386,8 +396,8 @@ def cmd_reorder(args) -> int:
         if args.leakage_csv:
             lines = ["tau,leakage,fidelity"]
             lines += [f"{r['tau']:.12g},{r['leakage']:.12g},{r['fidelity']:.12g}" for r in rows]
-            _write(args.leakage_csv, "\n".join(lines) + "\n")
-    _write(args.out, json.dumps(doc, indent=2))
+            _write(args.leakage_csv, "\n".join(lines))
+    _write(args.out, json.dumps(doc))
     if report is not None and not report.feasible:
         return 1
     return 0
@@ -419,7 +429,7 @@ def cmd_mbqc(args) -> int:
         "seed": args.seed,
         "output_state": [[float(z.real), float(z.imag)] for z in run.output_state],
     }
-    _write(args.out, json.dumps(doc, indent=2))
+    _write(args.out, json.dumps(doc))
     return 0
 
 
@@ -452,7 +462,7 @@ def cmd_gadget(args) -> int:
         "lambda_max": gp.lambda_max,
         "converges": gp.converges,
     }
-    _write(args.out, json.dumps(doc, indent=2))
+    _write(args.out, json.dumps(doc))
     return 0
 
 

@@ -212,7 +212,10 @@ def _replacement_schedule(
 
 
 def compile_stepwise(graph: OpenGraph, gf: Gflow, gamma: float = 1.0) -> Schedule:
-    """One step per non-output vertex, in measurement order: T_v -> X_v."""
+    """One step per non-output vertex, in measurement order: T_v -> X_v.
+
+    An input's angle is not carried (no generator sits on an input).
+    """
     _require_valid_gflow(graph, gf)
     groups = [[v] for v in gf.measurement_order()]
     return _replacement_schedule(graph, gf, stabilizer_set(graph, gf), groups, gamma)
@@ -226,7 +229,7 @@ def compile_layered(graph: OpenGraph, gf: Gflow, gamma: float = 1.0) -> Schedule
     twisted generators of g(u): G1 puts every member of g(u), where its X
     letters and twists sit, in a later layer than u's, and G2 keeps the
     other vertices of u's layer out of Odd(g(u)), where its other Z letters
-    sit.
+    sit.  An input's angle is not carried (no generator sits on an input).
     """
     _require_valid_gflow(graph, gf)
     terms = stabilizer_set(graph, gf)
@@ -238,6 +241,7 @@ def compile_one_step(graph: OpenGraph, gf: Gflow, gamma: float = 1.0) -> Schedul
     """Single simultaneous replacement of the swept stabilizers T~_v by X_v.
 
     Requires Clifford angles; see :func:`agqc.pauli.one_step_update`.
+    An input's angle is not carried (no generator sits on an input).
     """
     _require_valid_gflow(graph, gf)
     for v, theta in graph.angles.items():
@@ -308,7 +312,8 @@ def compile_reordered_fixed(
     any certificate, which makes the symbolic report conservative: a step
     it flags may still be protected by a non-closing gap (the chain's
     second-site replacement with gap ``delta1_gap``) - the spectral scan is
-    the authority there.
+    the authority there.  An input's angle is not carried (no generator sits
+    on an input).
     """
     _require_valid_gflow(graph, gf)
     terms = stabilizer_set(graph, gf)
@@ -319,8 +324,14 @@ def compile_reordered_fixed(
     originals = [terms[w] for w in vertices]
     later = (1 << len(vertices)) - 1  # the T's not yet replaced
 
+    # most basis vectors carry over from step to step: build each set once
+    sets: dict[int, frozenset[int]] = {}
+
     def to_set(mask: int) -> frozenset[int]:
-        return frozenset(vertices[i] for i in _gf2.set_bits(mask))
+        found = sets.get(mask)
+        if found is None:
+            found = sets[mask] = frozenset(vertices[i] for i in _gf2.set_bits(mask))
+        return found
 
     # cert_basis starts as the whole space and keeps exactly the vectors that
     # meet every constraint so far: e_v is in its span iff no constraint has bit v
@@ -370,9 +381,7 @@ def compile_reordered_fixed(
                 vertex=v,
                 frustrated=frustrated,
                 protected=protected,
-                conserved_products=tuple(
-                    to_set(b) for b in sorted(new_basis) if b
-                ),
+                conserved_products=tuple(map(to_set, sorted(filter(None, new_basis)))),
                 protecting_product=protecting,
                 detail=detail,
             )
@@ -391,6 +400,7 @@ def compile_reordered_strip(
     bookkeeping keeps, for each deleted vertex u, the conserved product
     (deleted term) * (replaced term), which is what the step for u later
     ramps out against X_u.
+    An input's angle is not carried (no generator sits on an input).
     """
     _require_valid_gflow(graph, gf)
     xs = _x_terms(graph)

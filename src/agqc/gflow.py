@@ -253,7 +253,7 @@ def gflow_to_json(gf: Gflow) -> str:
         "g": {str(v + 1): sorted(w + 1 for w in gf.g[v]) for v in sorted(gf.g)},
         "layer": {str(v + 1): gf.layer[v] for v in sorted(gf.layer)},
     }
-    return json.dumps(doc, indent=2)
+    return json.dumps(doc)
 
 
 def gflow_from_json(text: str) -> Gflow:

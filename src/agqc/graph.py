@@ -262,7 +262,7 @@ def graph_to_json(graph: OpenGraph) -> str:
         "angles": {str(v + 1): graph.angles[v] for v in sorted(graph.angles)},
         "planes": {str(v + 1): graph.planes[v].value for v in sorted(graph.planes)},
     }
-    return json.dumps(doc, indent=2)
+    return json.dumps(doc)
 
 
 def graph_from_json(text: str) -> OpenGraph:
@@ -308,6 +308,9 @@ def graph_from_json(text: str) -> OpenGraph:
     _check_graph_bytes(n, sum(b for _, b in edges), f"a graph file with {len(edges)} edges")
     inputs = [vertex(v) for v in doc["inputs"]]
     outputs = [vertex(v) for v in doc["outputs"]]
+    for key, labels in (("inputs", inputs), ("outputs", outputs)):
+        if len(set(labels)) < len(labels):
+            raise GraphFormatError(f"duplicate vertex in '{key}'")
     angles = {}
     for label, theta in doc["angles"].items():
         finite = isinstance(theta, (int, float)) and abs(theta) <= sys.float_info.max

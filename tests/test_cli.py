@@ -14,6 +14,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import agqc
 from agqc.cli import main
+from agqc.compiler import compile_reordered_fixed
 from agqc.gflow import find_gflow, gflow_to_json
 from agqc.graph import generate_chain, generate_cluster, generate_cnot_graph, graph_to_json
 
@@ -741,7 +742,10 @@ def test_zigzag_gflow_is_charged_before_building(monkeypatch, capsys):
     assert "correcting-set entries" in err and err.count("\n") == 1
 
 
-def test_schedule_doc_renders_each_term_object_once(monkeypatch, capsys):
+@pytest.mark.parametrize(
+    "mode", ["stepwise", "layered", "onestep", "reorder-fixed", "reorder-strip"]
+)
+def test_schedule_doc_renders_each_term_object_once(monkeypatch, capsys, mode):
     from agqc.pauli import RotatedPauliOp
 
     rendered = []
@@ -752,11 +756,14 @@ def test_schedule_doc_renders_each_term_object_once(monkeypatch, capsys):
         return original(self)
 
     monkeypatch.setattr(RotatedPauliOp, "render", counting)
-    code, out = run(capsys, "compile", "--graph", "cluster:5x6")
-    assert code == 0
-    assert len(rendered) == len(set(rendered)) == 2 * 25
-    doc = json.loads(out)
-    assert sum(len(step["static"]) for step in doc["steps"]) == 25 * 24
+    order = "7,1,13,19,2,8,25,14,20,3,9,15,21,4,10,16,22,5,11,17,23,6,12,18,24"
+    code, out = run(capsys, "compile", "--graph", "cluster:5x6", "--mode", mode, "--order", order)
+    assert code in (0, 1)
+    assert len(rendered) == len(set(rendered))
+    if mode == "stepwise":
+        assert len(rendered) == 2 * 25
+        doc = json.loads(out)
+        assert sum(len(step["static"]) for step in doc["steps"]) == 25 * 24
 
 
 def test_directory_as_graph_or_gflow_file_is_exit_2(tmp_path, capsys):
@@ -854,3 +861,90 @@ def test_numeric_arguments_exit_0_1_or_2(capsys, argv):
     if code == 0 and argv[0] == "gapscan":
         header, *rows = captured.out.splitlines()
         assert all(row.count(",") == header.count(",") for row in rows)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["graph", "gen", "zigzag:4"],
+        ["graph", "validate", "--graph", "cnot"],
+        ["gflow", "find", "--graph", "cluster:2x3"],
+        ["gflow", "verify", "--graph", "zigzag:4", "--gflow", "zigzag:2"],
+        ["gflow", "zigzag", "--n", "4", "--r", "2"],
+        ["compile", "--graph", "chain:4", "--mode", "reorder-fixed", "--order", "3,1,2"],
+        ["evolve", "--graph", "chain:3", "--tau", "20"],
+        ["reorder", "--graph", "chain:4", "--order", "3,1,2", "--tau", "10"],
+        ["mbqc", "--graph", "cnot"],
+        ["gadget", "--k", "3", "--lam", "0.1"],
+    ],
+)
+def test_json_reports_are_one_line_and_out_files_hold_the_same_bytes(capsys, tmp_path, argv):
+    code, out = run(capsys, *argv)
+    assert code in (0, 1)
+    assert out.endswith("\n") and out.count("\n") == 1
+    json.loads(out)
+    path = tmp_path / "report.json"
+    assert main([*argv, "--out", str(path)]) == code
+    assert path.read_bytes() == out.encode()
+
+
+def test_reorder_report_lists_each_step_feasibility(capsys):
+    code, out = run(capsys, "compile", "--graph", "cluster:3x4", "--mode", "reorder-fixed",
+                    "--order", "5,1,9,3,7,2,8,4,6")
+    g = generate_cluster(3, 4)
+    _, report = compile_reordered_fixed(g, find_gflow(g), [4, 0, 8, 2, 6, 1, 7, 3, 5])
+    want = {
+        "feasible": False,
+        "steps": [
+            {
+                "vertex": fs.vertex + 1,
+                "frustrated": fs.frustrated,
+                "protected": fs.protected,
+                "conserved_products": [sorted(v + 1 for v in p) for p in fs.conserved_products],
+                "protecting_product": (
+                    sorted(v + 1 for v in fs.protecting_product) if fs.protecting_product else None
+                ),
+                "detail": fs.detail,
+            }
+            for fs in report.steps
+        ],
+    }
+    assert code == 1 and json.loads(out)["reorder_report"] == want
+    # equal products are one object across the steps
+    products = [p for fs in report.steps for p in fs.conserved_products]
+    assert len(set(map(id, products))) == len(set(products)) < len(products)
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["compile"],
+        ["gapscan", "--s-grid", "3"],
+        ["evolve", "--tau", "5"],
+        ["reorder", "--order", "1,2"],
+        ["bounds", "--s-grid", "3"],
+    ],
+)
+def test_input_angle_is_refused_by_every_compiling_command(capsys, command):
+    code, out, err = run_err(capsys, *command, "--graph", "chain:3:0.3,0.4")
+    assert code == 2 and out == ""
+    assert err.startswith("error: input vertex 1 has angle 0.3") and err.count("\n") == 1
+    # a whole turn is angle 0
+    assert main([*command, "--graph", f"chain:3:{2 * math.pi!r},0.4"]) == 0
+    capsys.readouterr()
+
+
+def test_input_angle_is_kept_by_mbqc_and_graph_gen(capsys):
+    assert run(capsys, "mbqc", "--graph", "chain:3:0.3,0.4")[0] == 0
+    code, out = run(capsys, "graph", "gen", "chain:3:0.3,0.4")
+    assert code == 0 and json.loads(out)["angles"] == {"1": 0.3, "2": 0.4}
+
+
+@pytest.mark.parametrize("command", ["mbqc", "evolve"])
+def test_graph_file_listing_an_output_twice_is_exit_2(tmp_path, capsys, command):
+    path = tmp_path / "g.json"
+    path.write_text('{"n": 3, "edges": [[1, 2], [2, 3]], "inputs": [1], "outputs": [3, 3], '
+                    '"angles": {"1": 0.0, "2": 0.0}}')
+    code, out, err = run_err(capsys, command, "--graph", str(path))
+    assert code == 2 and out == ""
+    assert err == "error: duplicate vertex in 'outputs'\n"

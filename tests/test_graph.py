@@ -185,6 +185,16 @@ def test_parser_rejects_duplicate_edges():
         graph_from_json(text)
 
 
+@pytest.mark.parametrize(
+    "key, ends", [("inputs", '"inputs": [1, 1], "outputs": [3]'),
+                  ("outputs", '"inputs": [1], "outputs": [3, 3]')]
+)
+def test_parser_rejects_duplicate_inputs_and_outputs(key, ends):
+    text = '{"n": 3, "edges": [[1,2],[2,3]], %s, "angles": {"1": 0.0, "2": 0.0}}' % ends
+    with pytest.raises(GraphFormatError, match=f"duplicate vertex in '{key}'"):
+        graph_from_json(text)
+
+
 def test_parser_rejects_out_of_range_vertices():
     text = """{"n": 2, "edges": [[1,5]], "inputs": [1], "outputs": [2], "angles": {}}"""
     with pytest.raises(GraphFormatError, match="out of range"):
