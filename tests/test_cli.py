@@ -742,10 +742,28 @@ def test_zigzag_gflow_is_charged_before_building(monkeypatch, capsys):
     assert "correcting-set entries" in err and err.count("\n") == 1
 
 
+def test_schedule_doc_renders_each_term_object_once(monkeypatch, capsys):
+    from agqc.pauli import RotatedPauliOp
+
+    rendered = []
+    original = RotatedPauliOp.render
+
+    def counting(self):
+        rendered.append(id(self))
+        return original(self)
+
+    monkeypatch.setattr(RotatedPauliOp, "render", counting)
+    code, out = run(capsys, "compile", "--graph", "cluster:5x6")
+    assert code == 0
+    assert len(rendered) == len(set(rendered)) == 2 * 25
+    doc = json.loads(out)
+    assert sum(len(step["static"]) for step in doc["steps"]) == 25 * 24
+
+
 @pytest.mark.parametrize(
     "mode", ["stepwise", "layered", "onestep", "reorder-fixed", "reorder-strip"]
 )
-def test_schedule_doc_renders_each_term_object_once(monkeypatch, capsys, mode):
+def test_schedule_doc_renders_each_term_object_once_in_every_mode(monkeypatch, capsys, mode):
     from agqc.pauli import RotatedPauliOp
 
     rendered = []
