@@ -162,12 +162,6 @@ def _s_grid(n_points: int) -> list[float]:
     return [i / (n_points - 1) for i in range(n_points)]
 
 
-def _budget(args: argparse.Namespace) -> AdiabaticBudget:
-    return AdiabaticBudget(
-        delta=args.delta, epsilon=args.epsilon, c_delta=args.c_delta, gamma=args.gamma
-    )
-
-
 def _compile(args: argparse.Namespace, mode: str) -> tuple[Schedule, ReorderReport | None]:
     """Load ``--graph`` and ``--gflow`` and build the schedule of ``mode``."""
     graph = _load_graph(args.graph)
@@ -183,19 +177,17 @@ def _compile(args: argparse.Namespace, mode: str) -> tuple[Schedule, ReorderRepo
     order = None
     if args.order:
         order = [int(x) - 1 for x in args.order.split(",")]
-    if mode.startswith("reorder-") and order is None:
+    # looked up at each call, so that a wrapper installed on compiler's
+    # functions is the one called
+    plain = {"stepwise": compiler.compile_stepwise, "layered": compiler.compile_layered,
+             "onestep": compiler.compile_one_step}
+    if mode in plain:
+        return plain[mode](graph, gf, args.gamma), None
+    if order is None:
         raise CliError(f"{mode} needs --order")
-    if mode == "stepwise":
-        return compiler.compile_stepwise(graph, gf, args.gamma), None
-    if mode == "layered":
-        return compiler.compile_layered(graph, gf, args.gamma), None
-    if mode == "onestep":
-        return compiler.compile_one_step(graph, gf, args.gamma), None
     if mode == "reorder-fixed":
         return compiler.compile_reordered_fixed(graph, gf, order, args.gamma)
-    if mode == "reorder-strip":
-        return compiler.compile_reordered_strip(graph, gf, order, args.gamma), None
-    raise CliError(f"unknown mode {mode!r}")
+    return compiler.compile_reordered_strip(graph, gf, order, args.gamma), None
 
 
 def _schedule_doc(schedule: Schedule) -> dict:
@@ -224,34 +216,28 @@ def _complex_matrix(m: np.ndarray) -> list[list[list[float]]]:
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns its report and its exit code, and ``main``
+# writes the report
 
 
-def cmd_graph_gen(args) -> int:
-    g = _load_graph(args.kind)
-    _write(args.out, graph_mod.graph_to_json(g))
-    return 0
+def cmd_graph_gen(args) -> tuple[str, int]:
+    return graph_mod.graph_to_json(_load_graph(args.kind)), 0
 
 
-def cmd_graph_validate(args) -> int:
-    g = _load_graph(args.graph)
-    report = graph_mod.validate(g)
+def cmd_graph_validate(args) -> tuple[str, int]:
+    report = graph_mod.validate(_load_graph(args.graph))
     doc = {"ok": report.ok, "problems": list(report.problems)}
-    _write(args.out, json.dumps(doc))
-    return 0 if report.ok else 1
+    return json.dumps(doc), 0 if report.ok else 1
 
 
-def cmd_gflow_find(args) -> int:
-    g = _load_graph(args.graph)
-    gf = gflow_mod.find_gflow(g)
+def cmd_gflow_find(args) -> tuple[str, int]:
+    gf = gflow_mod.find_gflow(_load_graph(args.graph))
     if gf is None:
-        _write(args.out, json.dumps({"found": False}))
-        return 1
-    _write(args.out, gflow_mod.gflow_to_json(gf))
-    return 0
+        return json.dumps({"found": False}), 1
+    return gflow_mod.gflow_to_json(gf), 0
 
 
-def cmd_gflow_verify(args) -> int:
+def cmd_gflow_verify(args) -> tuple[str, int]:
     g = _load_graph(args.graph)
     gf = _load_gflow(args.gflow, g)
     report = gflow_mod.verify_gflow(g, gf)
@@ -265,26 +251,20 @@ def cmd_gflow_verify(args) -> int:
             for v, ax, detail in report.violations
         ],
     }
-    _write(args.out, json.dumps(doc))
-    return 0 if report.valid else 1
+    return json.dumps(doc), 0 if report.valid else 1
 
 
-def cmd_gflow_zigzag(args) -> int:
-    gf = gflow_mod.zigzag_gflow_family(args.n, args.r)
-    _write(args.out, gflow_mod.gflow_to_json(gf))
-    return 0
+def cmd_gflow_zigzag(args) -> tuple[str, int]:
+    return gflow_mod.gflow_to_json(gflow_mod.zigzag_gflow_family(args.n, args.r)), 0
 
 
-def cmd_compile(args) -> int:
+def cmd_compile(args) -> tuple[str, int]:
     schedule, report = _compile(args, args.mode)
     doc = _schedule_doc(schedule)
     doc["hamiltonian_degree"] = compiler.hamiltonian_degree(schedule)
     if report is not None:
         doc["reorder_report"] = _reorder_doc(report)
-    _write(args.out, json.dumps(doc))
-    if report is not None and not report.feasible:
-        return 1
-    return 0
+    return json.dumps(doc), 1 if report is not None and not report.feasible else 0
 
 
 def _reorder_doc(report: ReorderReport) -> dict:
@@ -310,7 +290,7 @@ def _reorder_doc(report: ReorderReport) -> dict:
     }
 
 
-def cmd_gapscan(args) -> int:
+def cmd_gapscan(args) -> tuple[str, int]:
     if args.levels < 1:
         raise CliError(f"--levels must be at least 1, got {_clip(str(args.levels))}")
     grid = _s_grid(args.s_grid)
@@ -333,8 +313,7 @@ def cmd_gapscan(args) -> int:
         for s, energies, gap, gap_above, degeneracy in rows:
             evals = ",".join(f"{e:.12g}" for e in energies)
             lines.append(f"{k + 1},{s:.6g},{evals},{gap:.12g},{gap_above:.12g},{degeneracy}")
-    _write(args.out, "\n".join(lines))
-    return 0
+    return "\n".join(lines), 0
 
 
 def _is_chain(g: OpenGraph) -> bool:
@@ -345,7 +324,7 @@ def _is_chain(g: OpenGraph) -> bool:
     )
 
 
-def cmd_evolve(args) -> int:
+def cmd_evolve(args) -> tuple[str, int]:
     schedule, report = _compile(args, args.mode)
     g = schedule.graph
     if args.target == "chain" and not _is_chain(g):
@@ -376,11 +355,10 @@ def cmd_evolve(args) -> int:
             [g.angles[v] for v in sorted(g.angles)]
         )
         doc["distance_to_chain_prediction"] = logical.compare(res.logical_unitary, pred)
-    _write(args.out, json.dumps(doc))
-    return 0
+    return json.dumps(doc), 0
 
 
-def cmd_reorder(args) -> int:
+def cmd_reorder(args) -> tuple[str, int]:
     schedule, report = _compile(args, f"reorder-{args.mode}")
     doc: dict = {
         "order": [int(x) for x in args.order.split(",")],
@@ -397,13 +375,10 @@ def cmd_reorder(args) -> int:
             lines = ["tau,leakage,fidelity"]
             lines += [f"{r['tau']:.12g},{r['leakage']:.12g},{r['fidelity']:.12g}" for r in rows]
             _write(args.leakage_csv, "\n".join(lines))
-    _write(args.out, json.dumps(doc))
-    if report is not None and not report.feasible:
-        return 1
-    return 0
+    return json.dumps(doc), 1 if report is not None and not report.feasible else 0
 
 
-def cmd_mbqc(args) -> int:
+def cmd_mbqc(args) -> tuple[str, int]:
     g = _load_graph(args.graph)
     gf = _load_gflow(args.gflow, g)
     k = len(g.inputs)
@@ -429,14 +404,15 @@ def cmd_mbqc(args) -> int:
         "seed": args.seed,
         "output_state": [[float(z.real), float(z.imag)] for z in run.output_state],
     }
-    _write(args.out, json.dumps(doc))
-    return 0
+    return json.dumps(doc), 0
 
 
-def cmd_bounds(args) -> int:
+def cmd_bounds(args) -> tuple[str, int]:
     grid = _s_grid(args.s_grid)
     schedule, _ = _compile(args, args.mode)
-    budget = _budget(args)
+    budget = AdiabaticBudget(
+        delta=args.delta, epsilon=args.epsilon, c_delta=args.c_delta, gamma=args.gamma
+    )
     lines = ["step,u_size,gap_min,hdot_norm,tau_bound"]
     for k, step in enumerate(schedule.steps):
         if step.is_commuting_replacement():
@@ -449,11 +425,10 @@ def cmd_bounds(args) -> int:
             hdot = blocks.hdot_norm()
             tau = compiler.runtime_bound(step, budget, gap=gap_min, hdot_norm=hdot)
         lines.append(f"{k + 1},{step.u_size},{gap_min:.12g},{hdot:.12g},{tau:.12g}")
-    _write(args.out, "\n".join(lines))
-    return 0
+    return "\n".join(lines), 0
 
 
-def cmd_gadget(args) -> int:
+def cmd_gadget(args) -> tuple[str, int]:
     gp = compiler.gadget_parameters(args.k, args.lam)
     doc = {
         "k": args.k,
@@ -462,8 +437,7 @@ def cmd_gadget(args) -> int:
         "lambda_max": gp.lambda_max,
         "converges": gp.converges,
     }
-    _write(args.out, json.dumps(doc))
-    return 0
+    return json.dumps(doc), 0
 
 
 # ---------------------------------------------------------------------------
@@ -476,7 +450,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
         default="find",
         help="gflow file, 'find', or 'zigzag:R' (default: find)",
     )
-    p.add_argument("--out", default=None, help="output path (default: stdout)")
 
 
 def _add_schedule(p: argparse.ArgumentParser) -> None:
@@ -499,53 +472,49 @@ class _Parser(argparse.ArgumentParser):
 def build_parser() -> argparse.ArgumentParser:
     ap = _Parser(prog="agqc", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
+    commands = []
+
+    def command(group, name: str, func, **kwargs) -> argparse.ArgumentParser:
+        p = group.add_parser(name, **kwargs)
+        p.set_defaults(func=func)
+        commands.append(p)
+        return p
 
     g = sub.add_parser("graph", help="graph generation and validation")
     gsub = g.add_subparsers(dest="subcommand", required=True)
-    gg = gsub.add_parser("gen")
+    gg = command(gsub, "gen", cmd_graph_gen)
     gg.add_argument("kind", help="chain:N[:angles] | cluster:RxC | zigzag:N | cnot")
-    gg.add_argument("--out", default=None)
-    gg.set_defaults(func=cmd_graph_gen)
-    gv = gsub.add_parser("validate")
+    gv = command(gsub, "validate", cmd_graph_validate)
     gv.add_argument("--graph", required=True)
-    gv.add_argument("--out", default=None)
-    gv.set_defaults(func=cmd_graph_validate)
 
     f = sub.add_parser("gflow", help="gflow search, verification, zig-zag family")
     fsub = f.add_subparsers(dest="subcommand", required=True)
-    ff = fsub.add_parser("find")
+    ff = command(fsub, "find", cmd_gflow_find)
     ff.add_argument("--graph", required=True)
-    ff.add_argument("--out", default=None)
-    ff.set_defaults(func=cmd_gflow_find)
-    fv = fsub.add_parser("verify")
+    fv = command(fsub, "verify", cmd_gflow_verify)
     fv.add_argument("--graph", required=True)
     fv.add_argument("--gflow", required=True)
-    fv.add_argument("--out", default=None)
-    fv.set_defaults(func=cmd_gflow_verify)
-    fz = fsub.add_parser("zigzag")
+    fz = command(fsub, "zigzag", cmd_gflow_zigzag)
     fz.add_argument("--n", type=int, required=True)
     fz.add_argument("--r", type=int, required=True)
-    fz.add_argument("--out", default=None)
-    fz.set_defaults(func=cmd_gflow_zigzag)
 
-    c = sub.add_parser("compile", help="build a schedule and print it")
+    c = command(sub, "compile", cmd_compile, help="build a schedule and print it")
     _add_schedule(c)
-    c.set_defaults(func=cmd_compile)
 
-    gs = sub.add_parser("gapscan", help="exact spectra across the interpolation")
+    gs = command(sub, "gapscan", cmd_gapscan, help="exact spectra across the interpolation")
     _add_schedule(gs)
     gs.add_argument("--step", type=int, help="1-based step (default: all)")
     gs.add_argument("--s-grid", type=int, default=101, dest="s_grid")
     gs.add_argument("--levels", type=int, default=6)
-    gs.set_defaults(func=cmd_gapscan)
 
-    ev = sub.add_parser("evolve", help="integrate a schedule, extract the logical unitary")
+    ev = command(sub, "evolve", cmd_evolve,
+                 help="integrate a schedule, extract the logical unitary")
     _add_schedule(ev)
     ev.add_argument("--tau", type=float, default=200.0)
     ev.add_argument("--target", choices=["none", "chain"], default="none")
-    ev.set_defaults(func=cmd_evolve)
 
-    ro = sub.add_parser("reorder", help="reordered schedules: feasibility and leakage")
+    ro = command(sub, "reorder", cmd_reorder,
+                 help="reordered schedules: feasibility and leakage")
     _add_common(ro)
     ro.add_argument("--order", required=True)
     ro.add_argument("--mode", choices=["fixed", "strip"], default="fixed")
@@ -554,28 +523,26 @@ def build_parser() -> argparse.ArgumentParser:
                     help="also write the leakage table as CSV (tau,leakage,fidelity); "
                     "'-' for stdout, which then needs --out FILE")
     ro.add_argument("--gamma", type=float, default=1.0)
-    ro.set_defaults(func=cmd_reorder)
 
-    mb = sub.add_parser("mbqc", help="measurement-pattern reference simulation")
+    mb = command(sub, "mbqc", cmd_mbqc, help="measurement-pattern reference simulation")
     _add_common(mb)
     mb.add_argument("--input", default=None, help="comma-separated complex amplitudes")
     mb.add_argument("--outcomes", default="zeros", help="zeros | random")
     mb.add_argument("--seed", type=int, default=0, help="seed of --outcomes random")
-    mb.set_defaults(func=cmd_mbqc)
 
-    bo = sub.add_parser("bounds", help="per-step runtime bounds as CSV")
+    bo = command(sub, "bounds", cmd_bounds, help="per-step runtime bounds as CSV")
     _add_schedule(bo)
     bo.add_argument("--delta", type=float, default=1.0)
     bo.add_argument("--epsilon", type=float, default=0.01)
     bo.add_argument("--c-delta", type=float, default=1.0, dest="c_delta")
     bo.add_argument("--s-grid", type=int, default=101, dest="s_grid")
-    bo.set_defaults(func=cmd_bounds)
 
-    ga = sub.add_parser("gadget", help="perturbation-gadget coefficient and threshold")
+    ga = command(sub, "gadget", cmd_gadget, help="perturbation-gadget coefficient and threshold")
     ga.add_argument("--k", type=int, required=True)
     ga.add_argument("--lam", type=float, required=True)
-    ga.add_argument("--out", default=None)
-    ga.set_defaults(func=cmd_gadget)
+
+    for p in commands:
+        p.add_argument("--out", default=None, help="output path (default: stdout)")
     return ap
 
 
@@ -599,7 +566,9 @@ def main(argv: Sequence[str] | None = None) -> int:
             _check_writable(path)
         if outputs[1] == "-" and outputs[0] in (None, "-"):
             raise CliError("--leakage-csv - and --out would both write to stdout")
-        return args.func(args)
+        text, code = args.func(args)
+        _write(args.out, text)
+        return code
     except ValueError as exc:
         print(f"error: {_clip(str(exc), 180)}", file=sys.stderr)
         return exc.code if isinstance(exc, CliError) else 2

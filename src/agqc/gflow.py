@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 from . import _gf2
 from .budget import approx, check_bytes
-from .graph import OpenGraph, Plane
+from .graph import OpenGraph, Plane, is_json_int, read_json_object
 
 #: Sentinel layer assigned to outputs in comparisons (beyond all real layers).
 OUTPUT_LAYER = float("inf")
@@ -86,6 +86,10 @@ def _check_structure(graph: OpenGraph, gf: Gflow) -> None:
                 raise GflowStructureError(f"g({v + 1}) contains unknown vertex {w + 1}")
 
 
+#: G3 per measurement plane: (v in g(v), g(v) oddly connected to v).
+_G3_RULES = {Plane.XY: (False, True), Plane.XZ: (True, True), Plane.YZ: (True, False)}
+
+
 def verify_gflow(graph: OpenGraph, gf: Gflow) -> GflowReport:
     """Check the gflow axioms G1-G3 for every non-output vertex.
 
@@ -126,23 +130,13 @@ def verify_gflow(graph: OpenGraph, gf: Gflow) -> GflowReport:
                     detail = f"{w + 1} is oddly connected to g({label}) but not after {label}"
                     violations.append((v, "G2", detail))
         plane = graph.planes.get(v, Plane.XY)
-        in_own = v in corr
-        odd_self = odd >> v & 1
-        if plane is Plane.XY:
-            if in_own:
-                violations.append((v, "G3", f"XY plane requires {label} not in g({label})"))
-            if not odd_self:
-                violations.append((v, "G3", f"g({label}) must be oddly connected to {label}"))
-        elif plane is Plane.XZ:
-            if not in_own:
-                violations.append((v, "G3", f"XZ plane requires {label} in g({label})"))
-            if not odd_self:
-                violations.append((v, "G3", f"g({label}) must be oddly connected to {label}"))
-        else:
-            if not in_own:
-                violations.append((v, "G3", f"YZ plane requires {label} in g({label})"))
-            if odd_self:
-                violations.append((v, "G3", f"g({label}) must be evenly connected to {label}"))
+        want_own, want_odd = _G3_RULES[plane]
+        if (v in corr) != want_own:
+            where = "in" if want_own else "not in"
+            violations.append((v, "G3", f"{plane.value} plane requires {label} {where} g({label})"))
+        if bool(odd >> v & 1) != want_odd:
+            parity = "oddly" if want_odd else "evenly"
+            violations.append((v, "G3", f"g({label}) must be {parity} connected to {label}"))
     sizes, depth = layers_and_depth(gf)
     max_size = max((gflow_size(graph, gf, v) for v in gf.g), default=0)
     return GflowReport(not violations, tuple(violations), depth, max_size, sizes)
@@ -241,7 +235,7 @@ def zigzag_gflow_family(n: int, r: int) -> Gflow:
 # ---------------------------------------------------------------------------
 # file format (1-based labels, non-outputs only)
 
-_GFLOW_FIELDS = {"g", "layer"}
+_GFLOW_FIELDS = ("g", "layer")
 
 
 class GflowFormatError(ValueError):
@@ -257,21 +251,16 @@ def gflow_to_json(gf: Gflow) -> str:
 
 
 def gflow_from_json(text: str) -> Gflow:
+    doc = read_json_object(
+        text, _GFLOW_FIELDS, _GFLOW_FIELDS, GflowFormatError, "both 'g' and 'layer' are required"
+    )
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise GflowFormatError(f"not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise GflowFormatError("top level must be an object")
-    unknown = set(doc) - _GFLOW_FIELDS
-    if unknown:
-        raise GflowFormatError(f"unknown fields: {sorted(unknown)}")
-    if "g" not in doc or "layer" not in doc:
-        raise GflowFormatError("both 'g' and 'layer' are required")
-    try:
-        g = {
-            int(v) - 1: frozenset(_json_int(w) - 1 for w in ws) for v, ws in doc["g"].items()
-        }
+        g = {}
+        for v, ws in doc["g"].items():
+            label, listed = int(v), [_json_int(w) - 1 for w in ws]
+            g[label - 1] = corr = frozenset(listed)
+            if len(corr) < len(listed):
+                raise GflowFormatError(f"g({label}) lists a vertex twice")
         layer = {int(v) - 1: _json_int(k) for v, k in doc["layer"].items()}
     except (TypeError, ValueError, AttributeError) as exc:
         raise GflowFormatError(f"malformed entry: {exc}") from exc
@@ -279,7 +268,6 @@ def gflow_from_json(text: str) -> Gflow:
 
 
 def _json_int(value: object) -> int:
-    # JSON true/false arrive as bool, a subclass of int: reject them explicitly
-    if isinstance(value, bool) or not isinstance(value, int):
+    if not is_json_int(value):
         raise TypeError(f"expected an integer, got {json.dumps(value)}")
     return value

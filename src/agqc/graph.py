@@ -11,7 +11,7 @@ import math
 import sys
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Mapping, Sequence
+from typing import Collection, Iterable, Mapping, Sequence
 
 from .budget import approx, check_bytes
 
@@ -265,27 +265,58 @@ def graph_to_json(graph: OpenGraph) -> str:
     return json.dumps(doc)
 
 
-def graph_from_json(text: str) -> OpenGraph:
-    """Parse the JSON graph format; rejects unknown fields and malformed entries."""
+def is_json_int(value: object) -> bool:
+    """True for a JSON integer: JSON true/false arrive as bool, a subclass
+    of int, and are not integers here."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def read_json_object(
+    text: str,
+    fields: Collection[str],
+    required: Sequence[str],
+    error: type[ValueError],
+    missing: str = "missing field '{}'",
+) -> dict:
+    """Decode ``text`` as a JSON object with keys from ``fields``, all of
+    ``required`` among them, and no key repeated in any object; raise
+    ``error`` otherwise, with ``missing.format(key)`` for a missing key."""
+
+    def unique_keys(pairs: list[tuple[str, object]]) -> dict:
+        doc = dict(pairs)
+        if len(doc) < len(pairs):
+            keys = [key for key, _ in pairs]
+            repeated = next(key for i, key in enumerate(keys) if key in keys[:i])
+            raise error(f"repeated key {repeated!r}")
+        return doc
+
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=unique_keys)
     except json.JSONDecodeError as exc:
-        raise GraphFormatError(f"not valid JSON: {exc}") from exc
+        raise error(f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
-        raise GraphFormatError("top level must be an object")
-    unknown = set(doc) - _GRAPH_FIELDS
+        raise error("top level must be an object")
+    unknown = set(doc) - set(fields)
     if unknown:
-        raise GraphFormatError(f"unknown fields: {sorted(unknown)}")
-    for key in ("n", "edges", "inputs", "outputs", "angles"):
+        raise error(f"unknown fields: {sorted(unknown)}")
+    for key in required:
         if key not in doc:
-            raise GraphFormatError(f"missing field '{key}'")
-    # JSON true/false arrive as bool, a subclass of int: reject them explicitly
+            raise error(missing.format(key))
+    return doc
+
+
+def graph_from_json(text: str) -> OpenGraph:
+    """Parse the JSON graph format; rejects unknown fields and malformed
+    entries.  Angles default to 0 and planes to XY on non-outputs."""
+    doc = read_json_object(
+        text, _GRAPH_FIELDS, ("n", "edges", "inputs", "outputs", "angles"), GraphFormatError
+    )
     n = doc["n"]
-    if isinstance(n, bool) or not isinstance(n, int) or n <= 0:
+    if not is_json_int(n) or n <= 0:
         raise GraphFormatError("'n' must be a positive integer")
 
     def vertex(label: object) -> int:
-        if isinstance(label, bool) or not isinstance(label, int) or not 1 <= label <= n:
+        if not is_json_int(label) or not 1 <= label <= n:
             raise GraphFormatError(f"vertex label {label!r} out of range 1..{n}")
         return label - 1
 
@@ -300,6 +331,8 @@ def graph_from_json(text: str) -> OpenGraph:
         if not isinstance(pair, list) or len(pair) != 2:
             raise GraphFormatError(f"edge {pair!r} must be a pair")
         a, b = vertex(pair[0]), vertex(pair[1])
+        if a == b:
+            raise GraphFormatError(f"edge {pair!r} is a self-loop")
         key = (min(a, b), max(a, b))
         if key in seen:
             raise GraphFormatError(f"duplicate edge {pair!r}")
@@ -318,11 +351,10 @@ def graph_from_json(text: str) -> OpenGraph:
         if isinstance(theta, bool) or not finite:
             raise GraphFormatError(f"angle for vertex {label} must be a finite number")
         angles[vertex(int(label))] = float(theta)
-    out_set = set(outputs)
-    planes = {v: Plane.XY for v in range(n) if v not in out_set}
+    planes = {}
     for label, name in doc.get("planes", {}).items():
         try:
             planes[vertex(int(label))] = Plane(name)
         except ValueError as exc:
             raise GraphFormatError(f"unknown plane {name!r}") from exc
-    return OpenGraph(n, frozenset(edges), tuple(inputs), tuple(outputs), angles, planes)
+    return make_graph(n, edges, inputs, outputs, angles, planes)

@@ -428,7 +428,10 @@ def _mutated(draw, doc):
         field = doc.get(key)
         if field and isinstance(field, (dict, list)) and draw(st.booleans()):
             index = draw(st.sampled_from(sorted(field) if isinstance(field, dict) else range(len(field))))
-            field[index] = draw(_JSON)
+            if draw(st.booleans()):
+                del field[index]
+            else:
+                field[index] = draw(_JSON)
         elif draw(st.integers(0, 3)) == 0:
             doc.pop(key, None)
         else:
@@ -451,7 +454,9 @@ def test_arbitrary_graph_and_gflow_files_exit_0_1_or_2(tmp_path, capsys, docs):
     gpath.write_text(json.dumps(graph_doc))
     fpath.write_text(json.dumps(gflow_doc))
     for argv in (["graph", "validate", "--graph", str(gpath)],
-                 ["gflow", "verify", "--graph", str(gpath), "--gflow", str(fpath)]):
+                 ["gflow", "verify", "--graph", str(gpath), "--gflow", str(fpath)],
+                 ["mbqc", "--graph", str(gpath)],
+                 ["compile", "--graph", "chain:3", "--gflow", str(fpath)]):
         code, out, err = run_err(capsys, *argv)
         assert code in (0, 1, 2)
         if code == 2:
@@ -966,3 +971,48 @@ def test_graph_file_listing_an_output_twice_is_exit_2(tmp_path, capsys, command)
     code, out, err = run_err(capsys, command, "--graph", str(path))
     assert code == 2 and out == ""
     assert err == "error: duplicate vertex in 'outputs'\n"
+
+
+_CHAIN3 = '{"n": 3, "edges": [[1, 2], [2, 3]], "inputs": [1], "outputs": [3], "angles": %s}'
+
+
+@pytest.mark.parametrize("command", [["mbqc"], ["evolve", "--tau", "20"], ["compile"]])
+def test_missing_angle_reads_as_zero(tmp_path, capsys, command):
+    omitted, written = tmp_path / "omitted.json", tmp_path / "written.json"
+    omitted.write_text(_CHAIN3 % '{"1": 0.0}')
+    written.write_text(_CHAIN3 % '{"1": 0.0, "2": 0.0}')
+    first = run_err(capsys, *command, "--graph", str(omitted))
+    assert first[0] == 0 and first == run_err(capsys, *command, "--graph", str(written))
+
+
+@pytest.mark.parametrize("command", [["graph", "validate"], ["mbqc"], ["evolve"]])
+def test_graph_file_with_a_self_loop_is_exit_2(tmp_path, capsys, command):
+    path = tmp_path / "g.json"
+    path.write_text('{"n": 3, "edges": [[1, 2], [2, 2], [2, 3]], "inputs": [1], "outputs": [3], '
+                    '"angles": {"1": 0.0, "2": 0.0}}')
+    code, out, err = run_err(capsys, *command, "--graph", str(path))
+    assert (code, out, err) == (2, "", "error: edge [2, 2] is a self-loop\n")
+
+
+@pytest.mark.parametrize(
+    "graph_doc, gflow_doc, error",
+    [
+        (_CHAIN3.replace('"n": 3,', '"n": 3, "n": 3,') % '{"1": 0.0, "2": 0.0}', None,
+         "repeated key 'n'"),
+        (_CHAIN3 % '{"1": 0.0, "2": 0.0, "2": 0.5}', None, "repeated key '2'"),
+        (None, '{"g": {"1": [2], "1": [3], "2": [3]}, "layer": {"1": 0, "2": 1}}',
+         "repeated key '1'"),
+        (None, '{"g": {"1": [2], "2": [3]}, "layer": {"1": 0, "2": 1, "2": 1}}',
+         "repeated key '2'"),
+        (None, '{"g": {"1": [2, 2], "2": [3]}, "layer": {"1": 0, "2": 1}}',
+         "malformed entry: g(1) lists a vertex twice"),
+    ],
+)
+def test_repeated_keys_and_correcting_set_vertices_are_exit_2(tmp_path, capsys, graph_doc,
+                                                             gflow_doc, error):
+    # written as text: a JSON encoder cannot repeat a key
+    gpath, fpath = tmp_path / "g.json", tmp_path / "f.json"
+    gpath.write_text(graph_doc or _CHAIN3 % '{"1": 0.0, "2": 0.0}')
+    fpath.write_text(gflow_doc or '{"g": {"1": [2], "2": [3]}, "layer": {"1": 0, "2": 1}}')
+    code, out, err = run_err(capsys, "gflow", "verify", "--graph", str(gpath), "--gflow", str(fpath))
+    assert (code, out, err) == (2, "", f"error: {error}\n")

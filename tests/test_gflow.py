@@ -8,6 +8,7 @@ from agqc import _gf2
 
 from agqc.gflow import (
     Gflow,
+    GflowFormatError,
     GflowStructureError,
     find_gflow,
     gflow_from_json,
@@ -277,6 +278,18 @@ def test_gflow_json_round_trip():
     gf = zigzag_gflow_family(4, 2)
     back = gflow_from_json(gflow_to_json(gf))
     assert back.g == gf.g and back.layer == gf.layer
+
+
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        ('{"g": {"1": [2, 2], "2": [3]}, "layer": {"1": 0, "2": 1}}', r"g\(1\) lists a vertex twice"),
+        ('{"g": {"1": [2], "2": [3]}, "layer": {"1": 0, "1": 0, "2": 1}}', "repeated key '1'"),
+    ],
+)
+def test_gflow_file_rejects_repeated_vertices_and_keys(text, error):
+    with pytest.raises(GflowFormatError, match=error):
+        gflow_from_json(text)
 
 
 def test_cnot_graph_find_gflow_rowwise():

@@ -195,6 +195,26 @@ def test_parser_rejects_duplicate_inputs_and_outputs(key, ends):
         graph_from_json(text)
 
 
+@pytest.mark.parametrize(
+    "edges, angles, error",
+    [
+        ("[[1,2],[2,2],[2,3]]", '{"1": 0.0, "2": 0.0}', r"edge \[2, 2\] is a self-loop"),
+        ("[[1,2],[2,3]]", '{"1": 0.0, "2": 0.0, "1": 0.5}', "repeated key '1'"),
+    ],
+)
+def test_parser_rejects_self_loops_and_repeated_keys(edges, angles, error):
+    text = '{"n": 3, "edges": %s, "inputs": [1], "outputs": [3], "angles": %s}' % (edges, angles)
+    with pytest.raises(GraphFormatError, match=error):
+        graph_from_json(text)
+
+
+def test_parser_reads_a_missing_angle_as_0():
+    text = '{"n": 3, "edges": [[1,2],[2,3]], "inputs": [1], "outputs": [3], "angles": {"1": 0.5}}'
+    g = graph_from_json(text)
+    assert g.angles == {0: 0.5, 1: 0.0} and g.planes == {0: Plane.XY, 1: Plane.XY}
+    assert validate(g).ok
+
+
 def test_parser_rejects_out_of_range_vertices():
     text = """{"n": 2, "edges": [[1,5]], "inputs": [1], "outputs": [2], "angles": {}}"""
     with pytest.raises(GraphFormatError, match="out of range"):
