@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import functools
+from typing import NamedTuple
+
 import numpy as np
 
 from .budget import CHUNK_BYTES
@@ -47,11 +50,33 @@ def ordered_apply(u: np.ndarray, c: np.ndarray) -> np.ndarray:
 
 def su2_exp(z: np.ndarray, h10: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``exp(-i n.sigma)`` with ``n = (Re h10, Im h10, z)`` as a pair,
-    elementwise: ``(cos r - i sin(r)/r z, -i sin(r)/r h10)`` with ``r = |n|``."""
-    r = np.hypot(z, np.abs(h10))
-    safe = np.where(r > 0, r, 1.0)
-    sinc = np.where(r > 0, np.sin(safe) / safe, 1.0)
-    return np.cos(r) - 1j * sinc * z, -1j * sinc * h10
+    elementwise: ``(cos r - i sin(r)/r z, -i sin(r)/r h10)`` with ``r = |n|``.
+
+    Both come from ``t = tan(r/2)``, which costs a fraction of ``sin`` or
+    ``cos``: ``cos r = 1 - 2 t^2/(1 + t^2)`` and ``sin(r)/r = 2t/((1 + t^2)
+    r)``.  Taking cos r as 1 minus a small term, rather than as ``(1 -
+    t^2)/(1 + t^2)``, keeps its rounding unbiased at small r, where a
+    biased error would add up over thousands of factors.  r is raised to
+    1e-200 at least, where tan is the identity and both are 1 to within
+    1e-400, so r = 0 needs no branch.  r is the root of a sum of squares,
+    so ``|n|`` must stay below ~1e150.
+    """
+    # real buffers updated in place, the last two of them freed before the
+    # complex outputs are formed
+    r = z * z
+    r += (h10 * h10.conj()).real
+    np.sqrt(r, out=r)
+    np.maximum(r, 1e-200, out=r)
+    t = np.tan(0.5 * r)
+    sin2 = t * t
+    d = sin2 + 1.0
+    sin2 /= d  # sin^2(r/2)
+    r *= d
+    del d
+    t += t
+    t /= r  # sin(r)/r
+    del r
+    return (1.0 - (sin2 + sin2)) - 1j * (t * z), (-1j * t) * h10
 
 
 def su2_mul(
@@ -61,29 +86,68 @@ def su2_mul(
     return a1 * a0 - b1.conj() * b0, b1 * a0 + a1.conj() * b0
 
 
-def su2_ordered(
-    alpha: np.ndarray, beta: np.ndarray, v: tuple[np.ndarray, np.ndarray]
+@functools.lru_cache(maxsize=32)
+def halving_order(n: int) -> np.ndarray:
+    """The layout of ``n`` factors, by their index in product order, that
+    makes every level of :func:`su2_ordered`'s pairwise halving multiply two
+    contiguous halves: a level of odd length first takes off its first
+    entry, and the entries at ``h + k`` and ``k`` of ``2h`` are adjacent
+    factors whose product lands at k of the next level."""
+    odd = []  # the levels' parities, top down
+    while n > 1:
+        odd.append(n % 2)
+        n = n - 1 if n % 2 else n // 2
+    order = np.arange(n)
+    for level_odd in reversed(odd):
+        order = (np.concatenate([[0], order + 1]) if level_odd
+                 else np.concatenate([2 * order, 2 * order + 1]))
+    order.flags.writeable = False
+    return order
+
+
+def _su2_halve(
+    alpha: np.ndarray, beta: np.ndarray, v: tuple[np.ndarray, np.ndarray] | None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The pair of ``U[-1] ... U[1] U[0] V`` for the pairs U along axis 0 of
-    ``(alpha, beta)`` and the pair ``v``, by pairwise halving of the stack."""
-    while alpha.shape[0] > 1:
-        if alpha.shape[0] % 2:
-            v, alpha, beta = su2_mul(alpha[0], beta[0], *v), alpha[1:], beta[1:]
-        alpha, beta = su2_mul(alpha[1::2], beta[1::2], alpha[::2], beta[::2])
-    return su2_mul(alpha[0], beta[0], *v)
+    """:func:`su2_ordered` of pairs already laid out in :func:`halving_order`."""
+    while alpha.shape[-1] > 1:
+        if alpha.shape[-1] % 2:
+            first = alpha[..., 0], beta[..., 0]
+            v = first if v is None else su2_mul(*first, *v)
+            alpha, beta = alpha[..., 1:], beta[..., 1:]
+        h = alpha.shape[-1] // 2
+        alpha, beta = su2_mul(alpha[..., h:], beta[..., h:], alpha[..., :h], beta[..., :h])
+    last = alpha[..., 0], beta[..., 0]
+    return last if v is None else su2_mul(*last, *v)
+
+
+def su2_ordered(
+    alpha: np.ndarray, beta: np.ndarray, v: tuple[np.ndarray, np.ndarray] | None
+) -> tuple[np.ndarray, np.ndarray]:
+    """The pair of ``U[..., -1] ... U[..., 1] U[..., 0] V`` for the pairs U
+    along the last axis of ``(alpha, beta)`` and the pair ``v`` (None for the
+    identity), by pairwise halving of that axis, with the pairs gathered
+    into :func:`halving_order` so that each level multiplies two contiguous
+    halves."""
+    order = halving_order(alpha.shape[-1])
+    return _su2_halve(alpha[..., order], beta[..., order], v)
 
 
 def su2_sweep(
     za: np.ndarray, zb: np.ndarray, ha: np.ndarray, hb: np.ndarray, weights: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """The pair of ``prod_w exp(-i n(w).sigma)`` over ``weights`` in order,
-    elementwise over the stacks, with ``z = za + w zb`` and ``h10 = ha + w hb``
-    (:func:`su2_exp`).  Chunks of weights keep the pairs within ``CHUNK_BYTES``."""
-    u = np.ones(za.shape, dtype=complex), np.zeros(za.shape, dtype=complex)
-    per = max(1, CHUNK_BYTES // (32 * za.size))
+    for each entry of the 1-D stacks, with ``z = za + w zb`` and ``h10 = ha +
+    w hb`` (:func:`su2_exp`).  Each entry's exponentials are one contiguous
+    row of an ``(entries, weights)`` array, in chunks of weights that keep
+    the pairs within ``CHUNK_BYTES``; the weights are taken in
+    :func:`halving_order`, so that the exponentials need no gather."""
+    za, zb, ha, hb = (x[:, None] for x in (za, zb, ha, hb))
+    u = None
+    per = max(1, CHUNK_BYTES // (32 * za.shape[0]))
     for lo in range(0, weights.shape[0], per):
-        w = weights[lo:lo + per, None]
-        u = su2_ordered(*su2_exp(za + w * zb, ha + w * hb), u)
+        w = weights[lo:lo + per]
+        w = w[halving_order(w.shape[0])]
+        u = _su2_halve(*su2_exp(za + w * zb, ha + w * hb), u)
     return u
 
 
@@ -101,24 +165,39 @@ def _distinct_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return order[new], inverse
 
 
-def _su2_classes(
-    a: np.ndarray, b: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The 2x2 Hermitian stacks a and b as ``(a0, b0, key, inverse, conj,
-    neg)``: their scalar parts, and their traceless pairs grouped up to a
-    joint conjugation by I, X, Y or Z.
+class Su2Classes(NamedTuple):
+    """A stack of 2x2 Hermitian pairs (A, B) grouped into classes by
+    :func:`su2_classes`: ``h0`` holds each pair's scalar parts as a row
+    ``(a0, b0)``; row c of ``z`` and ``h10`` holds the traceless parts of
+    class c's representative, A's then B's; ``swept`` marks the classes
+    whose traceless A and B parts are both nonzero; pair j is class
+    ``inverse[j]`` conjugated by a Pauli, which ``conj`` and ``neg`` name."""
+
+    h0: np.ndarray
+    z: np.ndarray
+    h10: np.ndarray
+    swept: np.ndarray
+    inverse: np.ndarray
+    conj: np.ndarray
+    neg: np.ndarray
+
+
+def su2_classes(a: np.ndarray, b: np.ndarray) -> Su2Classes:
+    """The 2x2 Hermitian stacks a and b as their scalar parts and their
+    traceless pairs grouped up to a joint conjugation by I, X, Y or Z.
 
     A pair's traceless part is the row ``(z, Re h10, Im h10)`` of A and then
     of B.  Z conjugation negates h10, X negates z and Im h10, Y negates z
     and Re h10.  Each pair is mapped to the one member of its class whose
     first nonzero z entry (A's, else B's) is positive, then its first
     nonzero Re h10 entry, then its first nonzero Im h10 entry, as far as
-    those are free.  Sign flips are exact, so row ``inverse[j]`` of the
-    ``(classes, 6)`` array ``key`` is pair j conjugated; ``conj`` marks an
-    X or Y conjugation and ``neg`` a Z or X one.
+    those are free.  Sign flips are exact, so class ``inverse[j]`` is pair j
+    conjugated; ``conj`` marks an X or Y conjugation and ``neg`` a Z or X
+    one.
     """
-    (a0, az, a10, _), (b0, bz, b10, _) = _two_level(a), _two_level(b)
-    v = np.stack([az, a10.real, a10.imag, bz, b10.real, b10.imag], axis=-1).reshape(-1, 2, 3)
+    # per block, of A then B: Re and Im of h00, h01, h10 and h11
+    x = np.stack([a, b], axis=1).astype(complex, copy=False).view(float).reshape(-1, 2, 8)
+    v = np.stack([0.5 * (x[..., 0] - x[..., 6]), x[..., 4], x[..., 5]], axis=-1)
     lead = np.where(v[:, 0] != 0, v[:, 0], v[:, 1])
     free, down = (lead != 0).T, (lead < 0).T
     flip_r = np.where(free[1], down[1], down[2] ^ down[0])
@@ -127,30 +206,41 @@ def _su2_classes(
     key = (v * (1.0 - 2.0 * np.stack([conj, flip_r, neg], axis=-1))[:, None]).reshape(-1, 6)
     key += 0.0  # -0.0 to 0.0
     first, inverse = _distinct_rows(key)
-    return a0, b0, key[first], inverse, conj, neg
+    key = key[first].reshape(-1, 2, 3)
+    return Su2Classes(0.5 * (x[..., 0] + x[..., 6]), key[..., 0], key[..., 1] + 1j * key[..., 2],
+                      key.any(axis=2).all(axis=1), inverse, conj, neg)
 
 
-def su2_ramp(
-    a: np.ndarray, b: np.ndarray, dt: float, weights: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+def su2_class_ramp(
+    classes: Su2Classes, dt: float, weights: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``prod_w exp(-i dt (A/2 + w B))`` over ``weights`` in order, for each
-    2x2 Hermitian pair of the stacks ``a`` and ``b``, as ``(phase, alpha,
-    beta, distinct)``: the product is ``phase`` times the pair, and
-    ``distinct`` the number of traceless problems actually ramped.
+    pair of the 2x2 Hermitian stacks grouped into ``classes``, as ``(phase,
+    alpha, beta)``: the product is ``phase`` times the pair.
 
     ``h0``, ``z`` and ``h10`` of ``A/2 + w B`` are linear in w, so no matrix
-    is formed (:func:`su2_sweep`); the scalar parts commute with everything
-    and add up to one phase, ``exp(-i dt (W a0/2 + b0 sum w))`` for W
-    weights.  Blocks whose traceless parts agree up to a Pauli conjugation P
-    (:func:`_su2_classes`) share one sweep, mapped back exactly: ``P U P``
-    is ``(alpha, -beta)`` for Z, ``(conj alpha, -conj beta)`` for X and
-    ``(conj alpha, conj beta)`` for Y.
+    is formed; the scalar parts commute with everything and add up to one
+    phase, ``exp(-i dt (W a0/2 + b0 sum w))`` for W weights.  Each swept
+    class is ramped once (:func:`su2_sweep`).  The factors of any other
+    class commute, as its traceless A or B part is exactly zero, and their
+    product is the one exponential ``exp(-i dt (W a/2 + b sum w).sigma)``.
+    A class's pair maps back to each member exactly: ``P U P`` is ``(alpha,
+    -beta)`` for Z, ``(conj alpha, -conj beta)`` for X and ``(conj alpha,
+    conj beta)`` for Y.
     """
-    a0, b0, key, inverse, conj, neg = _su2_classes(a, b)
-    za, ra, ia, zb, rb, ib = key.T
-    u = su2_sweep(0.5 * dt * za, dt * zb, 0.5 * dt * (ra + 1j * ia), dt * (rb + 1j * ib), weights)
-    u = np.array(u)[:, inverse]
+    h0, z, h10, swept, inverse, conj, neg = classes
+    scale, count = np.array([0.5 * dt, dt]), np.array([weights.shape[0], weights.sum()])
+    z, h10 = z * scale, h10 * scale
+    if swept.all():
+        alpha, beta = su2_sweep(*z.T, *h10.T, weights)
+    else:
+        alpha, beta = np.empty((2, z.shape[0]), dtype=complex)
+        flat = ~swept
+        alpha[flat], beta[flat] = su2_exp(z[flat] @ count, h10[flat] @ count)
+        if swept.any():
+            alpha[swept], beta[swept] = su2_sweep(*z[swept].T, *h10[swept].T, weights)
+    u = np.stack([alpha[inverse], beta[inverse]])
     np.conjugate(u, out=u, where=conj)
     np.negative(u[1], out=u[1], where=neg)
-    phase = np.exp(-1j * dt * (0.5 * weights.shape[0] * a0 + weights.sum() * b0))
-    return phase, u[0], u[1], key.shape[0]
+    return np.exp(-1j * (h0 @ (scale * count))), u[0], u[1]
+

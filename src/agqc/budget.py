@@ -15,6 +15,12 @@ MEMORY_BUDGET = 1 << 30
 #: Bytes of one stacked chunk of block exponentials or spectra.
 CHUNK_BYTES = 1 << 18
 
+#: ``2^n``-entry vectors that each state column of a pass over several tau
+#: holds at its peak: the column, its Pauli actions and their scaled sums
+#: on a pair step, or its block coordinates, their Walsh copy and the
+#: propagated stack.  tracemalloc reads ~6 on 12 qubits; one more is spare.
+PASS_COLUMN_VECTORS = 7
+
 
 class SizeCapError(ValueError):
     """The request would allocate past :data:`MEMORY_BUDGET`."""
@@ -44,3 +50,10 @@ def check_vectors(n: int, columns: int) -> None:
     """``columns`` ``2^n``-entry state vectors plus their Pauli-action
     temporaries."""
     check_bytes((2 * columns + 4) * 16 << n, f"{columns} {n}-qubit state vectors")
+
+
+def pass_columns(n: int) -> int:
+    """The most state columns of ``2^n`` entries that one pass of
+    :func:`agqc.sim.evolve_many` may hold (below 1 when none fits), at
+    :data:`PASS_COLUMN_VECTORS` vectors a column."""
+    return MEMORY_BUDGET // (PASS_COLUMN_VECTORS * 16 << n)

@@ -366,10 +366,9 @@ def cmd_reorder(args) -> tuple[str, int]:
         "report": None if report is None else _reorder_doc(report),
     }
     if args.tau:
-        rows = []
-        for tau in (_finite(float(t), "--tau") for t in args.tau.split(",")):
-            res = sim.evolve(schedule, tau)
-            rows.append({"tau": tau, "leakage": res.leakage, "fidelity": res.fidelity})
+        taus = [_finite(float(t), "--tau") for t in args.tau.split(",")]
+        rows = [{"tau": tau, "leakage": res.leakage, "fidelity": res.fidelity}
+                for tau, res in zip(taus, sim.evolve_many(schedule, taus))]
         doc["leakage"] = rows
         if args.leakage_csv:
             lines = ["tau,leakage,fidelity"]

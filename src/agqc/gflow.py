@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 from . import _gf2
 from .budget import approx, check_bytes
-from .graph import OpenGraph, Plane, is_json_int, read_json_object
+from .graph import OpenGraph, Plane, is_json_int, json_label, read_json_object
 
 #: Sentinel layer assigned to outputs in comparisons (beyond all real layers).
 OUTPUT_LAYER = float("inf")
@@ -256,15 +256,22 @@ def gflow_from_json(text: str) -> Gflow:
     )
     try:
         g = {}
-        for v, ws in doc["g"].items():
-            label, listed = int(v), [_json_int(w) - 1 for w in ws]
-            g[label - 1] = corr = frozenset(listed)
+        for key, ws in doc["g"].items():
+            v, listed = _key_vertex(key), [_json_int(w) - 1 for w in ws]
+            g[v] = corr = frozenset(listed)
             if len(corr) < len(listed):
-                raise GflowFormatError(f"g({label}) lists a vertex twice")
-        layer = {int(v) - 1: _json_int(k) for v, k in doc["layer"].items()}
+                raise GflowFormatError(f"g({key}) lists a vertex twice")
+        layer = {_key_vertex(key): _json_int(k) for key, k in doc["layer"].items()}
     except (TypeError, ValueError, AttributeError) as exc:
         raise GflowFormatError(f"malformed entry: {exc}") from exc
     return Gflow(g, layer)
+
+
+def _key_vertex(key: str) -> int:
+    label = json_label(key)
+    if label is None:
+        raise ValueError(f"vertex key {key!r} is not a label 1, 2, ...")
+    return label - 1
 
 
 def _json_int(value: object) -> int:

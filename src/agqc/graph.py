@@ -271,6 +271,18 @@ def is_json_int(value: object) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def json_label(key: str, n: int | None = None) -> int | None:
+    """The vertex label that the JSON object key ``key`` names: ``key`` must
+    be ``str(label)`` for a label in 1..n (any label from 1 when n is None),
+    so that ``"02"``, ``" 2"``, ``"+2"`` and ``"1_0"`` name no vertex; None
+    otherwise."""
+    try:
+        label = int(key)
+    except ValueError:
+        return None
+    return label if str(label) == key and label >= 1 and (n is None or label <= n) else None
+
+
 def read_json_object(
     text: str,
     fields: Collection[str],
@@ -344,17 +356,26 @@ def graph_from_json(text: str) -> OpenGraph:
     for key, labels in (("inputs", inputs), ("outputs", outputs)):
         if len(set(labels)) < len(labels):
             raise GraphFormatError(f"duplicate vertex in '{key}'")
+
+    def key_vertex(key: str) -> int:
+        label = json_label(key, n)
+        if label is None:
+            raise GraphFormatError(f"vertex key {key!r} is not a label in 1..{n}")
+        return label - 1
+
     angles = {}
-    for label, theta in doc["angles"].items():
+    for key, theta in doc["angles"].items():
+        v = key_vertex(key)
         finite = isinstance(theta, (int, float)) and abs(theta) <= sys.float_info.max
         # the comparison is exact: NaN, infinities and integers past float range fail
         if isinstance(theta, bool) or not finite:
-            raise GraphFormatError(f"angle for vertex {label} must be a finite number")
-        angles[vertex(int(label))] = float(theta)
+            raise GraphFormatError(f"angle for vertex {key} must be a finite number")
+        angles[v] = float(theta)
     planes = {}
-    for label, name in doc.get("planes", {}).items():
+    for key, name in doc.get("planes", {}).items():
+        v = key_vertex(key)
         try:
-            planes[vertex(int(label))] = Plane(name)
+            planes[v] = Plane(name)
         except ValueError as exc:
             raise GraphFormatError(f"unknown plane {name!r}") from exc
     return make_graph(n, edges, inputs, outputs, angles, planes)

@@ -14,12 +14,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from . import _gf2
-from ._linalg import eigvalsh, expmi, ordered_apply, su2_ramp
+from ._linalg import eigvalsh, expmi, ordered_apply, su2_class_ramp, su2_classes
 from .budget import CHUNK_BYTES, approx, check_bytes
 from .compiler import Schedule
 from .graph import CLIFFORD_TOL
@@ -146,25 +146,37 @@ class StepBlocks:
         rows = np.concatenate([eigvalsh(h) for h in self._stacks(1.0, s)])
         return np.sort(rows.reshape(s.shape[0], -1), axis=1)
 
-    def propagate(self, psi: np.ndarray, dt: float, weights: np.ndarray) -> tuple[np.ndarray, int]:
-        """Apply ``exp(-i dt (A/2 + w B))`` for each w of ``weights`` in turn,
-        block by block, and count the distinct problems propagated.
+    def propagate(
+        self, psi: np.ndarray, dt: Sequence[float], weights: Iterable[np.ndarray]
+    ) -> tuple[np.ndarray, int]:
+        """Apply ``exp(-i dt_j (A/2 + w B))`` for each w of ``weights_j`` in
+        turn to the j-th equal share of psi's columns, block by block, for
+        each ``(dt_j, weights_j)`` of ``dt`` and ``weights``, and count the
+        distinct problems propagated.
+
         Two-dimensional blocks take the product as an SU(2) pair and a
         phase, one pair per class of blocks whose traceless parts agree up to
-        a Pauli conjugation (:func:`~agqc._linalg.su2_ramp`), applied once;
-        larger ones stack the exponentials over (w x block) and multiply them
-        in order by :func:`~agqc._linalg.ordered_apply`, every block distinct."""
+        a Pauli conjugation (:func:`~agqc._linalg.su2_class_ramp`; classes
+        are found once for every ramp), applied once; larger ones stack the
+        exponentials over (w x block) and multiply them in order by
+        :func:`~agqc._linalg.ordered_apply`, every block distinct."""
         c = self.to_blocks(psi)
+        m = c.shape[2] // len(dt)
+        shares = [c[..., j * m:(j + 1) * m] for j in range(len(dt))]  # views
         if self.dim == 2:
-            phase, alpha, beta, distinct = su2_ramp(self.a, self.b, dt, weights)
-            phase, alpha, beta = phase[:, None, None], alpha[:, None], beta[:, None]
-            c0, c1 = c[:, 0], c[:, 1]
-            c = phase * np.stack(
-                [alpha * c0 - beta.conj() * c1, beta * c0 + alpha.conj() * c1], axis=1)
+            classes = su2_classes(self.a, self.b)
+            for share, step, w in zip(shares, dt, weights):
+                phase, alpha, beta = su2_class_ramp(classes, step, w)
+                phase, alpha, beta = phase[:, None, None], alpha[:, None], beta[:, None]
+                c0, c1 = share[:, 0], share[:, 1]
+                np.multiply(phase, np.stack([alpha * c0 - beta.conj() * c1,
+                                             beta * c0 + alpha.conj() * c1], axis=1), out=share)
+            distinct = classes.z.shape[0]
         else:
-            for h in self._stacks(0.5, weights):
-                h *= dt  # in place, to hold one stack fewer
-                c = ordered_apply(expmi(h), c)
+            for share, step, w in zip(shares, dt, weights):
+                for h in self._stacks(0.5, w):
+                    h *= step  # in place, to hold one stack fewer
+                    share[...] = ordered_apply(expmi(h), share)
             distinct = self.a.shape[0]
         return self.from_blocks(c).reshape(psi.shape), distinct
 

@@ -12,16 +12,20 @@ step from the step's algebra, the smaller of two exact ones:
 * ``"blocks"``: every other step.  A maximal set of ``m`` commuting Pauli
   operators that commute with its terms (see :mod:`agqc.sectors`) splits
   ``H(s) = A + sB`` exactly into ``2^m`` blocks of dimension ``2^(n-m)``,
-  which are propagated (2x2 blocks once per class, see
-  :func:`~agqc._linalg.su2_ramp`), and diagonalized in
+  which are propagated (2x2 blocks once per class, and a class whose
+  traceless A or B part is zero in one exponential, see
+  :func:`~agqc._linalg.su2_class_ramp`), and diagonalized in
   :func:`spectral_scan` and the ground projection, block by block.
 
 Both use the same CF4 weight grid, so they agree to roundoff.  Every 2x2
-propagator is an ordered product of SU(2) pairs times one phase, and every
-2x2 spectrum is taken in closed form; larger ones use ``eigh``.  Sizes are
-limited by the byte budget of :mod:`agqc.budget`, checked before
-allocating.  The basis convention is that bit v of a state index is the
-computational basis state of vertex v.
+propagator is an ordered product of SU(2) pairs, each from ``tan(r/2)``,
+times one phase, and every 2x2 spectrum is taken in closed form; larger
+ones use ``eigh``.  :func:`evolve_many` runs a list of tau specs in one pass
+over the schedule, as extra state columns, in as many passes as
+:func:`~agqc.budget.pass_columns` requires.  Sizes are limited by the byte
+budget of :mod:`agqc.budget`, checked before allocating.  The basis
+convention is that bit v of a state index is the computational basis
+state of vertex v.
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ from typing import Sequence
 import numpy as np
 
 from ._linalg import su2_sweep
+from . import budget
 from .budget import check_bytes, check_vectors
 from .compiler import DEGENERACY_TOL, Schedule, ScheduleStep
 from .gflow import Gflow
@@ -210,12 +215,13 @@ def _cf4_weights(n_sub: int) -> np.ndarray:
 
 
 def _propagate_blocks(
-    blocks: StepBlocks, psi: np.ndarray, tau: float, dt_max: float
+    blocks: StepBlocks, psi: np.ndarray, taus: Sequence[float], dt_max: float
 ) -> tuple[np.ndarray, int]:
     """CF4 Magnus integration of H(s) = A + sB block by block, s ramping
-    0 -> 1 over tau, and the number of distinct problems propagated."""
-    n_sub = _n_substeps(tau, dt_max)
-    return blocks.propagate(psi, tau / n_sub, _cf4_weights(n_sub))
+    0 -> 1 over each tau of ``taus``, one for each equal share of psi's
+    columns, and the number of distinct problems propagated."""
+    n_subs = [_n_substeps(t, dt_max) for t in taus]
+    return blocks.propagate(psi, [t / n for t, n in zip(taus, n_subs)], map(_cf4_weights, n_subs))
 
 
 def _is_pair_step(step: ScheduleStep) -> bool:
@@ -249,22 +255,37 @@ def _pair_coefficients(
 
 def _propagate_pair_step(
     step: ScheduleStep,
-    coeffs: tuple[complex, complex, complex, complex],
-    gamma_tau: float,
+    coeffs: Sequence[complex | np.ndarray],
+    gamma_tau: float | np.ndarray,
     psi: np.ndarray,
 ) -> np.ndarray:
     """Apply ``prod_v (c0 + c1 R_v + c2 I_v + c3 R_v I_v)`` and
     ``exp(i gamma tau S) = cos(gamma tau) + i sin(gamma tau) S`` for every
-    static term S; all factors commute on a pair step."""
+    static term S; all factors commute on a pair step.  Each coefficient and
+    ``gamma_tau`` is one number, or one for each column of psi."""
     c0, c1, c2, c3 = coeffs
     for v in sorted(step.removed):
         r_v = step.removed[v]
         i_psi = apply_op(step.introduced[v], psi)
         psi = c0 * psi + c1 * apply_op(r_v, psi) + c2 * i_psi + c3 * apply_op(r_v, i_psi)
-    cos, isin = math.cos(gamma_tau), 1j * math.sin(gamma_tau)
+    cos, isin = np.cos(gamma_tau), 1j * np.sin(gamma_tau)
     for st in step.static_terms:
         psi = cos * psi + isin * apply_op(st, psi)
     return psi
+
+
+def _tau_list(schedule: Schedule, tau_per_step: float | Sequence[float]) -> list[float]:
+    """One positive tau per step of the schedule, from a tau or a list."""
+    taus = (
+        [float(tau_per_step)] * len(schedule.steps)
+        if isinstance(tau_per_step, (int, float))
+        else [float(t) for t in tau_per_step]
+    )
+    if len(taus) != len(schedule.steps):
+        raise ValueError("need one tau per step")
+    if min(taus) <= 0:
+        raise ValueError("tau must be positive")
+    return taus
 
 
 def evolve(
@@ -280,64 +301,87 @@ def evolve(
     ramp, and the overlap with the reference final basis is polar-corrected
     into a unitary, ``W V^dagger`` from its SVD ``W S V^dagger``.
 
-    Requires ``|inputs| == |outputs|`` for unitary extraction.
+    Requires ``|inputs| == |outputs|`` for unitary extraction.  The
+    one-spec call of :func:`evolve_many`.
     """
-    graph = schedule.graph
-    n = graph.n_vertices
+    return evolve_many(schedule, [tau_per_step], dt_max)[0]
+
+
+def evolve_many(
+    schedule: Schedule,
+    tau_specs: Sequence[float | Sequence[float]],
+    dt_max: float = 0.25,
+) -> list[EvolutionResult]:
+    """:func:`evolve` for each of ``tau_specs`` (a tau, or one per step) in
+    one pass over the schedule, each spec's logical basis a share of the
+    state's columns.  Each step's method and block form, its 2x2 classes,
+    both logical bases and the ground projection are built once; the CF4
+    weights, pair coefficients or class sweeps, block phases and polar
+    extraction are each spec's own.  A pass holds as many specs as
+    :func:`~agqc.budget.pass_columns` admits, and at least one; each pass
+    is checked by :func:`~agqc.budget.check_vectors`, as one spec always was.
+    """
     if not schedule.steps:
         raise ValueError("empty schedule")
-    taus = (
-        [float(tau_per_step)] * len(schedule.steps)
-        if isinstance(tau_per_step, (int, float))
-        else [float(t) for t in tau_per_step]
-    )
-    if len(taus) != len(schedule.steps):
-        raise ValueError("need one tau per step")
-    if min(taus) <= 0:
-        raise ValueError("tau must be positive")
+    specs = [_tau_list(schedule, spec) for spec in tau_specs]
+    graph, n = schedule.graph, schedule.n_qubits
+    m = 1 << len(graph.inputs)
+    per = max(1, budget.pass_columns(n) // m)
+    if len(specs) > per:
+        return [res for lo in range(0, len(specs), per)
+                for res in evolve_many(schedule, specs[lo:lo + per], dt_max)]
+    check_vectors(n, m * len(specs))
+    n_subs = [[_n_substeps(tau, dt_max) for tau in taus] for taus in specs]
 
-    frame_in = initial_frame(graph, schedule.gflow)
     first = schedule.steps[0]
     initial_terms = list(first.static_terms) + list(first.removed.values())
-    psi = logical_basis_from_ops(initial_terms, frame_in, graph.n_vertices)
-    pair_coeffs: dict[float, tuple[complex, complex, complex, complex]] = {}
+    psi = np.tile(logical_basis_from_ops(initial_terms, initial_frame(graph, schedule.gflow), n),
+                  len(specs))
+    shares = [slice(j * m, (j + 1) * m) for j in range(len(specs))]
+    pair_coeffs: dict[tuple[float, ...], tuple[np.ndarray, np.ndarray]] = {}
     propagation = []
-    for k, (step, tau) in enumerate(zip(schedule.steps, taus)):
+    for k, step in enumerate(schedule.steps):
+        taus = tuple(spec[k] for spec in specs)
         if _is_pair_step(step):
-            if tau not in pair_coeffs:
-                pair_coeffs[tau] = _pair_coefficients(schedule.gamma, tau, dt_max)
-            psi = _propagate_pair_step(step, pair_coeffs[tau], schedule.gamma * tau, psi)
+            if taus not in pair_coeffs:  # one coefficient for each column
+                per_tau = {tau: _pair_coefficients(schedule.gamma, tau, dt_max) for tau in taus}
+                pair_coeffs[taus] = (np.repeat([per_tau[tau] for tau in taus], m, axis=0).T,
+                                     schedule.gamma * np.repeat(taus, m))
+            psi = _propagate_pair_step(step, *pair_coeffs[taus], psi)
             method, dim, distinct = "pair", 2, 1
         else:
             blocks = step_blocks(schedule, k)
-            psi, distinct = _propagate_blocks(blocks, psi, tau, dt_max)
+            psi, distinct = _propagate_blocks(blocks, psi, taus, dt_max)
             method, dim = "blocks", blocks.dim
-        propagation.append(StepPropagation(method, _n_substeps(tau, dt_max), dim, distinct))
+        propagation.append([StepPropagation(method, n_sub[k], dim, distinct) for n_sub in n_subs])
 
     finals = _final_terms(schedule)
     commuting = _terms_commute(finals)
     weights = np.linalg.norm(_ground_components(schedule, finals, commuting, psi), axis=0) ** 2
-    leakage = float(1.0 - np.mean(weights))
-
-    logical_unitary = None
-    overlap = None
-    defect = math.nan
+    ref = None
     if commuting and len(graph.inputs) == len(graph.outputs):
-        ref = logical_basis_from_ops(finals, final_frame(graph), n)
-        overlap = ref.conj().T @ psi
-        w, _, vh = np.linalg.svd(overlap)
-        logical_unitary = w @ vh
-        defect = float(np.linalg.norm(overlap - logical_unitary, 2))
-    return EvolutionResult(
-        final_states=psi,
-        overlap_matrix=overlap,
-        logical_unitary=logical_unitary,
-        leakage=leakage,
-        fidelity=1.0 - leakage,
-        tau_used=tuple(taus),
-        unitarity_defect=defect,
-        propagation=tuple(propagation),
-    )
+        ref = logical_basis_from_ops(finals, final_frame(graph), n).conj().T
+    results = []
+    for j, (share, taus) in enumerate(zip(shares, specs)):
+        leakage = float(1.0 - np.mean(weights[share]))
+        overlap = logical_unitary = None
+        defect = math.nan
+        if ref is not None:
+            overlap = ref @ psi[:, share]
+            w, _, vh = np.linalg.svd(overlap)
+            logical_unitary = w @ vh
+            defect = float(np.linalg.norm(overlap - logical_unitary, 2))
+        results.append(EvolutionResult(
+            final_states=psi[:, share],
+            overlap_matrix=overlap,
+            logical_unitary=logical_unitary,
+            leakage=leakage,
+            fidelity=1.0 - leakage,
+            tau_used=tuple(taus),
+            unitarity_defect=defect,
+            propagation=tuple(row[j] for row in propagation),
+        ))
+    return results
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import agqc
 from agqc.cli import main
@@ -445,9 +445,23 @@ def _graph_and_gflow_docs(draw):
     return draw(_mutated(graph_doc)), draw(_mutated(gflow_doc))
 
 
+def _deep_mutation(edit):
+    """The chain-3 documents of ``_BASE_DOCS`` with ``edit`` applied: a
+    mutation that hypothesis's draw order might never reach."""
+    graph_doc, gflow_doc = copy.deepcopy(_BASE_DOCS[0])
+    edit(graph_doc, gflow_doc)
+    return graph_doc, gflow_doc
+
+
 @settings(max_examples=100, derandomize=True, database=None, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(docs=_graph_and_gflow_docs())
+# a non-output angle dropped from an otherwise valid file
+@example(docs=_deep_mutation(lambda g, f: g["angles"].pop("2")))
+# a correcting set that lists a vertex twice
+@example(docs=_deep_mutation(lambda g, f: f["g"].update({"1": [2, 2]})))
+# a vertex key that is not the canonical spelling of its label
+@example(docs=_deep_mutation(lambda g, f: g["angles"].update({"02": g["angles"].pop("2")})))
 def test_arbitrary_graph_and_gflow_files_exit_0_1_or_2(tmp_path, capsys, docs):
     graph_doc, gflow_doc = docs
     gpath, fpath = tmp_path / "g.json", tmp_path / "f.json"
@@ -1016,3 +1030,37 @@ def test_repeated_keys_and_correcting_set_vertices_are_exit_2(tmp_path, capsys, 
     fpath.write_text(gflow_doc or '{"g": {"1": [2], "2": [3]}, "layer": {"1": 0, "2": 1}}')
     code, out, err = run_err(capsys, "gflow", "verify", "--graph", str(gpath), "--gflow", str(fpath))
     assert (code, out, err) == (2, "", f"error: {error}\n")
+
+
+@pytest.mark.parametrize("key", ["02", " 2", "+2", "1_0"])
+@pytest.mark.parametrize("field", ["angles", "planes", "g", "layer"])
+def test_non_canonical_vertex_keys_are_exit_2(tmp_path, capsys, field, key):
+    graph_doc = {"n": 3, "edges": [[1, 2], [2, 3]], "inputs": [1], "outputs": [3],
+                 "angles": {"1": 0.0, "2": 0.0}, "planes": {"1": "XY", "2": "XY"}}
+    gflow_doc = {"g": {"1": [2], "2": [3]}, "layer": {"1": 0, "2": 1}}
+    doc = graph_doc if field in graph_doc else gflow_doc
+    doc[field][key] = doc[field].pop("2")
+    gpath, fpath = tmp_path / "g.json", tmp_path / "f.json"
+    gpath.write_text(json.dumps(graph_doc))
+    fpath.write_text(json.dumps(gflow_doc))
+    code, out, err = run_err(capsys, "gflow", "verify", "--graph", str(gpath), "--gflow", str(fpath))
+    assert code == 2 and out == "" and err.count("\n") == 1
+    assert err.startswith("error:") and f"vertex key {key!r} is not a label" in err
+
+
+def test_reorder_evolves_its_tau_list_in_one_call(monkeypatch, capsys):
+    from agqc import sim
+
+    calls = []
+    evolve_many = sim.evolve_many
+    monkeypatch.setattr(sim, "evolve_many",
+                        lambda sched, specs: calls.append(list(specs)) or evolve_many(sched, specs))
+    code, out = run(capsys, "reorder", "--graph", "chain:4", "--order", "3,1,2", "--tau", "10,100,1000")
+    assert code == 1 and calls == [[10.0, 100.0, 1000.0]]
+    g = generate_chain(4)
+    sched, _ = compile_reordered_fixed(g, find_gflow(g), [2, 0, 1])
+    rows = json.loads(out)["leakage"]
+    assert [row["tau"] for row in rows] == [10.0, 100.0, 1000.0]
+    for row in rows:
+        res = evolve_many(sched, [row["tau"]])[0]
+        assert abs(row["leakage"] - res.leakage) < 1e-13 and abs(row["fidelity"] - res.fidelity) < 1e-13

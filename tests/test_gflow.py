@@ -1,5 +1,7 @@
 import itertools
+import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -290,6 +292,15 @@ def test_gflow_json_round_trip():
 def test_gflow_file_rejects_repeated_vertices_and_keys(text, error):
     with pytest.raises(GflowFormatError, match=error):
         gflow_from_json(text)
+
+
+@pytest.mark.parametrize("key", ["01", " 1", "+1", "1.0", "0_1", "0", "-1", "one"])
+@pytest.mark.parametrize("field", ["g", "layer"])
+def test_gflow_file_accepts_only_canonical_vertex_keys(field, key):
+    doc = {"g": {"1": [2], "2": [3]}, "layer": {"1": 0, "2": 1}}
+    doc[field] = {key if k == "1" else k: v for k, v in doc[field].items()}
+    with pytest.raises(GflowFormatError, match=re.escape(f"vertex key {key!r} is not a label")):
+        gflow_from_json(json.dumps(doc))
 
 
 def test_cnot_graph_find_gflow_rowwise():

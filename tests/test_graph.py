@@ -1,4 +1,6 @@
+import json
 import math
+import re
 
 import pytest
 
@@ -11,6 +13,7 @@ from agqc.graph import (
     generate_zigzag,
     graph_from_json,
     graph_to_json,
+    json_label,
     make_graph,
     validate,
 )
@@ -206,6 +209,24 @@ def test_parser_rejects_self_loops_and_repeated_keys(edges, angles, error):
     text = '{"n": 3, "edges": %s, "inputs": [1], "outputs": [3], "angles": %s}' % (edges, angles)
     with pytest.raises(GraphFormatError, match=error):
         graph_from_json(text)
+
+
+_SPELLINGS = ["02", " 2", "2 ", "+2", "2.0", "1_0", "0", "4", "-1", "\u0662", "two", ""]
+
+
+@pytest.mark.parametrize("key", _SPELLINGS)
+@pytest.mark.parametrize("field", ["angles", "planes"])
+def test_parser_accepts_only_canonical_vertex_keys(field, key):
+    # a key is str(label) for a label in 1..n; "02" or " 2" once read as
+    # vertex 2, "1_0" as vertex 10, and a later entry silently won
+    entries = {"angles": '"1": 0.0, %s: 0.5', "planes": '"1": "XY", %s: "XY"'}[field]
+    text = ('{"n": 3, "edges": [[1,2],[2,3]], "inputs": [1], "outputs": [3], "angles": {"1": 0.0}, '
+            '"%s": {%s}}' % (field, entries % json.dumps(key)))
+    if field == "angles":
+        text = text.replace('"angles": {"1": 0.0}, ', "")
+    with pytest.raises(GraphFormatError, match=re.escape(f"vertex key {key!r} is not a label in 1..3")):
+        graph_from_json(text)
+    assert json_label("2", 3) == 2 and json_label(key, 3) is None
 
 
 def test_parser_reads_a_missing_angle_as_0():

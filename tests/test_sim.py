@@ -21,7 +21,16 @@ from agqc.logical import initial_frame
 from agqc.logical import chain_unitary, compare
 from agqc import _linalg, budget, sectors, sim
 from agqc.budget import SizeCapError
-from agqc._linalg import _two_level, eigvalsh, expmi, ordered_apply, su2_exp, su2_ordered, su2_ramp
+from agqc._linalg import (
+    _two_level,
+    eigvalsh,
+    expmi,
+    ordered_apply,
+    su2_class_ramp,
+    su2_classes,
+    su2_exp,
+    su2_ordered,
+)
 from agqc.pauli import (
     Commutation,
     PauliString,
@@ -342,7 +351,8 @@ def test_ordered_products_match_sequential_matmul(rng):
             want_u = u[k] @ want_u
             want_su2 = _su2_matrix(alpha[k], beta[k]) @ want_su2
         assert np.max(np.abs(ordered_apply(u, y) - want_u)) < 1e-13, m
-        assert np.max(np.abs(_su2_matrix(*su2_ordered(alpha, beta, v)) - want_su2)) < 1e-13, m
+        # su2_ordered takes the stack along the last axis
+        assert np.max(np.abs(_su2_matrix(*su2_ordered(alpha.T, beta.T, v)) - want_su2)) < 1e-13, m
 
 
 @pytest.mark.parametrize("kind", ["random", "diagonal", "tiny", "large"])
@@ -355,7 +365,7 @@ def test_su2_ramp_matches_products_of_eigh_exponentials(rng, kind):
     a, b = scale * a, scale * b
     per = budget.CHUNK_BYTES // (32 * n_blocks)
     weights = rng.uniform(0.0, 1.0, 2 * per + 37)  # crosses two chunk boundaries
-    phase, alpha, beta, _ = su2_ramp(a, b, dt, weights)
+    phase, alpha, beta = su2_class_ramp(su2_classes(a, b), dt, weights)
     want = np.broadcast_to(np.eye(2), a.shape)
     for w in weights:
         want = expmi(dt * (0.5 * a + w * b)) @ want
@@ -368,35 +378,37 @@ def test_su2_ramp_stays_unitary_over_8000_factors(rng):
     a, b = _hermitian_stack(rng, 8, 1.0), _hermitian_stack(rng, 8, 1.0)
     weights = _cf4_weights(4000)
     assert weights.shape == (8000,)
-    phase, alpha, beta, _ = su2_ramp(a, b, 0.25, weights)
+    phase, alpha, beta = su2_class_ramp(su2_classes(a, b), 0.25, weights)
     assert np.max(np.abs(np.abs(alpha) ** 2 + np.abs(beta) ** 2 - 1.0)) <= 1e-13
     assert np.max(np.abs(np.abs(phase) - 1.0)) <= 1e-15
 
 
 def _su2_ramp_per_block(a, b, dt, weights):
-    """Reference: :func:`su2_ramp` with every block ramped on its own, as
+    """Reference: :func:`su2_class_ramp` with every block ramped on its own, as
     ``(phase, alpha, beta)``."""
     a0, az, a10, _ = _two_level(a)
     b0, bz, b10, _ = _two_level(b)
     za, zb, ha, hb = 0.5 * dt * az, dt * bz, 0.5 * dt * a10, dt * b10
     u = np.ones(a0.shape, dtype=complex), np.zeros(a0.shape, dtype=complex)
     per = max(1, budget.CHUNK_BYTES // (32 * a0.size))
+    za, zb, ha, hb = (x[:, None] for x in (za, zb, ha, hb))
     for lo in range(0, weights.shape[0], per):
-        w = weights[lo:lo + per, None]
+        w = weights[lo:lo + per]  # each block's factors along the last axis
         u = su2_ordered(*su2_exp(za + w * zb, ha + w * hb), u)
     phase = np.exp(-1j * dt * (0.5 * weights.shape[0] * a0 + weights.sum() * b0))
     return (phase, *u)
 
 
 def _assert_ramp_matches_per_block(a, b, dt, weights, scale=1.0):
-    """su2_ramp against the per-block reference, within the bound of the eigh
-    comparison; returns the number of classes ramped."""
-    phase, alpha, beta, distinct = su2_ramp(a, b, dt, weights)
+    """su2_class_ramp against the per-block reference, within the bound of
+    the eigh comparison; returns the number of classes ramped."""
+    classes = su2_classes(a, b)
+    phase, alpha, beta = su2_class_ramp(classes, dt, weights)
     want = _su2_ramp_per_block(a, b, dt, weights)
     tol = 1e-15 * len(weights) * max(1.0, dt * scale)
     for got, ref in zip((phase, alpha, beta), want):
         assert np.max(np.abs(got - ref)) < tol
-    return distinct
+    return classes.z.shape[0]
 
 
 _PAULIS = {"I": np.eye(2), "X": np.array([[0, 1], [1, 0]]), "Y": np.array([[0, -1j], [1j, 0]]),
@@ -432,6 +444,89 @@ def test_su2_ramp_groups_signed_zeros_identical_and_distinct_blocks(rng):
     assert _assert_ramp_matches_per_block(a, b, 0.5, weights) == 40
 
 
+def _su2_exp_reference(z, h10):
+    """exp(-i n.sigma) of :func:`su2_exp`'s arguments, by eigh."""
+    h = np.stack([np.stack([z + 0j, h10.conj()], -1), np.stack([h10, -z + 0j], -1)], -2)
+    return expmi(h)
+
+
+def test_su2_exp_tan_half_angle_form_matches_eigh_at_the_poles_and_tiny_r(rng):
+    directions = rng.standard_normal((16, 3))
+    directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+    # tan(r/2) has its pole at r = pi and 3 pi, and its zero at 2 pi
+    poles = np.array([np.nextafter(k * np.pi, x) for k in (1, 2, 3) for x in (0.0, k * np.pi, 10.0)])
+    grid = np.linspace(0.0, 40.0, 4001)
+    tiny = np.array([5e-324, 1e-310, 1e-300, 1e-200, 1e-160, 1e-150, 1e-100, 1e-20, 1e-8])
+    for r in (poles, grid, tiny):
+        n = r[:, None, None] * directions  # (r, direction, xyz)
+        z, h10 = n[..., 2], n[..., 0] + 1j * n[..., 1]
+        alpha, beta = su2_exp(z, h10)
+        # eigh's own error is ~eps max(1, r)
+        tol = 1e-14 * np.maximum(1.0, r)[:, None]
+        assert np.all(np.max(np.abs(_su2_matrix(alpha, beta) - _su2_exp_reference(z, h10)),
+                             axis=(-1, -2)) <= tol)
+        assert np.max(np.abs(np.abs(alpha) ** 2 + np.abs(beta) ** 2 - 1.0)) < 2e-15  # a few ulp
+    # below r ~ 1e-100 the pair is 1 - i n.sigma exactly, as cos r and
+    # sin(r)/r are 1 to within r^2
+    small = tiny <= 1e-100
+    z, h10 = tiny[small] * directions[:, 2, None], tiny[small] * (directions[:, :1] + 1j * directions[:, 1:2])
+    alpha, beta = su2_exp(z, h10)
+    assert np.array_equal(alpha, 1.0 - 1j * z) and np.array_equal(beta, -1j * h10)
+
+
+def _zero_part_stacks(rng):
+    """2x2 stacks whose traceless A part, B part or both are exactly zero,
+    some with -0.0 entries and scalar parts, beside blocks with both parts."""
+    h = _hermitian_stack(rng, 6, 1.0)
+    scalar = rng.standard_normal((6, 1, 1)) * np.eye(2)
+    signed = np.array([[1.5, complex(-0.0, -0.0)], [complex(-0.0, 0.0), 1.5]])
+    a = np.concatenate([scalar[:2], h[:2], scalar[2:4] + 0.0 * h[2:4], [signed], h[4:]])
+    b = np.concatenate([h[:2], scalar[:2], -0.0 * h[2:4], [signed * 0.5], h[:2][::-1]])
+    return a, b
+
+
+def test_su2_ramp_takes_classes_with_a_zero_part_in_one_exponential(monkeypatch, rng):
+    a, b = _zero_part_stacks(rng)
+    classes = _linalg.su2_classes(a, b)
+    swept = classes.swept[classes.inverse]
+    assert not swept[:7].any() and swept[7:].all()
+    calls = []
+    exp2 = _linalg.su2_exp
+
+    def su2_exp_recording(z, h10):
+        calls.append(z.shape)
+        return exp2(z, h10)
+
+    monkeypatch.setattr(_linalg, "su2_exp", su2_exp_recording)
+    weights = _cf4_weights(4000)
+    per = budget.CHUNK_BYTES // (32 * 2)
+    for pick in ([0, 1], [2, 3], [4, 5], [6], list(range(9))):  # A = 0, B = 0, both, -0.0, mixed
+        calls.clear()
+        distinct = _assert_ramp_matches_per_block(a[pick], b[pick], 0.25, weights)
+        flat = int((~classes.swept[np.unique(classes.inverse[pick])]).sum())
+        # one call for the classes with a zero part, the rest swept in chunks
+        assert [shape for shape in calls if len(shape) == 1] == [(flat,)]
+        assert len(calls) == 1 + (distinct > flat) * -(-weights.shape[0] // per)
+
+
+def test_near_parallel_nonzero_parts_still_go_through_the_sweep(monkeypatch):
+    # A = (z, Re h10) = (1, fl(1/3)) and B = (3, 1): the rounded cross
+    # product 1 * 1 - fl(1/3) * 3 is exactly 0, yet they are not parallel, so
+    # the ramp's factors do not commute exactly
+    third = 1.0 / 3.0
+    assert 1.0 * 1.0 - third * 3.0 == 0.0
+    x, z = np.array([[0, 1], [1, 0]]), np.diag([1.0, -1.0])
+    a, b = (z + third * x)[None], (3.0 * z + x)[None]
+    assert _linalg.su2_classes(a, b).swept.all()
+    ndims = []
+    exp2 = _linalg.su2_exp
+    monkeypatch.setattr(_linalg, "su2_exp", lambda z, h10: ndims.append(z.ndim) or exp2(z, h10))
+    for scale in (1.0, 32.0):
+        ndims.clear()
+        _assert_ramp_matches_per_block(scale * a, scale * b, 0.25, _cf4_weights(4000), scale)
+        assert ndims and set(ndims) == {2}
+
+
 def _reordered_chain_schedules():
     orders = {4: [2, 0, 1], 5: [1, 3, 0, 2], 10: [1, 0, 3, 2, 5, 4, 7, 6, 8],
               12: [2, 0, 1, 5, 3, 4, 8, 6, 7, 10, 9]}
@@ -453,23 +548,130 @@ def test_su2_ramp_matches_per_block_on_reordered_chains():
             assert distinct <= 4 < blocks.a.shape[0], (name, k, distinct)
 
 
+# --- several tau specs in one pass -------------------------------------------
+
+_TAUS = (0.7, 10.0, 100.0, 1000.0)
+
+
+def _one_pass_schedules():
+    seeded = generate_chain(5, [0.0, 0.4, 1.3, 2.2, 0.0])
+    cases = [
+        ("chain5-stepwise", compile_stepwise(seeded, chain_gflow(5))),
+        ("chain5-layered", compile_layered(seeded, chain_gflow(5), gamma=0.7)),
+        ("cnot", compile_stepwise(generate_cnot_graph(), find_gflow(generate_cnot_graph()))),
+        ("zigzag3", compile_layered(generate_zigzag(3), zigzag_gflow_family(3, 2))),
+        ("cluster2x3", compile_layered(generate_cluster(2, 3), cluster_gflow(2, 3))),
+        # 2x2 blocks in the first steps, 4x4 ones later
+        ("chain5-seeded-fixed", compile_reordered_fixed(seeded, chain_gflow(5), [1, 3, 0, 2])[0]),
+    ]
+    cases += list(_reordered_chain_schedules())
+    return [pytest.param(sched, id=name) for name, sched in cases]
+
+
+def _assert_same_evolution(got, want, tol=1e-13):
+    assert got.tau_used == want.tau_used and got.propagation == want.propagation
+    assert np.max(np.abs(got.final_states - want.final_states)) < tol
+    assert abs(got.leakage - want.leakage) < tol and abs(got.fidelity - want.fidelity) < tol
+    if want.logical_unitary is None:
+        assert got.logical_unitary is None and math.isnan(got.unitarity_defect)
+    else:
+        assert np.max(np.abs(got.logical_unitary - want.logical_unitary)) < tol
+        assert abs(got.unitarity_defect - want.unitarity_defect) < tol
+
+
+@pytest.mark.parametrize("sched", _one_pass_schedules())
+def test_one_pass_over_several_taus_matches_one_call_per_tau(monkeypatch, sched):
+    ramp = [10.0 * (k + 1) for k in range(len(sched.steps))]  # a spec of one tau per step
+    specs = [*_TAUS, ramp]
+    for got, spec in zip(sim.evolve_many(sched, specs), specs):
+        _assert_same_evolution(got, evolve(sched, spec))
+    # each 2x2 block step is classified once for the whole list
+    classified = []
+    classes = _linalg.su2_classes
+    monkeypatch.setattr(sectors, "su2_classes", lambda a, b: classified.append(1) or classes(a, b))
+    sim.evolve_many(sched, [0.7, 2.0, 3.0])
+    assert len(classified) == sum(
+        not _is_pair_step(step) and step_blocks(sched, k).dim == 2
+        for k, step in enumerate(sched.steps)
+    )
+
+
+def _pass_schedules():
+    g = generate_chain(12, [0.0, 0.3] * 6)
+    return {
+        "chain12-stepwise": compile_stepwise(g, chain_gflow(12)),
+        "chain12-layered": compile_layered(g, chain_gflow(12)),
+        "cluster3x4-stepwise": compile_stepwise(generate_cluster(3, 4), cluster_gflow(3, 4)),
+    }
+
+
+@pytest.mark.parametrize("name", list(_pass_schedules()))
+def test_a_tau_list_over_the_pass_budget_runs_in_passes(monkeypatch, name):
+    # a pass holds as many taus as budget.pass_columns admits, and one tau
+    # wherever check_vectors admits its columns; these pair-step schedules
+    # build no block form, so they run where one tau's columns just fit
+    sched = _pass_schedules()[name]
+    n, m = sched.n_qubits, 1 << len(sched.graph.inputs)
+    want = [evolve(sched, tau) for tau in _TAUS]
+    passes = []
+    check = sim.check_vectors
+    monkeypatch.setattr(sim, "check_vectors", lambda n, cols: passes.append(cols) or check(n, cols))
+    for fit in (1, 2, 3):
+        charge = budget.PASS_COLUMN_VECTORS * fit * m * 16 << n
+        monkeypatch.setattr(budget, "MEMORY_BUDGET", charge if fit > 1 else (2 * m + 4) * 16 << n)
+        assert budget.pass_columns(n) < 2 * m if fit == 1 else budget.pass_columns(n) == fit * m
+        passes.clear()
+        for got, res in zip(sim.evolve_many(sched, _TAUS), want):
+            _assert_same_evolution(got, res)
+        assert passes == [fit * m] * (len(_TAUS) // fit) + [len(_TAUS) % fit * m] * (len(_TAUS) % fit > 0)
+
+
+def _traced_peak(run):
+    tracemalloc.start()
+    try:
+        run()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
+@pytest.mark.parametrize("name", ["chain12-stepwise", "cluster3x4-stepwise", "chain12-fixed",
+                                  "chain12-strip", "chain8-seeded-fixed"])
+def test_each_column_of_a_pass_holds_at_most_its_charge(name):
+    # every tau past the first adds its columns and their temporaries, which
+    # budget.pass_columns charges PASS_COLUMN_VECTORS vectors a column; pair
+    # steps, 2x2 and 4x4 block steps alike
+    seeded = generate_chain(8, [0.0, 0.4, 1.3, 2.2, 0.9, 2.8, 0.5, 0.0])
+    cases = {**_pass_schedules(), **dict(_reordered_chain_schedules()),
+             "chain8-seeded-fixed": compile_reordered_fixed(seeded, chain_gflow(8),
+                                                            [1, 3, 0, 5, 2, 6, 4])[0]}
+    sched, taus = cases[name], (5.0, 10.0, 20.0, 40.0)
+    n, m = sched.n_qubits, 1 << len(sched.graph.inputs)
+    sim.evolve_many(sched, taus)  # once untraced, so that both runs start alike
+    one, several = (_traced_peak(lambda: sim.evolve_many(sched, specs)) for specs in (taus[:1], taus))
+    assert several - one <= budget.PASS_COLUMN_VECTORS * (len(taus) - 1) * m * 16 << n
+
+
 def test_each_class_of_a_step_is_propagated_once(monkeypatch, rng):
+    # (swept, width): a sweep's exponentials hold one row per class, and the
+    # one call for the classes whose A or B part is zero is 1-D
     widths = []
     exp2, expn = _linalg.su2_exp, sectors.expmi
 
     def su2_exp_recording(z, h10):
-        widths.append(z.shape[-1])
+        widths.append((z.ndim == 2, z.shape[0]))
         return exp2(z, h10)
 
     def expmi_recording(h):
-        widths.append(h.shape[1])
+        widths.append((True, h.shape[1]))
         return expn(h)
 
     monkeypatch.setattr(_linalg, "su2_exp", su2_exp_recording)
     monkeypatch.setattr(sectors, "expmi", expmi_recording)
     g = generate_chain(6, [0.0] * 6)
     seeded = generate_chain(5, [0.0, 0.4, 1.3, 2.2, 0.0])
-    merged = False
+    merged = single = False
     for sched in (compile_reordered_fixed(g, chain_gflow(6), [2, 0, 1, 4, 3])[0],
                   compile_reordered_strip(g, chain_gflow(6), [2, 0, 1, 4, 3]),
                   compile_reordered_fixed(seeded, chain_gflow(5), [1, 3, 0, 2])[0]):
@@ -478,13 +680,17 @@ def test_each_class_of_a_step_is_propagated_once(monkeypatch, rng):
                 continue
             blocks = step_blocks(sched, k)
             widths.clear()
-            _, distinct = _propagate_blocks(blocks, _random_states(rng, sched.n_qubits), 2.0, 0.25)
-            assert widths and set(widths) == {distinct}
+            _, distinct = _propagate_blocks(blocks, _random_states(rng, sched.n_qubits), [2.0], 0.25)
+            swept = {w for is_swept, w in widths if is_swept}
+            flat = [w for is_swept, w in widths if not is_swept]
+            assert widths and len(swept) <= 1 and len(flat) <= 1
+            assert sum(swept) + sum(flat) == distinct
+            single |= bool(flat)
             if blocks.dim == 2:
                 merged |= distinct < blocks.a.shape[0]
             else:  # larger blocks are propagated one by one
-                assert distinct == blocks.a.shape[0]
-    assert merged
+                assert distinct == blocks.a.shape[0] and not flat
+    assert merged and single
 
 
 def _traced_propagation(make, psi, weights):
@@ -492,7 +698,7 @@ def _traced_propagation(make, psi, weights):
     tracemalloc.start()
     try:
         blocks = make()
-        _, distinct = blocks.propagate(psi, 0.25, weights)
+        _, distinct = blocks.propagate(psi, [0.25], [weights])
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -784,7 +990,7 @@ def test_block_propagation_matches_dense_oracle(sched, rng):
         # each dense exponential costs ~4^n: the longer ramp only up to n = 6
         for tau in (2.0, 10.0) if sched.n_qubits <= 6 else (2.0,):
             want = propagate_step(a, b, psi, tau, dt_max)
-            got, _ = _propagate_blocks(blocks, psi, tau, dt_max)
+            got, _ = _propagate_blocks(blocks, psi, [tau], dt_max)
             assert np.max(np.abs(got - want)) < 1e-12, (k, tau)
 
 
@@ -894,7 +1100,7 @@ def test_block_form_at_16_qubits_matches_closed_forms(rng):
     tau, dt_max = 3.0, 0.25
     coeffs = _pair_coefficients(sched.gamma, tau, dt_max)
     want_psi = _propagate_pair_step(step, coeffs, sched.gamma * tau, psi)
-    got, _ = _propagate_blocks(blocks, psi, tau, dt_max)
+    got, _ = _propagate_blocks(blocks, psi, [tau], dt_max)
     assert np.max(np.abs(got - want_psi)) < 1e-12
 
 
