@@ -359,17 +359,18 @@ def cmd_evolve(args) -> tuple[str, int]:
 
 
 def cmd_reorder(args) -> tuple[str, int]:
+    if args.tau == "" or (args.tau is None and args.leakage_csv is not None):
+        raise CliError("a leakage table (--tau, --leakage-csv) needs at least one tau")
+    taus = None if args.tau is None else [_finite(float(t), "--tau") for t in args.tau.split(",")]
     schedule, report = _compile(args, f"reorder-{args.mode}")
     doc: dict = {
         "order": [int(x) for x in args.order.split(",")],
         "mode": args.mode,
         "report": None if report is None else _reorder_doc(report),
     }
-    if args.tau:
-        taus = [_finite(float(t), "--tau") for t in args.tau.split(",")]
-        rows = [{"tau": tau, "leakage": res.leakage, "fidelity": res.fidelity}
-                for tau, res in zip(taus, sim.evolve_many(schedule, taus))]
-        doc["leakage"] = rows
+    if taus is not None:
+        doc["leakage"] = rows = [{"tau": tau, "leakage": res.leakage, "fidelity": res.fidelity}
+                                 for tau, res in zip(taus, sim.evolve_many(schedule, taus))]
         if args.leakage_csv:
             lines = ["tau,leakage,fidelity"]
             lines += [f"{r['tau']:.12g},{r['leakage']:.12g},{r['fidelity']:.12g}" for r in rows]

@@ -20,9 +20,10 @@ step from the step's algebra, the smaller of two exact ones:
 Both use the same CF4 weight grid, so they agree to roundoff.  Every 2x2
 propagator is an ordered product of SU(2) pairs, each from ``tan(r/2)``,
 times one phase, and every 2x2 spectrum is taken in closed form; larger
-ones use ``eigh``.  :func:`evolve_many` runs a list of tau specs in one pass
-over the schedule, as extra state columns, in as many passes as
-:func:`~agqc.budget.pass_columns` requires.  Sizes are limited by the byte
+ones use ``eigh``.  :func:`evolve_many` runs a list of tau specs as extra state
+columns, in as many passes over the schedule as
+:func:`~agqc.budget.pass_columns` requires, and yields the results pass by
+pass, so that a caller that keeps only leakage holds one pass.  Sizes are limited by the byte
 budget of :mod:`agqc.budget`, checked before allocating.  The basis
 convention is that bit v of a state index is the computational basis
 state of vertex v.
@@ -32,7 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -143,11 +144,6 @@ def _ground_components(
     return coords[evals - evals.min() < 1e-7 * schedule.gamma]
 
 
-def _final_terms(schedule: Schedule) -> list[RotatedPauliOp]:
-    last = schedule.steps[-1]
-    return list(last.static_terms) + list(last.introduced.values())
-
-
 def _terms_commute(terms: Sequence[RotatedPauliOp]) -> bool:
     return not any(
         any(commutation_masks(terms[i + 1:], a)) for i, a in enumerate(terms)
@@ -214,16 +210,6 @@ def _cf4_weights(n_sub: int) -> np.ndarray:
     return (nodes @ np.array([[_CF4_A1, _CF4_A2], [_CF4_A2, _CF4_A1]])).reshape(-1)
 
 
-def _propagate_blocks(
-    blocks: StepBlocks, psi: np.ndarray, taus: Sequence[float], dt_max: float
-) -> tuple[np.ndarray, int]:
-    """CF4 Magnus integration of H(s) = A + sB block by block, s ramping
-    0 -> 1 over each tau of ``taus``, one for each equal share of psi's
-    columns, and the number of distinct problems propagated."""
-    n_subs = [_n_substeps(t, dt_max) for t in taus]
-    return blocks.propagate(psi, [t / n for t, n in zip(taus, n_subs)], map(_cf4_weights, n_subs))
-
-
 def _is_pair_step(step: ScheduleStep) -> bool:
     """A commuting replacement of Hermitian involutions whose static terms
     commute pairwise: each (removed, introduced) pair then spans its own
@@ -237,15 +223,14 @@ def _is_pair_step(step: ScheduleStep) -> bool:
 
 
 def _pair_coefficients(
-    gamma: float, tau: float, dt_max: float
+    gamma: float, tau: float, n_sub: int
 ) -> tuple[complex, complex, complex, complex]:
     """``(c0, c1, c2, c3)`` with ``U = c0 + c1 sz + c2 sx + c3 sz sx`` the CF4
-    propagator of ``h(s) = -gamma [(1-s) sz + s sx]`` over tau: the
-    :func:`~agqc._linalg.su2_sweep` of ``dt (A/2 + w B)`` with ``A = -gamma
-    sz`` (``z = -gamma``, ``h10 = 0``) and ``B = -gamma (sx - sz)`` (``z =
-    gamma``, ``h10 = -gamma``), both traceless, so that U is the pair
-    ``[[alpha, -conj(beta)], [beta, conj(alpha)]]`` itself."""
-    n_sub = _n_substeps(tau, dt_max)
+    propagator of ``h(s) = -gamma [(1-s) sz + s sx]`` over tau in ``n_sub``
+    substeps: the :func:`~agqc._linalg.su2_sweep` of ``dt (A/2 + w B)`` with
+    ``A = -gamma sz`` (``z = -gamma``, ``h10 = 0``) and ``B = -gamma (sx -
+    sz)`` (``z = gamma``, ``h10 = -gamma``), both traceless, so that U is the
+    pair ``[[alpha, -conj(beta)], [beta, conj(alpha)]]`` itself."""
     dt = tau / n_sub
     (alpha,), (beta,) = su2_sweep(np.array([0.5 * dt * -gamma]), np.array([dt * gamma]),
                                   np.zeros(1), np.array([dt * -gamma]), _cf4_weights(n_sub))
@@ -304,65 +289,77 @@ def evolve(
     Requires ``|inputs| == |outputs|`` for unitary extraction.  The
     one-spec call of :func:`evolve_many`.
     """
-    return evolve_many(schedule, [tau_per_step], dt_max)[0]
+    return next(evolve_many(schedule, [tau_per_step], dt_max))
 
 
 def evolve_many(
     schedule: Schedule,
     tau_specs: Sequence[float | Sequence[float]],
     dt_max: float = 0.25,
-) -> list[EvolutionResult]:
-    """:func:`evolve` for each of ``tau_specs`` (a tau, or one per step) in
-    one pass over the schedule, each spec's logical basis a share of the
-    state's columns.  Each step's method and block form, its 2x2 classes,
-    both logical bases and the ground projection are built once; the CF4
-    weights, pair coefficients or class sweeps, block phases and polar
-    extraction are each spec's own.  A pass holds as many specs as
-    :func:`~agqc.budget.pass_columns` admits, and at least one; each pass
-    is checked by :func:`~agqc.budget.check_vectors`, as one spec always was.
-    """
+) -> Iterator[EvolutionResult]:
+    """:func:`evolve` for each of ``tau_specs`` (a tau, or one per step),
+    yielded pass by pass.  A pass holds as many specs as
+    :func:`~agqc.budget.pass_columns` admits, and at least one; every pass is
+    checked by :func:`~agqc.budget.check_vectors`, then every spec's
+    substeps, before the first runs.  Each step's method and the final
+    terms' commutation are found once a call.  A pass's block forms and
+    states are freed when it returns, so a caller that keeps only leakage
+    holds one pass."""
     if not schedule.steps:
         raise ValueError("empty schedule")
     specs = [_tau_list(schedule, spec) for spec in tau_specs]
-    graph, n = schedule.graph, schedule.n_qubits
-    m = 1 << len(graph.inputs)
+    n, m = schedule.n_qubits, 1 << len(schedule.graph.inputs)
     per = max(1, budget.pass_columns(n) // m)
-    if len(specs) > per:
-        return [res for lo in range(0, len(specs), per)
-                for res in evolve_many(schedule, specs[lo:lo + per], dt_max)]
-    check_vectors(n, m * len(specs))
-    n_subs = [[_n_substeps(tau, dt_max) for tau in taus] for taus in specs]
+    passes = [specs[lo:lo + per] for lo in range(0, len(specs), per)]
+    for group in passes:
+        check_vectors(n, m * len(group))
+    n_subs = [[[_n_substeps(tau, dt_max) for tau in taus] for taus in group] for group in passes]
+    pair_steps = [_is_pair_step(step) for step in schedule.steps]
+    last = schedule.steps[-1]
+    finals = list(last.static_terms) + list(last.introduced.values())
+    commuting = _terms_commute(finals)
+    for group, subs in zip(passes, n_subs):
+        yield from _evolve_pass(schedule, group, subs, pair_steps, finals, commuting)
 
+
+def _evolve_pass(
+    schedule: Schedule, specs: list[list[float]], n_subs: list[list[int]],
+    pair_steps: list[bool], finals: list[RotatedPauliOp], commuting: bool,
+) -> list[EvolutionResult]:
+    """One pass of :func:`evolve_many`, each spec's logical basis a share of
+    the state's columns.  Block forms, 2x2 classes, both logical bases and
+    the ground projection are built once a pass; CF4 weights, pair
+    coefficients or class sweeps and polar extraction are each spec's own."""
+    graph, n, m = schedule.graph, schedule.n_qubits, 1 << len(schedule.graph.inputs)
     first = schedule.steps[0]
     initial_terms = list(first.static_terms) + list(first.removed.values())
     psi = np.tile(logical_basis_from_ops(initial_terms, initial_frame(graph, schedule.gflow), n),
                   len(specs))
     shares = [slice(j * m, (j + 1) * m) for j in range(len(specs))]
     pair_coeffs: dict[tuple[float, ...], tuple[np.ndarray, np.ndarray]] = {}
-    propagation = []
-    for k, step in enumerate(schedule.steps):
+    methods = []
+    for k, (step, pair) in enumerate(zip(schedule.steps, pair_steps)):
         taus = tuple(spec[k] for spec in specs)
-        if _is_pair_step(step):
+        subs = [n_sub[k] for n_sub in n_subs]
+        if pair:
             if taus not in pair_coeffs:  # one coefficient for each column
-                per_tau = {tau: _pair_coefficients(schedule.gamma, tau, dt_max) for tau in taus}
-                pair_coeffs[taus] = (np.repeat([per_tau[tau] for tau in taus], m, axis=0).T,
+                coeffs = [_pair_coefficients(schedule.gamma, tau, s) for tau, s in zip(taus, subs)]
+                pair_coeffs[taus] = (np.repeat(coeffs, m, axis=0).T,
                                      schedule.gamma * np.repeat(taus, m))
             psi = _propagate_pair_step(step, *pair_coeffs[taus], psi)
-            method, dim, distinct = "pair", 2, 1
+            methods.append(("pair", 2, 1))
         else:
             blocks = step_blocks(schedule, k)
-            psi, distinct = _propagate_blocks(blocks, psi, taus, dt_max)
-            method, dim = "blocks", blocks.dim
-        propagation.append([StepPropagation(method, n_sub[k], dim, distinct) for n_sub in n_subs])
+            psi, distinct = blocks.propagate(psi, [t / s for t, s in zip(taus, subs)],
+                                             map(_cf4_weights, subs))
+            methods.append(("blocks", blocks.dim, distinct))
 
-    finals = _final_terms(schedule)
-    commuting = _terms_commute(finals)
     weights = np.linalg.norm(_ground_components(schedule, finals, commuting, psi), axis=0) ** 2
     ref = None
     if commuting and len(graph.inputs) == len(graph.outputs):
         ref = logical_basis_from_ops(finals, final_frame(graph), n).conj().T
     results = []
-    for j, (share, taus) in enumerate(zip(shares, specs)):
+    for share, taus, n_sub in zip(shares, specs, n_subs):
         leakage = float(1.0 - np.mean(weights[share]))
         overlap = logical_unitary = None
         defect = math.nan
@@ -379,7 +376,8 @@ def evolve_many(
             fidelity=1.0 - leakage,
             tau_used=tuple(taus),
             unitarity_defect=defect,
-            propagation=tuple(row[j] for row in propagation),
+            propagation=tuple(StepPropagation(method, s, dim, distinct)
+                              for (method, dim, distinct), s in zip(methods, n_sub)),
         ))
     return results
 

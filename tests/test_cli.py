@@ -686,6 +686,21 @@ def test_leakage_csv_dash_writes_the_table_to_stdout(capsys, tmp_path):
     assert lines[1] == f"{row['tau']:.12g},{row['leakage']:.12g},{row['fidelity']:.12g}"
 
 
+@pytest.mark.parametrize("extra", [["--leakage-csv", "{tmp}/x.csv"], ["--tau", ""],
+                                   ["--tau", "", "--leakage-csv", "{tmp}/x.csv"]])
+def test_a_leakage_table_without_a_tau_is_refused_before_compiling(capsys, tmp_path, monkeypatch,
+                                                                   extra):
+    def no_work(*args):
+        raise AssertionError("the schedule was compiled before the tau list was checked")
+
+    monkeypatch.setattr(agqc.cli, "_compile", no_work)
+    code, out, err = run_err(capsys, "reorder", "--graph", "chain:4", "--order", "1,2,3",
+                             *(arg.replace("{tmp}", str(tmp_path)) for arg in extra))
+    assert code == 2 and out == "" and err.count("\n") == 1
+    assert err.startswith("error: ") and "needs at least one tau" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_help_still_prints_usage(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["bounds", "--help"])
@@ -1062,5 +1077,5 @@ def test_reorder_evolves_its_tau_list_in_one_call(monkeypatch, capsys):
     rows = json.loads(out)["leakage"]
     assert [row["tau"] for row in rows] == [10.0, 100.0, 1000.0]
     for row in rows:
-        res = evolve_many(sched, [row["tau"]])[0]
+        res = next(evolve_many(sched, [row["tau"]]))
         assert abs(row["leakage"] - res.leakage) < 1e-13 and abs(row["fidelity"] - res.fidelity) < 1e-13

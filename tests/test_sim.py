@@ -56,8 +56,6 @@ from agqc.sim import (
     _CF4_NODE,
     _cf4_weights,
     _is_pair_step,
-    _pair_coefficients,
-    _propagate_blocks,
     _propagate_pair_step,
 )
 from agqc.sectors import conserved_generators, frame_strings, step_blocks, twist_frame
@@ -69,6 +67,18 @@ from dense_oracle import assemble, ground_projector, propagate_step
 
 def rop(p):
     return RotatedPauliOp.from_pauli(p)
+
+
+def _pair_coefficients(gamma, tau, dt_max):
+    """The pair coefficients at the substep count that ``dt_max`` gives tau."""
+    return sim._pair_coefficients(gamma, tau, sim._n_substeps(tau, dt_max))
+
+
+def _propagate_blocks(blocks, psi, taus, dt_max):
+    """``StepBlocks.propagate`` over each tau of ``taus`` (one per equal share
+    of psi's columns) at the substep counts that ``dt_max`` gives them."""
+    n_subs = [sim._n_substeps(t, dt_max) for t in taus]
+    return blocks.propagate(psi, [t / n for t, n in zip(taus, n_subs)], map(_cf4_weights, n_subs))
 
 
 # --- assembly ---------------------------------------------------------------
@@ -589,7 +599,7 @@ def test_one_pass_over_several_taus_matches_one_call_per_tau(monkeypatch, sched)
     classified = []
     classes = _linalg.su2_classes
     monkeypatch.setattr(sectors, "su2_classes", lambda a, b: classified.append(1) or classes(a, b))
-    sim.evolve_many(sched, [0.7, 2.0, 3.0])
+    list(sim.evolve_many(sched, [0.7, 2.0, 3.0]))
     assert len(classified) == sum(
         not _is_pair_step(step) and step_blocks(sched, k).dim == 2
         for k, step in enumerate(sched.steps)
@@ -648,9 +658,55 @@ def test_each_column_of_a_pass_holds_at_most_its_charge(name):
                                                             [1, 3, 0, 5, 2, 6, 4])[0]}
     sched, taus = cases[name], (5.0, 10.0, 20.0, 40.0)
     n, m = sched.n_qubits, 1 << len(sched.graph.inputs)
-    sim.evolve_many(sched, taus)  # once untraced, so that both runs start alike
-    one, several = (_traced_peak(lambda: sim.evolve_many(sched, specs)) for specs in (taus[:1], taus))
+    list(sim.evolve_many(sched, taus))  # once untraced, so that both runs start alike
+    one, several = (_traced_peak(lambda: list(sim.evolve_many(sched, specs)))
+                    for specs in (taus[:1], taus))
     assert several - one <= budget.PASS_COLUMN_VECTORS * (len(taus) - 1) * m * 16 << n
+
+
+@pytest.mark.parametrize("name, fit", [("chain12-stepwise", 1), ("chain12-fixed", 2)])
+def test_a_caller_that_keeps_only_leakage_holds_one_pass(monkeypatch, name, fit):
+    # the budget admits fit taus a pass (chain 12's block form needs more
+    # than one tau's charge); a 20-tau list consumed for its leakage holds
+    # one pass at a time, not the states of every pass
+    sched = {**_pass_schedules(), **dict(_reordered_chain_schedules())}[name]
+    n, m = sched.n_qubits, 1 << len(sched.graph.inputs)
+    monkeypatch.setattr(budget, "MEMORY_BUDGET",
+                        (budget.PASS_COLUMN_VECTORS * (fit + 1) * m * 16 << n) - 1)
+    assert budget.pass_columns(n) // m == fit
+    taus = [5.0 + k for k in range(20)]
+
+    def leakage(specs):
+        return [res.leakage for res in sim.evolve_many(sched, specs)]
+
+    leakage(taus)  # once untraced, so that both runs start alike
+    one, many = (_traced_peak(lambda: leakage(specs)) for specs in (taus[:fit], taus))
+    assert many <= 1.5 * one
+
+
+def test_each_fact_is_found_once_a_call_over_several_passes(monkeypatch):
+    # the budget admits two taus a pass, so five taus take three passes;
+    # each step is classified once and each (step, tau) counts its
+    # substeps once, not once a pass or once more for its propagator
+    sched = dict(_reordered_chain_schedules())["chain12-fixed"]
+    n, m = sched.n_qubits, 1 << len(sched.graph.inputs)
+    monkeypatch.setattr(budget, "MEMORY_BUDGET", (budget.PASS_COLUMN_VECTORS * 3 * m * 16 << n) - 1)
+    assert any(map(_is_pair_step, sched.steps)) and not all(map(_is_pair_step, sched.steps))
+    calls = {"_is_pair_step": [], "_n_substeps": []}
+    for name, seen in calls.items():
+        f = getattr(sim, name)
+        monkeypatch.setattr(sim, name, lambda *args, f=f, seen=seen: seen.append(1) or f(*args))
+    assert len(list(sim.evolve_many(sched, [5.0, 10.0, 20.0, 40.0, 80.0]))) == 5
+    assert len(calls["_is_pair_step"]) == len(sched.steps)
+    assert len(calls["_n_substeps"]) == 5 * len(sched.steps)
+
+
+def test_an_empty_tau_list_yields_nothing():
+    pair = compile_stepwise(generate_chain(4), chain_gflow(4))
+    blocks = compile_reordered_fixed(generate_chain(4), chain_gflow(4), [2, 0, 1])[0]
+    assert _is_pair_step(pair.steps[0]) and not _is_pair_step(blocks.steps[0])
+    for sched in (pair, blocks):
+        assert list(sim.evolve_many(sched, [])) == []
 
 
 def test_each_class_of_a_step_is_propagated_once(monkeypatch, rng):
