@@ -16,8 +16,8 @@ MEMORY_BUDGET = 1 << 30
 CHUNK_BYTES = 1 << 18
 
 #: ``2^n``-entry vectors that each state column of a pass over several tau
-#: holds at its peak: the column, its Pauli actions and their scaled sums
-#: on a pair step, or its block coordinates, their Walsh copy and the
+#: holds at its peak: the column, ``alpha psi``, ``I_v psi`` and ``beta I_v
+#: psi`` on a pair step, or its block coordinates, their Walsh copy and the
 #: propagated stack.  tracemalloc reads ~6 on 12 qubits; one more is spare.
 PASS_COLUMN_VECTORS = 7
 

@@ -6,9 +6,9 @@ Everything here is deterministic.  :func:`evolve` picks a propagator per
 step from the step's algebra, the smaller of two exact ones:
 
 * ``"pair"``: a commuting replacement of Hermitian involutions with
-  pairwise commuting static terms splits into one two-level problem per
-  replaced vertex, all sharing the same 2x2 propagator, which is applied
-  with Pauli actions and never forms a matrix;
+  pairwise commuting static terms, on a state +1 on its removed terms, is
+  one two-level system per replaced vertex, ``alpha + beta I_v``; a static
+  term is a phase, or a Pauli action where the state may not be +1 on it;
 * ``"blocks"``: every other step.  A maximal set of ``m`` commuting Pauli
   operators that commute with its terms (see :mod:`agqc.sectors`) splits
   ``H(s) = A + sB`` exactly into ``2^m`` blocks of dimension ``2^(n-m)``,
@@ -20,13 +20,13 @@ step from the step's algebra, the smaller of two exact ones:
 Both use the same CF4 weight grid, so they agree to roundoff.  Every 2x2
 propagator is an ordered product of SU(2) pairs, each from ``tan(r/2)``,
 times one phase, and every 2x2 spectrum is taken in closed form; larger
-ones use ``eigh``.  :func:`evolve_many` runs a list of tau specs as extra state
-columns, in as many passes over the schedule as
+ones use ``eigh``.  :func:`evolve_many` runs a list of tau specs as extra
+state columns, in as many passes over the schedule as
 :func:`~agqc.budget.pass_columns` requires, and yields the results pass by
-pass, so that a caller that keeps only leakage holds one pass.  Sizes are limited by the byte
-budget of :mod:`agqc.budget`, checked before allocating.  The basis
-convention is that bit v of a state index is the computational basis
-state of vertex v.
+pass, so that a caller that keeps only leakage holds one pass.  Sizes are
+limited by the byte budget of :mod:`agqc.budget`, checked before
+allocating.  Bit v of a state index is the computational basis state of
+vertex v.
 """
 
 from __future__ import annotations
@@ -145,19 +145,17 @@ def _ground_components(
 
 
 def _terms_commute(terms: Sequence[RotatedPauliOp]) -> bool:
-    return not any(
-        any(commutation_masks(terms[i + 1:], a)) for i, a in enumerate(terms)
-    )
+    return not any(any(commutation_masks(terms[i + 1:], a)) for i, a in enumerate(terms))
 
 
 @dataclass(frozen=True)
 class StepPropagation:
     """How :func:`evolve` integrated one step: ``method`` is ``"pair"`` or
-    ``"blocks"`` (see the module docstring), ``n_sub`` the number of CF4
-    substeps, ``dim`` the dimension of the matrices exponentiated: 2, or
-    the block dimension (``2^n`` for a step with one block), and
-    ``distinct`` the number of distinct problems propagated (1 for
-    ``"pair"``, every block for blocks larger than 2x2)."""
+    ``"blocks"`` (the module docstring; :func:`evolve_many` for the choice),
+    ``n_sub`` the number of CF4 substeps, ``dim`` the dimension of the
+    matrices exponentiated: 2, or the block dimension (``2^n`` for a step
+    with one block), and ``distinct`` the number of distinct problems
+    propagated (1 for ``"pair"``, every block for blocks larger than 2x2)."""
 
     method: str
     n_sub: int
@@ -212,9 +210,9 @@ def _cf4_weights(n_sub: int) -> np.ndarray:
 
 def _is_pair_step(step: ScheduleStep) -> bool:
     """A commuting replacement of Hermitian involutions whose static terms
-    commute pairwise: each (removed, introduced) pair then spans its own
-    copy of the Pauli algebra of (sigma_z, sigma_x), and the static part is
-    a product of commuting phases."""
+    commute pairwise: each (removed, introduced) pair spans its own copy of
+    the Pauli algebra of (sigma_z, sigma_x), and the static part is a
+    product of commuting phases; ``"pair"`` needs a state +1 on each R_v."""
     return (
         step.is_commuting_replacement()
         and all(op.mul(op).is_identity() for op in step.all_terms())
@@ -222,41 +220,33 @@ def _is_pair_step(step: ScheduleStep) -> bool:
     )
 
 
-def _pair_coefficients(
-    gamma: float, tau: float, n_sub: int
-) -> tuple[complex, complex, complex, complex]:
-    """``(c0, c1, c2, c3)`` with ``U = c0 + c1 sz + c2 sx + c3 sz sx`` the CF4
-    propagator of ``h(s) = -gamma [(1-s) sz + s sx]`` over tau in ``n_sub``
-    substeps: the :func:`~agqc._linalg.su2_sweep` of ``dt (A/2 + w B)`` with
-    ``A = -gamma sz`` (``z = -gamma``, ``h10 = 0``) and ``B = -gamma (sx -
-    sz)`` (``z = gamma``, ``h10 = -gamma``), both traceless, so that U is the
-    pair ``[[alpha, -conj(beta)], [beta, conj(alpha)]]`` itself."""
+def _pair_coefficients(gamma: float, tau: float, n_sub: int) -> tuple[complex, complex]:
+    """The pair ``(alpha, beta)`` of the CF4 propagator of ``h(s) = -gamma
+    [(1-s) sz + s sx]`` over tau in ``n_sub`` substeps: the
+    :func:`~agqc._linalg.su2_sweep` of ``dt (A/2 + w B)`` with ``A = -gamma
+    sz`` (``z = -gamma``, ``h10 = 0``) and ``B = -gamma (sx - sz)`` (``z =
+    gamma``, ``h10 = -gamma``), both traceless."""
     dt = tau / n_sub
     (alpha,), (beta,) = su2_sweep(np.array([0.5 * dt * -gamma]), np.array([dt * gamma]),
                                   np.zeros(1), np.array([dt * -gamma]), _cf4_weights(n_sub))
-    return (complex(alpha.real), complex(0.0, alpha.imag),
-            complex(0.0, beta.imag), complex(-beta.real))
+    return complex(alpha), complex(beta)
 
 
 def _propagate_pair_step(
-    step: ScheduleStep,
-    coeffs: Sequence[complex | np.ndarray],
-    gamma_tau: float | np.ndarray,
-    psi: np.ndarray,
+    step: ScheduleStep, pair: Sequence[complex | np.ndarray], gamma_tau: float | np.ndarray,
+    untracked: Sequence[RotatedPauliOp], psi: np.ndarray,
 ) -> np.ndarray:
-    """Apply ``prod_v (c0 + c1 R_v + c2 I_v + c3 R_v I_v)`` and
-    ``exp(i gamma tau S) = cos(gamma tau) + i sin(gamma tau) S`` for every
-    static term S; all factors commute on a pair step.  Each coefficient and
-    ``gamma_tau`` is one number, or one for each column of psi."""
-    c0, c1, c2, c3 = coeffs
+    """Propagate a state that is +1 on every removed term and every static
+    term but ``untracked``: ``alpha + beta I_v`` for each replaced vertex,
+    ``cos(gamma tau) + i sin(gamma tau) S`` for each untracked static S and
+    ``e^{i gamma tau}`` for each other one; each a number or one a column."""
+    alpha, beta = pair
     for v in sorted(step.removed):
-        r_v = step.removed[v]
-        i_psi = apply_op(step.introduced[v], psi)
-        psi = c0 * psi + c1 * apply_op(r_v, psi) + c2 * i_psi + c3 * apply_op(r_v, i_psi)
+        psi = alpha * psi + beta * apply_op(step.introduced[v], psi)
     cos, isin = np.cos(gamma_tau), 1j * np.sin(gamma_tau)
-    for st in step.static_terms:
+    for st in untracked:
         psi = cos * psi + isin * apply_op(st, psi)
-    return psi
+    return psi * np.exp(1j * gamma_tau) ** (len(step.static_terms) - len(untracked))
 
 
 def _tau_list(schedule: Schedule, tau_per_step: float | Sequence[float]) -> list[float]:
@@ -301,10 +291,13 @@ def evolve_many(
     yielded pass by pass.  A pass holds as many specs as
     :func:`~agqc.budget.pass_columns` admits, and at least one; every pass is
     checked by :func:`~agqc.budget.check_vectors`, then every spec's
-    substeps, before the first runs.  Each step's method and the final
-    terms' commutation are found once a call.  A pass's block forms and
-    states are freed when it returns, so a caller that keeps only leakage
-    holds one pass."""
+    substeps, before the first runs.  A pass's block forms and states are
+    freed when it returns, so a caller that keeps only leakage holds one
+    pass.  Each step's method and the final terms' commutation are found
+    once a call.  A step runs as ``"pair"`` when :func:`_is_pair_step` holds
+    and its removed terms are tracked: the state is +1 on step 0's static
+    and removed terms, and after each step on those of its terms (the same
+    objects) that commute with all its terms, on a pair step the static ones."""
     if not schedule.steps:
         raise ValueError("empty schedule")
     specs = [_tau_list(schedule, spec) for spec in tau_specs]
@@ -314,7 +307,16 @@ def evolve_many(
     for group in passes:
         check_vectors(n, m * len(group))
     n_subs = [[[_n_substeps(tau, dt_max) for tau in taus] for taus in group] for group in passes]
-    pair_steps = [_is_pair_step(step) for step in schedule.steps]
+    first = schedule.steps[0]
+    tracked = {id(op) for op in (*first.static_terms, *first.removed.values())}
+    pair_steps: list[list[RotatedPauliOp] | None] = []
+    for step in schedule.steps:
+        pair = _is_pair_step(step) and tracked.issuperset(map(id, step.removed.values()))
+        pair_steps.append([op for op in step.static_terms if id(op) not in tracked] if pair else None)
+        terms = step.all_terms()
+        kept = step.static_terms if pair else [
+            op for op in terms if id(op) in tracked and not any(commutation_masks(terms, op))]
+        tracked &= set(map(id, kept))
     last = schedule.steps[-1]
     finals = list(last.static_terms) + list(last.introduced.values())
     commuting = _terms_commute(finals)
@@ -324,7 +326,7 @@ def evolve_many(
 
 def _evolve_pass(
     schedule: Schedule, specs: list[list[float]], n_subs: list[list[int]],
-    pair_steps: list[bool], finals: list[RotatedPauliOp], commuting: bool,
+    pair_steps: list[list[RotatedPauliOp] | None], finals: list[RotatedPauliOp], commuting: bool,
 ) -> list[EvolutionResult]:
     """One pass of :func:`evolve_many`, each spec's logical basis a share of
     the state's columns.  Block forms, 2x2 classes, both logical bases and
@@ -338,21 +340,22 @@ def _evolve_pass(
     shares = [slice(j * m, (j + 1) * m) for j in range(len(specs))]
     pair_coeffs: dict[tuple[float, ...], tuple[np.ndarray, np.ndarray]] = {}
     methods = []
-    for k, (step, pair) in enumerate(zip(schedule.steps, pair_steps)):
+    for k, (step, untracked) in enumerate(zip(schedule.steps, pair_steps)):
         taus = tuple(spec[k] for spec in specs)
         subs = [n_sub[k] for n_sub in n_subs]
-        if pair:
+        if untracked is not None:
             if taus not in pair_coeffs:  # one coefficient for each column
                 coeffs = [_pair_coefficients(schedule.gamma, tau, s) for tau, s in zip(taus, subs)]
                 pair_coeffs[taus] = (np.repeat(coeffs, m, axis=0).T,
                                      schedule.gamma * np.repeat(taus, m))
-            psi = _propagate_pair_step(step, *pair_coeffs[taus], psi)
+            psi = _propagate_pair_step(step, *pair_coeffs[taus], untracked, psi)
             methods.append(("pair", 2, 1))
         else:
             blocks = step_blocks(schedule, k)
             psi, distinct = blocks.propagate(psi, [t / s for t, s in zip(taus, subs)],
                                              map(_cf4_weights, subs))
             methods.append(("blocks", blocks.dim, distinct))
+            del blocks  # the next step's block form is built without this one
 
     weights = np.linalg.norm(_ground_components(schedule, finals, commuting, psi), axis=0) ** 2
     ref = None
@@ -494,8 +497,7 @@ def mbqc_reference_run(
         if outcomes == "zeros":
             planned = [0] * len(order)
         elif outcomes == "random":
-            rng = np.random.default_rng(seed)
-            planned = [int(b) for b in rng.integers(0, 2, size=len(order))]
+            planned = np.random.default_rng(seed).integers(0, 2, size=len(order)).tolist()
         else:
             raise ValueError(f"unknown outcome mode {outcomes!r}")
     else:
@@ -504,14 +506,12 @@ def mbqc_reference_run(
             raise ValueError(f"need {len(order)} outcomes, got {len(planned)}")
 
     byproduct = PauliString(n)
-    observed = []
     for v, r_obs in zip(order, planned):
         theta = graph.angles[v]
         if byproduct.x >> v & 1:
             theta = -theta
         if byproduct.z >> v & 1:
             theta += math.pi
-        observed.append(r_obs)
         # Measurement basis |±_theta> = (|0> ± e^{-i theta}|1>)/sqrt(2): the
         # phase sign that makes one measured qubit implement H exp(-i theta Z/2),
         # matching the rotated-generator Hamiltonian picture exactly.
@@ -540,7 +540,7 @@ def mbqc_reference_run(
     final_fix = PauliString(n, byproduct.x & out_mask, byproduct.z & out_mask)
     output_state = apply_op(final_fix, state)[src]
     output_state = output_state / np.linalg.norm(output_state, axis=0)
-    return MbqcRun(output_state if given.ndim == 2 else output_state[:, 0], tuple(observed))
+    return MbqcRun(output_state if given.ndim == 2 else output_state[:, 0], tuple(planned))
 
 
 def mbqc_logical_unitary(

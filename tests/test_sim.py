@@ -38,6 +38,7 @@ from agqc.pauli import (
     _parity,
     apply_op,
     commutes,
+    projector_apply,
     single,
     stabilizer_generator,
     stabilizer_set,
@@ -839,7 +840,7 @@ def _pair_coefficients_loop(gamma, tau, dt_max):
                 e01 * u00 + e11 * u10,
                 e01 * u01 + e11 * u11,
             )
-    return (u00 + u11) / 2, (u00 - u11) / 2, (u01 + u10) / 2, (u01 - u10) / 2
+    return u00, u10
 
 
 @pytest.mark.parametrize("gamma", [1.0, 0.7])
@@ -885,15 +886,25 @@ def _pair_oracle_cases():
 
 @pytest.mark.parametrize("sched", _pair_oracle_cases())
 def test_pair_propagation_matches_dense_oracle(sched, rng):
+    # states in the tracked space: random combinations of the initial
+    # logical basis, carried through the earlier steps by the dense oracle
     tau, dt_max = 2.0, 0.25
     coeffs = _pair_coefficients(sched.gamma, tau, dt_max)
+    first = sched.steps[0]
+    initial = list(first.static_terms) + list(first.removed.values())
+    basis = logical_basis_from_ops(initial, initial_frame(sched.graph, sched.gflow), sched.n_qubits)
+    mix = rng.standard_normal((basis.shape[1], 3)) + 1j * rng.standard_normal((basis.shape[1], 3))
+    psi = basis @ mix
+    psi /= np.linalg.norm(psi, axis=0)
     for k, step in enumerate(sched.steps):
         assert _is_pair_step(step)
-        psi = _random_states(rng, sched.n_qubits)
+        # the state is +1 on every initial term not yet removed, which is static
+        untracked = [op for op in step.static_terms if not any(op is t for t in initial)]
         a, b = step_endpoint_matrices(sched, k)
         want = propagate_step(a, b, psi, tau, dt_max)
-        got = _propagate_pair_step(step, coeffs, sched.gamma * tau, psi)
+        got = _propagate_pair_step(step, coeffs, sched.gamma * tau, untracked, psi)
         assert np.max(np.abs(got - want)) < 1e-12, k
+        psi = want
 
 
 def _dense_evolution(sched, taus):
@@ -988,8 +999,26 @@ def test_anticommuting_introduced_terms_take_the_dense_path():
     # the two-level factorization would be wrong on this step
     psi0 = _random_states(np.random.default_rng(7), n)
     a, b = step_endpoint_matrices(sched, 0)
-    pair = _propagate_pair_step(step, _pair_coefficients(1.0, 5.0, 0.25), 5.0, psi0)
+    pair = _propagate_pair_step(step, _pair_coefficients(1.0, 5.0, 0.25), 5.0, (), psi0)
     assert np.max(np.abs(pair - propagate_step(a, b, psi0, 5.0, 0.25))) > 1e-3
+
+
+@pytest.mark.parametrize("tau", [2.0, 20.0])
+def test_a_pair_step_on_a_term_the_state_left_runs_as_blocks(tau):
+    # both steps are pair steps, but after the first the state is +1 on Z2,
+    # not on the second step's removed X2: only the general path is exact
+    n = 2
+    g = make_graph(n, [(0, 1)], inputs=[], outputs=[1])
+    gf = Gflow({0: frozenset({1})}, {0: 0})
+    z1, x1, z2, x2 = (rop(single(n, v, p)) for v, p in ((0, "Z"), (0, "X"), (1, "Z"), (1, "X")))
+    steps = (ScheduleStep({0: z1}, {0: x1}, (z2,)), ScheduleStep({1: x2}, {1: z2}, (x1,)))
+    assert all(_is_pair_step(step) for step in steps)
+    sched = Schedule(steps, 1.0, g, gf)
+    res = evolve(sched, tau)
+    assert [p.method for p in res.propagation] == ["pair", "blocks"]
+    psi, leakage = _dense_evolution(sched, res.tau_used)
+    assert np.max(np.abs(res.final_states - psi)) < 1e-12
+    assert abs(res.leakage - leakage) < 1e-12
 
 
 def _block_oracle_cases():
@@ -1152,10 +1181,15 @@ def test_block_form_at_16_qubits_matches_closed_forms(rng):
     assert np.max(np.abs(scan.gap - want)) < 1e-12
     hdot = math.sqrt(2) * step.u_size * sched.gamma
     assert blocks.hdot_norm() == pytest.approx(hdot, abs=1e-12)
-    psi = _random_states(rng, n, cols=2)
+    # the state on the +1 space of the terms the pair path tracks: the
+    # removed term and the static T's (the X's of earlier steps are not)
+    untracked = step.static_terms[:k]
+    psi = projector_apply([*step.removed.values(), *step.static_terms[k:]],
+                          _random_states(rng, n, cols=2))
+    psi /= np.linalg.norm(psi, axis=0)
     tau, dt_max = 3.0, 0.25
     coeffs = _pair_coefficients(sched.gamma, tau, dt_max)
-    want_psi = _propagate_pair_step(step, coeffs, sched.gamma * tau, psi)
+    want_psi = _propagate_pair_step(step, coeffs, sched.gamma * tau, untracked, psi)
     got, _ = _propagate_blocks(blocks, psi, [tau], dt_max)
     assert np.max(np.abs(got - want_psi)) < 1e-12
 
