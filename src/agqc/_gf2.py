@@ -11,22 +11,30 @@ def set_bits(mask: int):
         mask ^= low
 
 
-def solve_unit_columns(rows: list[int], n_cols: int) -> list[int | None]:
+def solve_unit_columns(rows: list[int]) -> list[int | None]:
     """Solve ``A x = e_u`` over GF(2) for every unit vector ``e_u``.
 
     ``rows[i]`` is the bitmask of row *i* of ``A`` (bit *j* = column *j*).
     Entry *u* of the result is one solution bitmask for ``e_u`` (1 in row
     *u*) with free variables set to 0, or ``None`` when that system is
     inconsistent.  One Gauss-Jordan pass on ``[A | I]`` serves every
-    right-hand side: pivots depend only on ``A`` (columns in ascending
-    order, first row holding the bit), so each entry equals a one-column
-    solve.
+    right-hand side: the pivot columns (ascending, each outside the span of
+    the ones before it) depend only on ``A``, and given them the solution
+    with free variables 0 is unique, so each entry equals a one-column solve.
+
+    The pass touches only the frontier of ``A``: a zero row never pivots
+    and leaves only its own ``e_u`` inconsistent, and a column that no row
+    holds never pivots, its variable staying 0.
     """
-    m = len(rows)
-    aug = [(row << m) | (1 << i) for i, row in enumerate(rows)]
+    live = [u for u, row in enumerate(rows) if row]
+    m = len(live)
+    aug = [(rows[u] << m) | (1 << i) for i, u in enumerate(live)]
+    held = 0
+    for row in rows:
+        held |= row
     pivots: list[tuple[int, int]] = []
     r = 0
-    for c in range(n_cols):
+    for c in set_bits(held):
         bit = 1 << (c + m)
         pivot = next((i for i in range(r, m) if aug[i] & bit), None)
         if pivot is None:
@@ -41,16 +49,15 @@ def solve_unit_columns(rows: list[int], n_cols: int) -> list[int | None]:
     inconsistent = 0
     for i in range(r, m):
         inconsistent |= aug[i]
-    solutions: list[int | None] = []
-    for u in range(m):
-        if inconsistent >> u & 1:
-            solutions.append(None)
+    solutions: list[int | None] = [None] * len(rows)
+    for j, u in enumerate(live):
+        if inconsistent >> j & 1:
             continue
         x = 0
         for c, i in pivots:
-            if aug[i] >> u & 1:
+            if aug[i] >> j & 1:
                 x |= 1 << c
-        solutions.append(x)
+        solutions[u] = x
     return solutions
 
 

@@ -89,7 +89,7 @@ def su2_mul(
 @functools.lru_cache(maxsize=32)
 def halving_order(n: int) -> np.ndarray:
     """The layout of ``n`` factors, by their index in product order, that
-    makes every level of :func:`su2_ordered`'s pairwise halving multiply two
+    makes every level of :func:`_su2_halve`'s pairwise halving multiply two
     contiguous halves: a level of odd length first takes off its first
     entry, and the entries at ``h + k`` and ``k`` of ``2h`` are adjacent
     factors whose product lands at k of the next level."""
@@ -108,7 +108,10 @@ def halving_order(n: int) -> np.ndarray:
 def _su2_halve(
     alpha: np.ndarray, beta: np.ndarray, v: tuple[np.ndarray, np.ndarray] | None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`su2_ordered` of pairs already laid out in :func:`halving_order`."""
+    """The pair of ``U[..., -1] ... U[..., 1] U[..., 0] V`` for the pairs U
+    along the last axis of ``(alpha, beta)``, laid out in
+    :func:`halving_order`, and the pair ``v`` (None for the identity), by
+    pairwise halving of that axis."""
     while alpha.shape[-1] > 1:
         if alpha.shape[-1] % 2:
             first = alpha[..., 0], beta[..., 0]
@@ -118,18 +121,6 @@ def _su2_halve(
         alpha, beta = su2_mul(alpha[..., h:], beta[..., h:], alpha[..., :h], beta[..., :h])
     last = alpha[..., 0], beta[..., 0]
     return last if v is None else su2_mul(*last, *v)
-
-
-def su2_ordered(
-    alpha: np.ndarray, beta: np.ndarray, v: tuple[np.ndarray, np.ndarray] | None
-) -> tuple[np.ndarray, np.ndarray]:
-    """The pair of ``U[..., -1] ... U[..., 1] U[..., 0] V`` for the pairs U
-    along the last axis of ``(alpha, beta)`` and the pair ``v`` (None for the
-    identity), by pairwise halving of that axis, with the pairs gathered
-    into :func:`halving_order` so that each level multiplies two contiguous
-    halves."""
-    order = halving_order(alpha.shape[-1])
-    return _su2_halve(alpha[..., order], beta[..., order], v)
 
 
 def su2_sweep(

@@ -322,6 +322,7 @@ def compile_reordered_fixed(
     vertices = sorted(terms)
     vindex = {v: i for i, v in enumerate(vertices)}
     originals = [terms[w] for w in vertices]
+    sites = SiteTable.of(originals)
     later = (1 << len(vertices)) - 1  # the T's not yet replaced
 
     # most basis vectors carry over from step to step: build each set once
@@ -342,8 +343,11 @@ def compile_reordered_fixed(
         later ^= 1 << vindex[v]
 
         # products of the original T's must overlap the terms anticommuting
-        # with X_v evenly and avoid the terms in a "neither" relation with it
-        anti, neither = commutation_masks(originals, step.introduced[v])
+        # with X_v evenly and avoid the terms in a "neither" relation with it;
+        # only the originals whose support holds v can fail to commute with X_v
+        near = list(_gf2.set_bits(sites.rows.get(v, 0)))
+        masks = commutation_masks([originals[i] for i in near], step.introduced[v])
+        anti, neither = (sum(1 << near[j] for j in _gf2.set_bits(m)) for m in masks)
         # the static X's commute with X_v, so only a later T can clash with it
         frustrated = bool((anti | neither) & later) or step.static_clash(step.removed[v])
         tracked_available = not constrained >> vindex[v] & 1

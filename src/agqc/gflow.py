@@ -172,6 +172,10 @@ def find_gflow(graph: OpenGraph) -> Gflow | None:
     over GF(2).  The result has the minimum possible number of layers.
     Ties are broken deterministically (free variables zero, columns in
     vertex order).
+
+    A target's row is its adjacency ANDed with the bitmask of candidates,
+    so a round costs its frontier (the targets next to a candidate and the
+    candidates they hold), not the product of the two sets.
     """
     for v, plane in graph.planes.items():
         if plane is not Plane.XY:
@@ -179,33 +183,27 @@ def find_gflow(graph: OpenGraph) -> Gflow | None:
                 f"find_gflow supports XY-plane graphs only ({v + 1} is {plane.value})"
             )
     n = graph.n_vertices
-    processed = set(graph.outputs)
-    inputs = set(graph.inputs)
+    inputs = sum(1 << v for v in set(graph.inputs))
+    unprocessed = ((1 << n) - 1) & ~sum(1 << v for v in set(graph.outputs))
     g: dict[int, frozenset[int]] = {}
     back_layer: dict[int, int] = {}
     k = 0
-    while len(processed) < n:
+    while unprocessed:
         k += 1
-        candidates = sorted(v for v in processed if v not in inputs)
-        targets = sorted(v for v in range(n) if v not in processed)
-        column = {c: j for j, c in enumerate(candidates)}
-        rows = []
-        for w in targets:
-            row = 0
-            for c in _gf2.set_bits(graph.adjacency[w]):
-                if c in column:
-                    row |= 1 << column[c]
-            rows.append(row)
-        found: dict[int, frozenset[int]] = {}
-        for u, sol in zip(targets, _gf2.solve_unit_columns(rows, len(candidates))):
+        candidates = ((1 << n) - 1) & ~unprocessed & ~inputs
+        # column c stands for vertex c + low, which keeps the masks short
+        low = max(0, (candidates & -candidates).bit_length() - 1)
+        targets = list(_gf2.set_bits(unprocessed))
+        rows = [(graph.adjacency[w] & candidates) >> low for w in targets]
+        found = 0
+        for u, sol in zip(targets, _gf2.solve_unit_columns(rows)):
             if sol is not None:
-                found[u] = frozenset(candidates[j] for j in _gf2.set_bits(sol))
+                g[u] = frozenset(_gf2.set_bits(sol << low))
+                back_layer[u] = k
+                found |= 1 << u
         if not found:
             return None
-        for u, corr in found.items():
-            g[u] = corr
-            back_layer[u] = k
-        processed |= set(found)
+        unprocessed ^= found
     if not back_layer:
         return Gflow({}, {})
     k_max = max(back_layer.values())

@@ -345,13 +345,29 @@ def twisted_generator(graph: OpenGraph, v: int) -> RotatedPauliOp:
 
 
 def build_T(graph: OpenGraph, gf: Gflow, v: int) -> RotatedPauliOp:
-    """``T_v``: product of twisted generators over the correcting set g(v)."""
+    """``T_v``: product of twisted generators over the correcting set g(v).
+
+    One pass over ``S = g(v)`` by ``prod_{w in S} K_w = (-1)^|E(S)| X_S
+    Z_Odd(S)``: x is the mask of S, z the XOR of the members' adjacency
+    masks, the phase exponent ``2 |E(S)| - |x & z|`` (``XZ = -iY``).  Each
+    twist sits on its own generator's X site, which no other factor flips,
+    so the twists ``{w: theta_w}`` fold once, in ``from_parts``.
+    """
     if v not in gf.g:
         raise ValueError(f"vertex {v} is an output (or unknown); no T_v exists")
-    op = RotatedPauliOp.from_pauli(PauliString(graph.n_vertices))
+    n = graph.n_vertices
+    x = z = edges = 0
+    twist = {}
     for w in sorted(gf.g[v]):
-        op = op.mul(twisted_generator(graph, w))
-    return op
+        if not 0 <= w < n or w in graph.inputs:
+            stabilizer_generator(graph, w)  # raises: no generator sits on w
+        adj = graph.adjacency[w]
+        edges += (adj & x).bit_count()
+        x |= 1 << w
+        z ^= adj
+        if graph.angles.get(w):  # a zero angle folds away
+            twist[w] = graph.angles[w]
+    return RotatedPauliOp.from_parts(PauliString(n, x, z, 2 * edges - (x & z).bit_count()), twist)
 
 
 def stabilizer_set(graph: OpenGraph, gf: Gflow) -> dict[int, RotatedPauliOp]:

@@ -1,6 +1,8 @@
+import functools
 import itertools
 import json
 import math
+import operator
 import re
 
 import numpy as np
@@ -315,30 +317,48 @@ def test_cnot_graph_find_gflow_rowwise():
     assert gf.depth == 2
 
 
-def test_solve_unit_columns_matches_per_column_bruteforce():
-    rng = np.random.default_rng(1309)
-    inconsistent = 0
+def _unit_column_systems(rng):
+    """``(n_cols, rows)``: 200 dense systems, then 200 sparse ones whose rows
+    are zero with probability 1/2 and which leave a random set of columns
+    that no row holds."""
     for _ in range(200):
         m = int(rng.integers(1, 6))
         n_cols = int(rng.integers(1, 6))
-        rows = [int(rng.integers(1 << n_cols)) for _ in range(m)]
+        yield n_cols, [int(rng.integers(1 << n_cols)) for _ in range(m)]
+    for _ in range(200):
+        m = int(rng.integers(1, 9))
+        n_cols = int(rng.integers(1, 9))
+        unheld = int(rng.integers(1 << n_cols))
+        yield n_cols, [
+            int(rng.integers(1 << n_cols)) & ~unheld if rng.integers(2) else 0 for _ in range(m)
+        ]
 
-        def image(x):
-            return sum(((row & x).bit_count() & 1) << i for i, row in enumerate(rows))
+
+def test_solve_unit_columns_matches_per_column_bruteforce():
+    rng = np.random.default_rng(1309)
+    inconsistent = zero_rows = unheld_columns = 0
+    for n_cols, rows in _unit_column_systems(rng):
+        m = len(rows)
+        images = [
+            sum(((row & x).bit_count() & 1) << i for i, row in enumerate(rows))
+            for x in range(1 << n_cols)
+        ]
+        zero_rows += rows.count(0)
+        unheld_columns += n_cols - functools.reduce(operator.or_, rows).bit_count()
 
         # pivot columns of an ascending elimination: those outside the span
         # of the columns before them; free variables stay 0
         pivots, span = [], {0}
         for c in range(n_cols):
-            col = image(1 << c)
+            col = images[1 << c]
             if col not in span:
                 pivots.append(c)
                 span |= {s ^ col for s in span}
-        sols = _gf2.solve_unit_columns(rows, n_cols)
+        sols = _gf2.solve_unit_columns(rows)
         assert len(sols) == m
         for u, sol in enumerate(sols):
             target = 1 << u
-            if not any(image(x) == target for x in range(1 << n_cols)):
+            if target not in images:
                 assert sol is None
                 inconsistent += 1
                 continue
@@ -346,8 +366,16 @@ def test_solve_unit_columns_matches_per_column_bruteforce():
                 sum(1 << c for c, b in zip(pivots, bits) if b)
                 for bits in itertools.product((0, 1), repeat=len(pivots))
             ]
-            assert [x for x in on_pivots if image(x) == target] == [sol]
-    assert inconsistent > 0
+            assert [x for x in on_pivots if images[x] == target] == [sol]
+    assert inconsistent > 0 and zero_rows > 0 and unheld_columns > 0
+
+
+@pytest.mark.parametrize("rows, cols", [(20, 40), (8, 80)])
+def test_find_gflow_on_large_clusters_is_valid_and_as_deep_as_the_columns(rows, cols):
+    graph = generate_cluster(rows, cols)
+    report = verify_gflow(graph, find_gflow(graph))
+    assert report.valid
+    assert report.depth == cols - 1
 
 
 def _reference_violations(graph, gf):

@@ -1,9 +1,10 @@
+import functools
 import math
 
 import numpy as np
 import pytest
 
-from agqc.gflow import find_gflow, zigzag_gflow_family
+from agqc.gflow import Gflow, find_gflow, zigzag_gflow_family
 from agqc.graph import generate_chain, generate_cluster, generate_cnot_graph, generate_zigzag, make_graph
 from agqc.pauli import (
     Commutation,
@@ -25,7 +26,7 @@ from agqc.pauli import (
     twisted_generator,
 )
 
-from conftest import chain_gflow, cluster_gflow
+from conftest import chain_gflow, cluster_gflow, random_open_graph
 
 
 def rop(p: PauliString, twist=None) -> RotatedPauliOp:
@@ -212,6 +213,55 @@ def test_build_T_cluster_interior_degree():
     interior = 1 * 3 + 1
     t = build_T(g, gf, interior)
     assert t.degree == 5
+
+
+def _exact(op: RotatedPauliOp) -> tuple:
+    return op.pauli.n, op.pauli.x, op.pauli.z, op.pauli.phase_exp, op.twist
+
+
+def _twist_angle(rng) -> float:
+    """A random angle, or a multiple of pi/2 as is or 1e-13 to one side of it."""
+    if rng.integers(2):
+        return float(rng.uniform(-7, 7))
+    return float(rng.integers(-8, 9)) * math.pi / 2 + float(rng.choice([-1e-13, 0.0, 1e-13]))
+
+
+def test_build_T_is_the_product_of_twisted_generators_bit_for_bit(rng):
+    cases = []
+    for _ in range(1000):
+        g = random_open_graph(rng, int(rng.integers(2, 11)))
+        angles = {v: _twist_angle(rng) for v in g.angles}
+        g = make_graph(g.n_vertices, g.edges, g.inputs, g.outputs, angles)
+        gf = find_gflow(g)
+        if gf is not None:
+            cases.append((g, gf))
+    for _ in range(100):
+        n = int(rng.integers(1, 11))
+        z = generate_zigzag(n)
+        # g^r(v) holds outputs only: give them angles, so that T_v holds several twists
+        angles = {v: _twist_angle(rng) for v in range(2 * n)}
+        z = make_graph(2 * n, z.edges, z.inputs, z.outputs, angles)
+        cases.append((z, zigzag_gflow_family(n, int(rng.integers(1, n + 1)))))
+    multi = 0
+    for g, gf in cases:
+        for v in gf.g:
+            want = functools.reduce(
+                RotatedPauliOp.mul,
+                [twisted_generator(g, w) for w in sorted(gf.g[v])],
+                rop(PauliString(g.n_vertices)),
+            )
+            got = build_T(g, gf, v)
+            assert _exact(got) == _exact(want), (v, gf.g[v])
+            multi += len(got.twist) >= 2
+    assert multi > 0
+
+
+def test_build_T_rejects_an_input_in_the_correcting_set():
+    g = generate_chain(3, [0.3, 0.2, 0.0])
+    with pytest.raises(ValueError, match="is an input"):
+        build_T(g, Gflow({0: frozenset({0, 1}), 1: frozenset({2})}, {0: 0, 1: 1}), 0)
+    with pytest.raises(ValueError, match="unknown vertex"):
+        build_T(g, Gflow({0: frozenset({1, 7}), 1: frozenset({2})}, {0: 0, 1: 1}), 0)
 
 
 def test_support_and_degree():

@@ -22,14 +22,15 @@ from agqc.logical import chain_unitary, compare
 from agqc import _linalg, budget, sectors, sim
 from agqc.budget import SizeCapError
 from agqc._linalg import (
+    _su2_halve,
     _two_level,
     eigvalsh,
     expmi,
+    halving_order,
     ordered_apply,
     su2_class_ramp,
     su2_classes,
     su2_exp,
-    su2_ordered,
 )
 from agqc.pauli import (
     Commutation,
@@ -348,6 +349,13 @@ def test_closed_form_eigvalsh_matches_lapack(rng):
         assert np.max(np.abs(eigvalsh(h) - want)) < 1e-12 * max(1.0, np.abs(h).max())
     h4 = _hermitian_stack(rng, 8, 1.0).reshape(2, 4, 4)
     assert np.array_equal(eigvalsh(h4), np.linalg.eigvalsh(h4))
+
+
+def su2_ordered(alpha, beta, v):
+    """The pair of ``U[..., -1] ... U[..., 0] V`` for the pairs U along the
+    last axis of ``(alpha, beta)``, gathered into the halving order."""
+    order = halving_order(alpha.shape[-1])
+    return _su2_halve(alpha[..., order], beta[..., order], v)
 
 
 def test_ordered_products_match_sequential_matmul(rng):
