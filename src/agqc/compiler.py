@@ -160,6 +160,7 @@ class AdiabaticBudget:
 
 
 def _require_valid_gflow(graph: OpenGraph, gf: Gflow) -> None:
+    """Refuse a non-XY plane, a failed axiom G1-G3 and an input in a correcting set."""
     for v, plane in graph.planes.items():
         if plane is not Plane.XY:
             raise CompileError(f"only XY-plane graphs compile (vertex {v + 1} is {plane.value})")
@@ -167,6 +168,10 @@ def _require_valid_gflow(graph: OpenGraph, gf: Gflow) -> None:
     if not report.valid:
         shown = "; ".join(f"{ax}: {detail}" for _, ax, detail in report.violations[:3])
         raise InvalidGflowError(f"gflow fails verification: {shown}")
+    if not frozenset().union(*gf.g.values()).isdisjoint(graph.inputs):
+        v = min(u for u in gf.g if not gf.g[u].isdisjoint(graph.inputs))
+        w = min(gf.g[v].intersection(graph.inputs))
+        raise InvalidGflowError(f"g({v + 1}) holds input {w + 1}; inputs have no generator")
 
 
 def _x_terms(graph: OpenGraph) -> dict[int, RotatedPauliOp]:

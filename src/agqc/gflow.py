@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 from . import _gf2
 from .budget import approx, check_bytes
-from .graph import OpenGraph, Plane, is_json_int, json_label, read_json_object
+from .graph import OpenGraph, Plane, is_json_int, json_label, read_json_object, stabilizer_product
 
 #: Sentinel layer assigned to outputs in comparisons (beyond all real layers).
 OUTPUT_LAYER = float("inf")
@@ -68,8 +68,8 @@ class GflowReport:
 
 
 def _check_structure(graph: OpenGraph, gf: Gflow) -> None:
-    # Correcting sets containing inputs are caught when building T_v (no
-    # generator exists there), not here: the axioms are still checkable.
+    # Correcting sets containing inputs are refused by the compiler's check
+    # (no generator exists there), not here: the axioms are still checkable.
     non_outputs = set(graph.non_outputs)
     if set(gf.g) != non_outputs:
         missing = non_outputs - set(gf.g)
@@ -111,19 +111,18 @@ def verify_gflow(graph: OpenGraph, gf: Gflow) -> GflowReport:
         mask |= 1 << v
         at_or_before[gf.layer[v]] = mask
     violations: list[tuple[int, str, str]] = []
+    max_size = 0
     for v in sorted(gf.g):
         corr = gf.g[v]
         lv = gf.layer_of(v)
         # details name vertices by their 1-based labels, like every report
         label = v + 1
-        for w in sorted(corr):
-            if w != v and gf.layer_of(w) <= lv:
-                detail = f"{w + 1} in g({label}) is not in the future of {label}"
-                violations.append((v, "G1", detail))
-        # bit w of odd: w is oddly connected to g(v)
-        odd = 0
-        for u in corr:
-            odd ^= graph.adjacency[u]
+        # bit w of x: w is in g(v); bit w of odd: w is oddly connected to g(v)
+        x, odd, _ = stabilizer_product(graph, corr)
+        max_size = max(max_size, (x | odd).bit_count())
+        for w in _gf2.set_bits(x & at_or_before[lv] & ~(1 << v)):
+            detail = f"{w + 1} in g({label}) is not in the future of {label}"
+            violations.append((v, "G1", detail))
         if odd & at_or_before[lv] & ~(1 << v):
             for w in gf.layer:
                 if w != v and gf.layer_of(w) <= lv and odd >> w & 1:
@@ -138,7 +137,6 @@ def verify_gflow(graph: OpenGraph, gf: Gflow) -> GflowReport:
             parity = "oddly" if want_odd else "evenly"
             violations.append((v, "G3", f"g({label}) must be {parity} connected to {label}"))
     sizes, depth = layers_and_depth(gf)
-    max_size = max((gflow_size(graph, gf, v) for v in gf.g), default=0)
     return GflowReport(not violations, tuple(violations), depth, max_size, sizes)
 
 
@@ -154,13 +152,9 @@ def layers_and_depth(gf: Gflow) -> tuple[tuple[int, ...], int]:
 def gflow_size(graph: OpenGraph, gf: Gflow, v: int) -> int:
     """Support size of ``prod_{w in g(v)} K_w``, the gflow size |g(v)|."""
     if v not in gf.g:
-        raise ValueError(f"vertex {v} is an output (or unknown); it has no g(v)")
-    x_mask = 0
-    z_mask = 0
-    for w in gf.g[v]:
-        x_mask ^= 1 << w
-        z_mask ^= graph.adjacency[w]
-    return (x_mask | z_mask).bit_count()
+        raise ValueError(f"vertex {v + 1} is an output (or unknown); it has no g(v)")
+    x, z, _ = stabilizer_product(graph, gf.g[v])
+    return (x | z).bit_count()
 
 
 def find_gflow(graph: OpenGraph) -> Gflow | None:

@@ -144,6 +144,21 @@ def validate(graph: OpenGraph) -> ValidationReport:
     return ValidationReport(not problems, tuple(problems))
 
 
+def stabilizer_product(graph: OpenGraph, members: Iterable[int]) -> tuple[int, int, int]:
+    """``(x, z, e)`` with ``prod_{w in S} K_w = (-1)^e X_S Z_Odd(S)`` for the
+    distinct vertices ``S = members``: x is the mask of S, z the XOR of their
+    adjacency masks, and ``e = |E(S)|``, one Z moved past an X per edge inside
+    S.  Members are not checked; a caller that needs generators refuses inputs.
+    """
+    x = z = e = 0
+    for w in members:
+        adj = graph.adjacency[w]
+        e += (adj & x).bit_count()
+        x |= 1 << w
+        z ^= adj
+    return x, z, e
+
+
 def is_clifford_angle(theta: float) -> bool:
     """True when ``theta`` is a multiple of pi/2 within :data:`CLIFFORD_TOL`."""
     return abs(math.remainder(theta, math.pi / 2)) < CLIFFORD_TOL

@@ -14,7 +14,7 @@ import numpy as np
 from .budget import check_vectors
 from .compiler import ScheduleStep
 from .gflow import Gflow
-from .graph import OpenGraph
+from .graph import OpenGraph, stabilizer_product
 from .pauli import (
     Commutation,
     PauliString,
@@ -51,7 +51,8 @@ def initial_frame(graph: OpenGraph, gf: Gflow) -> LogicalFrame:
     n = graph.n_vertices
     pairs = []
     for i in graph.inputs:
-        x_l = RotatedPauliOp.from_pauli(PauliString(n, x=1 << i, z=graph.adjacency[i]))
+        x, z, _ = stabilizer_product(graph, (i,))
+        x_l = RotatedPauliOp.from_pauli(PauliString(n, x, z))
         z_l = RotatedPauliOp.from_pauli(single(n, i, "Z"))
         pairs.append((x_l, z_l))
     return LogicalFrame(tuple(pairs))

@@ -27,7 +27,7 @@ import numpy as np
 
 from ._gf2 import set_bits
 from .gflow import Gflow
-from .graph import CLIFFORD_TOL, OpenGraph
+from .graph import CLIFFORD_TOL, OpenGraph, stabilizer_product
 
 _PHASES = (1, 1j, -1, -1j)
 _LETTERS = {(0, 0): "I", (1, 0): "X", (1, 1): "Y", (0, 1): "Z"}
@@ -331,10 +331,11 @@ class SiteTable:
 def stabilizer_generator(graph: OpenGraph, v: int) -> PauliString:
     """Graph-state generator ``K_v = X_v prod_{w ~ v} Z_w`` (non-inputs only)."""
     if v in graph.inputs:
-        raise ValueError(f"vertex {v} is an input; generators exist on non-inputs only")
+        raise ValueError(f"vertex {v + 1} is an input; generators exist on non-inputs only")
     if not 0 <= v < graph.n_vertices:
-        raise ValueError(f"unknown vertex {v}")
-    return PauliString(graph.n_vertices, x=1 << v, z=graph.adjacency[v])
+        raise ValueError(f"unknown vertex {v + 1}")
+    x, z, _ = stabilizer_product(graph, (v,))
+    return PauliString(graph.n_vertices, x, z)
 
 
 def twisted_generator(graph: OpenGraph, v: int) -> RotatedPauliOp:
@@ -347,27 +348,20 @@ def twisted_generator(graph: OpenGraph, v: int) -> RotatedPauliOp:
 def build_T(graph: OpenGraph, gf: Gflow, v: int) -> RotatedPauliOp:
     """``T_v``: product of twisted generators over the correcting set g(v).
 
-    One pass over ``S = g(v)`` by ``prod_{w in S} K_w = (-1)^|E(S)| X_S
-    Z_Odd(S)``: x is the mask of S, z the XOR of the members' adjacency
-    masks, the phase exponent ``2 |E(S)| - |x & z|`` (``XZ = -iY``).  Each
-    twist sits on its own generator's X site, which no other factor flips,
-    so the twists ``{w: theta_w}`` fold once, in ``from_parts``.
+    The untwisted product is :func:`agqc.graph.stabilizer_product`'s
+    ``(-1)^e X_S Z_Odd(S)``, phase exponent ``2e - |x & z|`` (``XZ = -iY``).
+    Each twist sits on its own generator's X site, which no other factor
+    flips, so the twists ``{w: theta_w}`` fold once, in ``from_parts``.
     """
     if v not in gf.g:
-        raise ValueError(f"vertex {v} is an output (or unknown); no T_v exists")
-    n = graph.n_vertices
-    x = z = edges = 0
-    twist = {}
-    for w in sorted(gf.g[v]):
-        if not 0 <= w < n or w in graph.inputs:
-            stabilizer_generator(graph, w)  # raises: no generator sits on w
-        adj = graph.adjacency[w]
-        edges += (adj & x).bit_count()
-        x |= 1 << w
-        z ^= adj
-        if graph.angles.get(w):  # a zero angle folds away
-            twist[w] = graph.angles[w]
-    return RotatedPauliOp.from_parts(PauliString(n, x, z, 2 * edges - (x & z).bit_count()), twist)
+        raise ValueError(f"vertex {v + 1} is an output (or unknown); no T_v exists")
+    corr, n = gf.g[v], graph.n_vertices
+    if not corr.isdisjoint(graph.inputs) or not all(0 <= w < n for w in corr):
+        for w in sorted(corr):
+            stabilizer_generator(graph, w)  # raises at the first w without a generator
+    x, z, e = stabilizer_product(graph, corr)
+    twist = {w: graph.angles[w] for w in corr if graph.angles.get(w)}  # zeros fold away
+    return RotatedPauliOp.from_parts(PauliString(n, x, z, 2 * e - (x & z).bit_count()), twist)
 
 
 def stabilizer_set(graph: OpenGraph, gf: Gflow) -> dict[int, RotatedPauliOp]:
@@ -412,21 +406,6 @@ def one_step_update(
                     op = op.mul(stabs[w])
         updated[v] = op
     return updated
-
-
-def correction_operator(
-    graph: OpenGraph, gf: Gflow, v: int, outcome: int
-) -> PauliString:
-    """Byproduct ``(prod_{u in g(v)} K_u)**outcome`` for measurement result of v."""
-    if v not in gf.g:
-        raise ValueError(f"vertex {v} is an output (or unknown); no correction exists")
-    if outcome not in (0, 1):
-        raise ValueError("outcome must be 0 or 1")
-    op = PauliString(graph.n_vertices)
-    if outcome:
-        for u in sorted(gf.g[v]):
-            op = op.mul(stabilizer_generator(graph, u))
-    return op
 
 
 # ---------------------------------------------------------------------------

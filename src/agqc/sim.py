@@ -40,16 +40,15 @@ import numpy as np
 from ._linalg import su2_sweep
 from . import budget
 from .budget import check_bytes, check_vectors
-from .compiler import DEGENERACY_TOL, Schedule, ScheduleStep
+from .compiler import DEGENERACY_TOL, Schedule, ScheduleStep, _require_valid_gflow
 from .gflow import Gflow
-from .graph import OpenGraph
+from .graph import OpenGraph, stabilizer_product
 from .logical import _seeded_vector, final_frame, initial_frame, logical_basis_from_ops
 from .pauli import (
     PauliString,
     RotatedPauliOp,
     apply_op,
     commutation_masks,
-    correction_operator,
     projector_apply,
     to_matrix,
 )
@@ -464,15 +463,18 @@ def mbqc_reference_run(
 
     The input state (dimension ``2^{|inputs|}``, bit i = inputs[i]) is
     entangled into the graph, every non-output is measured in layer order
-    at its adapted angle, byproducts accumulate through
-    :func:`agqc.pauli.correction_operator`, and the surviving output state
-    is returned with final corrections applied.  The result is independent
-    of the outcome sequence; ``outcomes`` may be "zeros", "random", or an
+    at its adapted angle, outcome 1 at v XORs the X and Z masks of
+    :func:`agqc.graph.stabilizer_product` over g(v) into the byproduct (its
+    sign, a global phase, is dropped), and the surviving output state is
+    returned with final corrections applied.  The gflow is first checked
+    as ``compile`` checks it (``ValueError`` on failure), which is what
+    makes the result independent of the outcomes: "zeros", "random", or an
     explicit bit sequence.  A ``(2^{|inputs|}, m)`` input runs its m columns
     in one pass, under one outcome sequence, each column normalized and
     checked for a zero-weight branch on its own; ``output_state`` is then
     ``(2^{|outputs|}, m)``.
     """
+    _require_valid_gflow(graph, gf)
     n = graph.n_vertices
     inputs = graph.inputs
     given = np.asarray(input_state, dtype=complex)
@@ -505,12 +507,12 @@ def mbqc_reference_run(
         if len(planned) != len(order):
             raise ValueError(f"need {len(order)} outcomes, got {len(planned)}")
 
-    byproduct = PauliString(n)
+    bx = bz = 0  # the byproduct's X and Z masks
     for v, r_obs in zip(order, planned):
         theta = graph.angles[v]
-        if byproduct.x >> v & 1:
+        if bx >> v & 1:
             theta = -theta
-        if byproduct.z >> v & 1:
+        if bz >> v & 1:
             theta += math.pi
         # Measurement basis |±_theta> = (|0> ± e^{-i theta}|1>)/sqrt(2): the
         # phase sign that makes one measured qubit implement H exp(-i theta Z/2),
@@ -527,7 +529,9 @@ def mbqc_reference_run(
         # Adapted basis vectors are byproduct * (ideal basis), so the observed
         # outcome already labels the ideal branch; no relabeling.
         if r_obs:
-            byproduct = byproduct.mul(correction_operator(graph, gf, v, 1))
+            cx, cz, _ = stabilizer_product(graph, gf.g[v])
+            bx ^= cx
+            bz ^= cz
 
     # every non-output was measured into bit 0: output index j, whose bit i
     # is the state of outputs[i], is gathered from the full index src[j]
@@ -537,7 +541,7 @@ def mbqc_reference_run(
     for i, v in enumerate(graph.outputs):
         out_mask |= 1 << v
         src |= (out_idx >> i & 1) << v
-    final_fix = PauliString(n, byproduct.x & out_mask, byproduct.z & out_mask)
+    final_fix = PauliString(n, bx & out_mask, bz & out_mask)
     output_state = apply_op(final_fix, state)[src]
     output_state = output_state / np.linalg.norm(output_state, axis=0)
     return MbqcRun(output_state if given.ndim == 2 else output_state[:, 0], tuple(planned))

@@ -375,6 +375,37 @@ def test_huge_generator_count_prints_a_short_error(capsys):
         assert "memory budget" in err and "inf" not in err and len(err) < 100
 
 
+@pytest.mark.parametrize(
+    "graph,gflow,err",
+    [
+        ("chain:5", "zigzag:1",
+         "g must be defined exactly on non-outputs (missing [3, 4], extra [])"),
+        ("chain:3:0,0.7", '{"g": {"1": [2], "2": [3]}, "layer": {"1": 1, "2": 0}}',
+         "gflow fails verification: G1: 2 in g(1) is not in the future of 1"),
+        ('{"n": 3, "edges": [[1, 2], [2, 3]], "inputs": [1], "outputs": [3], '
+         '"angles": {"1": 0, "2": 0.3}, "planes": {"2": "XZ"}}',
+         '{"g": {"1": [2], "2": [2, 3]}, "layer": {"1": 0, "2": 1}}',
+         "only XY-plane graphs compile (vertex 2 is XZ)"),
+        # a valid gflow whose g(1) holds the input 2, named by its 1-based label
+        ('{"n": 3, "edges": [[1, 2], [2, 3]], "inputs": [1, 2], "outputs": [3], '
+         '"angles": {"1": 0, "2": 0}}',
+         '{"g": {"1": [2], "2": [3]}, "layer": {"1": 0, "2": 1}}',
+         "g(1) holds input 2; inputs have no generator"),
+    ],
+    ids=["structure", "G1", "XZ-plane", "input"],
+)
+def test_mbqc_checks_its_gflow_as_compile_does(tmp_path, capsys, graph, gflow, err):
+    args = []
+    for name, spec in (("graph", graph), ("gflow", gflow)):
+        if spec.startswith("{"):
+            path = tmp_path / f"{name}.json"
+            path.write_text(spec)
+            spec = str(path)
+        args += [f"--{name}", spec]
+    for command in (["compile"], ["mbqc"], ["mbqc", "--outcomes", "random", "--seed", "5"]):
+        assert run_err(capsys, *command, *args) == (2, "", f"error: {err}\n")
+
+
 def test_mbqc_zero_norm_input_is_exit_2(capsys):
     code, out, err = run_err(capsys, "mbqc", "--graph", "chain:3", "--input", "0,0")
     assert code == 2 and out == ""

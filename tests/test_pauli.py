@@ -4,8 +4,15 @@ import math
 import numpy as np
 import pytest
 
-from agqc.gflow import Gflow, find_gflow, zigzag_gflow_family
-from agqc.graph import generate_chain, generate_cluster, generate_cnot_graph, generate_zigzag, make_graph
+from agqc.gflow import Gflow, find_gflow, gflow_size, zigzag_gflow_family
+from agqc.graph import (
+    generate_chain,
+    generate_cluster,
+    generate_cnot_graph,
+    generate_zigzag,
+    make_graph,
+    stabilizer_product,
+)
 from agqc.pauli import (
     Commutation,
     NonCliffordAngleError,
@@ -17,7 +24,6 @@ from agqc.pauli import (
     build_T,
     commutation_masks,
     commutes,
-    correction_operator,
     one_step_update,
     single,
     stabilizer_generator,
@@ -258,10 +264,12 @@ def test_build_T_is_the_product_of_twisted_generators_bit_for_bit(rng):
 
 def test_build_T_rejects_an_input_in_the_correcting_set():
     g = generate_chain(3, [0.3, 0.2, 0.0])
-    with pytest.raises(ValueError, match="is an input"):
+    with pytest.raises(ValueError, match="^vertex 1 is an input"):
         build_T(g, Gflow({0: frozenset({0, 1}), 1: frozenset({2})}, {0: 0, 1: 1}), 0)
-    with pytest.raises(ValueError, match="unknown vertex"):
+    with pytest.raises(ValueError, match="^unknown vertex 8$"):
         build_T(g, Gflow({0: frozenset({1, 7}), 1: frozenset({2})}, {0: 0, 1: 1}), 0)
+    with pytest.raises(ValueError, match="^vertex 3 is an output"):
+        build_T(g, chain_gflow(3), 2)
 
 
 def test_support_and_degree():
@@ -328,29 +336,55 @@ def test_one_step_update_rejects_general_angle():
         one_step_update(stabilizer_set(g, gf), gf)
 
 
-# --- corrections ----------------------------------------------------------
+# --- stabilizer products ---------------------------------------------------
 
 
-def test_correction_operator_outcome_zero_is_identity():
+def _closed_form(g, members) -> PauliString:
+    x, z, e = stabilizer_product(g, members)
+    return PauliString(g.n_vertices, x, z, 2 * e - (x & z).bit_count())
+
+
+def test_stabilizer_product_of_no_members_is_the_identity():
+    assert stabilizer_product(generate_chain(3, [0.0] * 3), ()) == (0, 0, 0)
+
+
+def test_stabilizer_product_of_one_member_is_its_generator():
     g = generate_chain(3, [0.0] * 3)
-    assert correction_operator(g, chain_gflow(3), 0, 0) == PauliString(3)
+    assert _closed_form(g, {1}) == stabilizer_generator(g, 1)
 
 
-def test_correction_operator_chain():
-    g = generate_chain(3, [0.0] * 3)
-    assert correction_operator(g, chain_gflow(3), 0, 1) == stabilizer_generator(g, 1)
-
-
-def test_correction_operator_two_qubit_x_on_output():
+def test_stabilizer_product_two_qubit_x_on_output():
     g = generate_chain(2, [0.0, 0.0])
-    corr = correction_operator(g, chain_gflow(2), 0, 1)
-    assert corr.letter(1) == "X"  # the X correction on qubit B
+    assert _closed_form(g, chain_gflow(2).g[0]).letter(1) == "X"  # the X correction on qubit B
 
 
-def test_correction_operator_rejects_output():
-    g = generate_chain(3, [0.0] * 3)
-    with pytest.raises(ValueError):
-        correction_operator(g, chain_gflow(3), 2, 1)
+def test_stabilizer_product_is_the_product_of_generators(rng):
+    """The closed form against PauliString.mul over g(v), phase included,
+    on every non-output of graphs that have a gflow; gflow_size is the
+    product's support."""
+    cases = []
+    for _ in range(100):
+        g = random_open_graph(rng, int(rng.integers(3, 9)))
+        gf = find_gflow(g)
+        if gf is not None:
+            cases.append((g, gf))
+    assert len(cases) >= 20
+    for n in (1, 4, 7):
+        cases += [(generate_zigzag(n), zigzag_gflow_family(n, r)) for r in range(1, n + 1)]
+    cluster = generate_cluster(3, 4)
+    cases.append((cluster, find_gflow(cluster)))
+    signs = 0
+    for g, gf in cases:
+        for v in gf.g:
+            want = functools.reduce(
+                PauliString.mul,
+                [stabilizer_generator(g, w) for w in sorted(gf.g[v])],
+                PauliString(g.n_vertices),
+            )
+            assert _closed_form(g, gf.g[v]) == want, (v, gf.g[v])
+            assert gflow_size(g, gf, v) == len(want.support)
+            signs += stabilizer_product(g, gf.g[v])[2] & 1
+    assert signs > 0  # some correcting set holds an odd number of edges
 
 
 # --- stabilizer-set commutation invariants ----------------------------------

@@ -16,7 +16,14 @@ from agqc.compiler import (
     step_gap_analytic,
 )
 from agqc.gflow import Gflow, find_gflow, zigzag_gflow_family
-from agqc.graph import generate_chain, generate_cluster, generate_cnot_graph, generate_zigzag, make_graph
+from agqc.graph import (
+    Plane,
+    generate_chain,
+    generate_cluster,
+    generate_cnot_graph,
+    generate_zigzag,
+    make_graph,
+)
 from agqc.logical import initial_frame
 from agqc.logical import chain_unitary, compare
 from agqc import _linalg, budget, sectors, sim
@@ -1473,14 +1480,17 @@ def test_mbqc_cnot_graph_realizes_x_controlled_not():
 
 
 def test_mbqc_nontrivial_gflow_family_deterministic(rng):
-    g = generate_zigzag(3)
+    # g^2 corrects with two-member sets; the general angles make an X
+    # byproduct flip the adapted angle's sign
+    zigzag = generate_zigzag(3)
     gf = zigzag_gflow_family(3, 2)
     inp = rng.standard_normal(8) + 1j * rng.standard_normal(8)
     inp /= np.linalg.norm(inp)
-    base = mbqc_reference_run(g, gf, inp, "zeros")
-    for bits in range(8):
-        run = mbqc_reference_run(g, gf, inp, [bits >> i & 1 for i in range(3)])
-        assert abs(np.vdot(base.output_state, run.output_state)) > 1 - 1e-10
+    for g in (zigzag, make_graph(6, zigzag.edges, range(3), range(3, 6), {0: 0.3, 1: 0.9, 2: 1.7})):
+        base = mbqc_reference_run(g, gf, inp, "zeros")
+        for bits in range(8):
+            run = mbqc_reference_run(g, gf, inp, [bits >> i & 1 for i in range(3)])
+            assert abs(np.vdot(base.output_state, run.output_state)) > 1 - 1e-10
 
 
 def _crossed_rows(outputs):
@@ -1570,6 +1580,42 @@ def test_mbqc_input_dimension_check():
     g = generate_chain(3, [0.0] * 3)
     with pytest.raises(ValueError):
         mbqc_reference_run(g, chain_gflow(3), np.array([1.0, 0.0, 0.0]))
+
+
+_CHAIN3 = [(0, 1), (1, 2)]
+
+
+@pytest.mark.parametrize(
+    "graph,gf,message",
+    [
+        # the zig-zag g^1 of a 4-vertex graph leaves two non-outputs without g(v)
+        (generate_chain(5), zigzag_gflow_family(2, 1), r"missing \[3, 4\]"),
+        (
+            generate_chain(3, [0.0, 0.7, 0.0]),
+            Gflow({0: frozenset({1}), 1: frozenset({2})}, {0: 1, 1: 0}),
+            r"G1: 2 in g\(1\) is not in the future of 1",
+        ),
+        (
+            make_graph(3, _CHAIN3, [0], [2], {1: 0.3}, {1: Plane.XZ}),
+            Gflow({0: frozenset({1}), 1: frozenset({1, 2})}, {0: 0, 1: 1}),
+            r"vertex 2 is XZ",
+        ),
+        (
+            make_graph(3, _CHAIN3, [0, 1], [2]),
+            Gflow({0: frozenset({1}), 1: frozenset({2})}, {0: 0, 1: 1}),
+            r"g\(1\) holds input 2",
+        ),
+    ],
+    ids=["structure", "G1", "XZ-plane", "input"],
+)
+def test_mbqc_refuses_a_gflow_that_compile_refuses(graph, gf, message):
+    """Without the check each of these measured a wrong pattern and
+    returned a state, or refused only under some outcomes."""
+    with pytest.raises(ValueError, match=message):
+        compile_stepwise(graph, gf)
+    for outcomes in ("zeros", "random"):
+        with pytest.raises(ValueError, match=message):
+            mbqc_reference_run(graph, gf, np.eye(1 << len(graph.inputs))[0], outcomes, seed=1)
 
 
 def test_more_outputs_than_inputs_supported():
