@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import functools
+import math
+from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
@@ -27,22 +29,23 @@ def eigvalsh(h: np.ndarray) -> np.ndarray:
     return np.stack([h0 - r, h0 + r], axis=-1)
 
 
-def expmi(h: np.ndarray) -> np.ndarray:
+def expmi(h: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """exp(-i h) for Hermitian h (or a stack of them), by diagonalization;
-    unitary to roundoff."""
+    unitary to roundoff.  Written into ``out`` when given, which may be h
+    itself: one stack fewer."""
     w, v = np.linalg.eigh(h)
     phased = v * np.exp(-1j * w)[..., None, :]
-    return phased @ np.swapaxes(np.conj(v, out=v), -1, -2)  # in place: one stack fewer
+    return np.matmul(phased, np.swapaxes(np.conj(v, out=v), -1, -2), out=out)
 
 
-def ordered_apply(u: np.ndarray, c: np.ndarray) -> np.ndarray:
+def ordered_apply(u: np.ndarray, c: np.ndarray | None) -> np.ndarray:
     """``u[-1] ... u[1] u[0] c`` for a stack ``u`` of square factors, by
-    pairwise halving of the stack."""
+    pairwise halving of the stack; c None is the identity."""
     while u.shape[0] > 1:
         if u.shape[0] % 2:
-            c, u = u[0] @ c, u[1:]
+            c, u = u[0] if c is None else u[0] @ c, u[1:]
         u = u[1::2] @ u[::2]
-    return u[0] @ c
+    return u[0] if c is None else u[0] @ c
 
 
 # SU(2) elements as pairs: (alpha, beta) is [[alpha, -conj(beta)], [beta, conj(alpha)]].
@@ -123,18 +126,27 @@ def _su2_halve(
     return last if v is None else su2_mul(*last, *v)
 
 
+def sweep_chunk(entries: int) -> int:
+    """The weights in one chunk of :func:`su2_sweep` over ``entries`` rows,
+    at least one: alpha and beta each hold at most a quarter of
+    ``CHUNK_BYTES`` (64 KiB), below glibc's default mmap threshold, so that
+    a sweep's temporaries are not mapped and returned to the system at
+    every call."""
+    return max(1, CHUNK_BYTES // (64 * entries))
+
+
 def su2_sweep(
     za: np.ndarray, zb: np.ndarray, ha: np.ndarray, hb: np.ndarray, weights: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """The pair of ``prod_w exp(-i n(w).sigma)`` over ``weights`` in order,
     for each entry of the 1-D stacks, with ``z = za + w zb`` and ``h10 = ha +
     w hb`` (:func:`su2_exp`).  Each entry's exponentials are one contiguous
-    row of an ``(entries, weights)`` array, in chunks of weights that keep
-    the pairs within ``CHUNK_BYTES``; the weights are taken in
+    row of an ``(entries, weights)`` array, in chunks of
+    :func:`sweep_chunk` weights; the weights are taken in
     :func:`halving_order`, so that the exponentials need no gather."""
     za, zb, ha, hb = (x[:, None] for x in (za, zb, ha, hb))
     u = None
-    per = max(1, CHUNK_BYTES // (32 * za.shape[0]))
+    per = sweep_chunk(za.shape[0])
     for lo in range(0, weights.shape[0], per):
         w = weights[lo:lo + per]
         w = w[halving_order(w.shape[0])]
@@ -143,9 +155,10 @@ def su2_sweep(
 
 
 def _distinct_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(first, inverse)`` for the rows of the 2-D float array x grouped by
-    byte equality: ``x[first]`` holds one row of each class and
-    ``x[first][inverse] == x``.  Callers normalize -0.0 to 0.0 first."""
+    """``(first, inverse)`` for the rows of the 2-D array x grouped by byte
+    equality: ``x[first]`` holds one row of each class and
+    ``x[first][inverse] == x``.  Callers that group floats by value
+    normalize -0.0 to 0.0 first."""
     rows = np.ascontiguousarray(x).view(np.dtype((np.void, x.itemsize * x.shape[1])))[:, 0]
     order = np.argsort(rows, kind="stable")
     rows = rows[order]
@@ -156,12 +169,51 @@ def _distinct_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return order[new], inverse
 
 
+def distinct_blocks(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(first, inverse)`` of :func:`_distinct_rows` for the pairs of
+    matrices ``(a[j], b[j])`` of two stacks, grouped by byte equality:
+    each stack is grouped on its own, then the pairs of their classes, so
+    that no joined copy of the two is made."""
+    rows = [_distinct_rows(x.reshape(x.shape[0], -1))[1] for x in (a, b)]
+    return _distinct_rows(np.stack(rows, axis=1))
+
+
+#: 2 pi in long double, as the sum of its double and the rest.
+_TWO_PI = np.longdouble(2.0 * math.pi) + np.longdouble(2.4492935982947064e-16)
+
+
+def _turn(angle: np.ndarray) -> np.ndarray:
+    """A long-double angle (or array of them) reduced into [-pi, pi] in long
+    double, as float: an exponential of it takes no rounding error from
+    the turns it drops."""
+    return (angle - _TWO_PI * np.round(angle / _TWO_PI)).astype(float)
+
+
+def _parallel(v: np.ndarray) -> np.ndarray:
+    """For each row ``(u, w)`` of the stack v of 3-vector pairs, whether u and
+    w are exactly parallel (a zero vector is parallel to every vector).
+
+    Where ``u x w`` is exactly zero its products ``u_i w_j`` and ``u_j w_i``
+    are equal reals, which round alike, so the rounded cross product is
+    zero too; the rows where it is are the candidates, and each is
+    confirmed in exact rational arithmetic.  A rounded zero alone does not
+    suffice: ``(1, fl(1/3))`` and ``(3, 1)`` give one."""
+    u, w = v[:, 0], v[:, 1]
+    cross = u[:, [1, 2, 0]] * w[:, [2, 0, 1]] - u[:, [2, 0, 1]] * w[:, [1, 2, 0]]
+    out = ~cross.any(axis=1)
+    for c in np.flatnonzero(out & u.any(axis=1) & w.any(axis=1)):
+        (u1, u2, u3), (w1, w2, w3) = ([Fraction(x) for x in row] for row in v[c].tolist())
+        out[c] = u2 * w3 == u3 * w2 and u3 * w1 == u1 * w3 and u1 * w2 == u2 * w1
+    return out
+
+
 class Su2Classes(NamedTuple):
     """A stack of 2x2 Hermitian pairs (A, B) grouped into classes by
     :func:`su2_classes`: ``h0`` holds each pair's scalar parts as a row
     ``(a0, b0)``; row c of ``z`` and ``h10`` holds the traceless parts of
     class c's representative, A's then B's; ``swept`` marks the classes
-    whose traceless A and B parts are both nonzero; pair j is class
+    whose traceless A and B parts are not exactly parallel (a zero part is
+    parallel to every part), whose ramp factors need not commute; pair j is class
     ``inverse[j]`` conjugated by a Pauli, which ``conj`` and ``neg`` name."""
 
     h0: np.ndarray
@@ -199,7 +251,7 @@ def su2_classes(a: np.ndarray, b: np.ndarray) -> Su2Classes:
     first, inverse = _distinct_rows(key)
     key = key[first].reshape(-1, 2, 3)
     return Su2Classes(0.5 * (x[..., 0] + x[..., 6]), key[..., 0], key[..., 1] + 1j * key[..., 2],
-                      key.any(axis=2).all(axis=1), inverse, conj, neg)
+                      ~_parallel(key), inverse, conj, neg)
 
 
 def su2_class_ramp(
@@ -213,25 +265,32 @@ def su2_class_ramp(
     is formed; the scalar parts commute with everything and add up to one
     phase, ``exp(-i dt (W a0/2 + b0 sum w))`` for W weights.  Each swept
     class is ramped once (:func:`su2_sweep`).  The factors of any other
-    class commute, as its traceless A or B part is exactly zero, and their
-    product is the one exponential ``exp(-i dt (W a/2 + b sum w).sigma)``.
-    A class's pair maps back to each member exactly: ``P U P`` is ``(alpha,
-    -beta)`` for Z, ``(conj alpha, -conj beta)`` for X and ``(conj alpha,
-    conj beta)`` for Y.
+    class commute, as its traceless A and B parts are exactly parallel, and
+    their product is the one exponential ``exp(-i dt (W a/2 + b sum w).sigma)``.
+    Its angle, like the phase's, reaches ~1e3 rad at tau = 1000, so both are
+    formed in long double from the long-double sum of the weights and
+    reduced mod 2 pi (:func:`_turn`) before the exponential.  A class's
+    pair maps back to each member exactly: ``P U P`` is ``(alpha, -beta)``
+    for Z, ``(conj alpha, -conj beta)`` for X and ``(conj alpha, conj
+    beta)`` for Y.
     """
     h0, z, h10, swept, inverse, conj, neg = classes
-    scale, count = np.array([0.5 * dt, dt]), np.array([weights.shape[0], weights.sum()])
-    z, h10 = z * scale, h10 * scale
-    if swept.all():
-        alpha, beta = su2_sweep(*z.T, *h10.T, weights)
-    else:
-        alpha, beta = np.empty((2, z.shape[0]), dtype=complex)
-        flat = ~swept
-        alpha[flat], beta[flat] = su2_exp(z[flat] @ count, h10[flat] @ count)
-        if swept.any():
-            alpha[swept], beta[swept] = su2_sweep(*z[swept].T, *h10[swept].T, weights)
+    # dt W/2 and dt sum w, in long double
+    count = np.array([0.5 * weights.shape[0], weights.sum(dtype=np.longdouble)]) * np.longdouble(dt)
+    alpha, beta = np.empty((2, z.shape[0]), dtype=complex)
+    flat = ~swept
+    if flat.any():
+        n = np.stack([z[flat], h10[flat].real, h10[flat].imag], axis=-1)
+        n = count @ n.astype(np.longdouble)  # dt (W a/2 + b sum w), on the class's axis
+        angle = np.sqrt(np.sum(n * n, axis=1))
+        n *= np.divide(_turn(angle), angle, out=np.zeros_like(angle), where=angle > 0)[:, None]
+        n = n.astype(float)
+        alpha[flat], beta[flat] = su2_exp(n[:, 0], n[:, 1] + 1j * n[:, 2])
+    if swept.any():
+        scale = np.array([0.5 * dt, dt])
+        alpha[swept], beta[swept] = su2_sweep(*(z[swept] * scale).T, *(h10[swept] * scale).T,
+                                              weights)
     u = np.stack([alpha[inverse], beta[inverse]])
     np.conjugate(u, out=u, where=conj)
     np.negative(u[1], out=u[1], where=neg)
-    return np.exp(-1j * (h0 @ (scale * count))), u[0], u[1]
-
+    return np.exp(-1j * _turn(h0 @ count)), u[0], u[1]

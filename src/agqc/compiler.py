@@ -166,12 +166,11 @@ def _require_valid_gflow(graph: OpenGraph, gf: Gflow) -> None:
             raise CompileError(f"only XY-plane graphs compile (vertex {v + 1} is {plane.value})")
     report = verify_gflow(graph, gf)
     if not report.valid:
+        _, axiom, detail = report.violations[0]
+        if axiom == "codomain":  # listed last: every axiom G1-G3 holds
+            raise InvalidGflowError(detail)
         shown = "; ".join(f"{ax}: {detail}" for _, ax, detail in report.violations[:3])
         raise InvalidGflowError(f"gflow fails verification: {shown}")
-    if not frozenset().union(*gf.g.values()).isdisjoint(graph.inputs):
-        v = min(u for u in gf.g if not gf.g[u].isdisjoint(graph.inputs))
-        w = min(gf.g[v].intersection(graph.inputs))
-        raise InvalidGflowError(f"g({v + 1}) holds input {w + 1}; inputs have no generator")
 
 
 def _x_terms(graph: OpenGraph) -> dict[int, RotatedPauliOp]:

@@ -98,7 +98,9 @@ def verify_gflow(graph: OpenGraph, gf: Gflow) -> GflowReport:
     to g(v) (same-layer vertices included).
     G3 depends on the measurement plane of v: XY requires v not in g(v) and
     g(v) oddly connected to v; XZ requires v in g(v) and odd connectivity;
-    YZ requires v in g(v) and even connectivity.
+    YZ requires v in g(v) and even connectivity.  Every input w in a g(v)
+    is reported too, as axiom ``"codomain"`` (g maps into the subsets of
+    the non-inputs), after every failure of G1-G3.
 
     Structural mismatches raise :class:`GflowStructureError`; axiom failures
     are reported, not raised.
@@ -110,7 +112,9 @@ def verify_gflow(graph: OpenGraph, gf: Gflow) -> GflowReport:
     for v in sorted(gf.layer, key=gf.layer.get):
         mask |= 1 << v
         at_or_before[gf.layer[v]] = mask
+    inputs = sum(1 << w for w in graph.inputs)
     violations: list[tuple[int, str, str]] = []
+    held: list[tuple[int, str, str]] = []  # inputs in correcting sets, listed last
     max_size = 0
     for v in sorted(gf.g):
         corr = gf.g[v]
@@ -120,6 +124,9 @@ def verify_gflow(graph: OpenGraph, gf: Gflow) -> GflowReport:
         # bit w of x: w is in g(v); bit w of odd: w is oddly connected to g(v)
         x, odd, _ = stabilizer_product(graph, corr)
         max_size = max(max_size, (x | odd).bit_count())
+        for w in _gf2.set_bits(x & inputs):
+            detail = f"g({label}) holds input {w + 1}; inputs have no generator"
+            held.append((v, "codomain", detail))
         for w in _gf2.set_bits(x & at_or_before[lv] & ~(1 << v)):
             detail = f"{w + 1} in g({label}) is not in the future of {label}"
             violations.append((v, "G1", detail))
@@ -136,6 +143,7 @@ def verify_gflow(graph: OpenGraph, gf: Gflow) -> GflowReport:
         if bool(odd >> v & 1) != want_odd:
             parity = "oddly" if want_odd else "evenly"
             violations.append((v, "G3", f"g({label}) must be {parity} connected to {label}"))
+    violations += held
     sizes, depth = layers_and_depth(gf)
     return GflowReport(not violations, tuple(violations), depth, max_size, sizes)
 

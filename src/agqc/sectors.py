@@ -19,7 +19,9 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import _gf2
-from ._linalg import eigvalsh, expmi, ordered_apply, su2_class_ramp, su2_classes
+from ._linalg import (
+    distinct_blocks, eigvalsh, expmi, ordered_apply, su2_class_ramp, su2_classes,
+)
 from .budget import CHUNK_BYTES, approx, check_bytes
 from .compiler import Schedule
 from .graph import CLIFFORD_TOL
@@ -109,11 +111,13 @@ class StepBlocks:
     def dim(self) -> int:
         return self.a.shape[1]
 
-    def _stacks(self, wa: float, wb: np.ndarray):
-        """``wa A + w B`` for each w of ``wb``, in stacks of ~``CHUNK_BYTES``."""
-        per = max(1, CHUNK_BYTES // (64 * self.a.size))
+    @staticmethod
+    def _stacks(a: np.ndarray, b: np.ndarray, wa: float, wb: np.ndarray):
+        """``wa A + w B`` of the block stacks a and b for each w of ``wb``, in
+        stacks of ~``CHUNK_BYTES``."""
+        per = max(1, CHUNK_BYTES // (64 * a.size))
         for lo in range(0, wb.shape[0], per):
-            yield wa * self.a + wb[lo:lo + per, None, None, None] * self.b
+            yield wa * a + wb[lo:lo + per, None, None, None] * b
 
     def _walsh(self, f: np.ndarray) -> np.ndarray:
         """The normalized, self-inverse Walsh-Hadamard transform over S, in k passes."""
@@ -143,7 +147,7 @@ class StepBlocks:
         n_points = len(s_grid)
         check_bytes(32 * n_points * self.dest.shape[0], f"spectra at {approx(n_points)} points")
         s = np.asarray(s_grid, dtype=float)
-        rows = np.concatenate([eigvalsh(h) for h in self._stacks(1.0, s)])
+        rows = np.concatenate([eigvalsh(h) for h in self._stacks(self.a, self.b, 1.0, s)])
         return np.sort(rows.reshape(s.shape[0], -1), axis=1)
 
     def propagate(
@@ -154,12 +158,17 @@ class StepBlocks:
         each ``(dt_j, weights_j)`` of ``dt`` and ``weights``, and count the
         distinct problems propagated.
 
-        Two-dimensional blocks take the product as an SU(2) pair and a
-        phase, one pair per class of blocks whose traceless parts agree up to
-        a Pauli conjugation (:func:`~agqc._linalg.su2_class_ramp`; classes
-        are found once for every ramp), applied once; larger ones stack the
-        exponentials over (w x block) and multiply them in order by
-        :func:`~agqc._linalg.ordered_apply`, every block distinct."""
+        Each distinct problem is propagated once and applied to every block
+        that shares it.  Two-dimensional blocks take the product as an SU(2)
+        pair and a phase, one pair per class of blocks whose traceless parts
+        agree up to a Pauli conjugation (:func:`~agqc._linalg.su2_class_ramp`;
+        classes are found once for every ramp).  Larger blocks are grouped
+        by byte-equal (A, B) (:func:`~agqc._linalg.distinct_blocks`); each
+        group's propagator is the ordered product of its exponentials,
+        stacked over (w x group) and multiplied by
+        :func:`~agqc._linalg.ordered_apply`.  When every block is distinct,
+        A, B and the propagators are used without a gathered copy, which
+        keeps the peak within the charge of :func:`pauli_sum_blocks`."""
         c = self.to_blocks(psi)
         m = c.shape[2] // len(dt)
         shares = [c[..., j * m:(j + 1) * m] for j in range(len(dt))]  # views
@@ -173,11 +182,17 @@ class StepBlocks:
                                              beta * c0 + alpha.conj() * c1], axis=1), out=share)
             distinct = classes.z.shape[0]
         else:
+            first, inverse = distinct_blocks(self.a, self.b)
+            distinct = first.shape[0]
+            whole = distinct == self.a.shape[0]
+            a, b = (self.a, self.b) if whole else (self.a[first], self.b[first])
             for share, step, w in zip(shares, dt, weights):
-                for h in self._stacks(0.5, w):
+                u = None
+                for h in self._stacks(a, b, 0.5, w):
                     h *= step  # in place, to hold one stack fewer
-                    share[...] = ordered_apply(expmi(h), share)
-            distinct = self.a.shape[0]
+                    u = ordered_apply(expmi(h, out=h), u)
+                    del h  # the next stack is built without this one
+                share[...] = (u if whole else u[inverse]) @ share
         return self.from_blocks(c).reshape(psi.shape), distinct
 
 
@@ -215,8 +230,10 @@ def pauli_sum_blocks(
     dim, d = 1 << (n - k - len(zgens)), 1 << n
     # per basis index: 160 bytes of sector tables, and 16 dim for each of A,
     # B and the four stacks that StepBlocks.propagate holds at once (the
-    # weighted sum, eigh's vectors, their phased copy and the product), each
-    # the size of A or at most a quarter chunk, which two chunks cover
+    # weighted sum, which takes the product in place, eigh's vectors, their
+    # phased copy and the propagators so far), each the size of A or at most
+    # a quarter chunk, which two chunks cover; distinct blocks' copies of A
+    # and B, propagators and stacks together stay below those of all blocks
     check_bytes(((160 + 96 * dim) << n) + 2 * CHUNK_BYTES, f"{n}-qubit sector tables and blocks")
     idx = np.arange(d, dtype=np.int64)
     rep, expo, label, zlabel = idx.copy(), 0 * idx, 0 * idx, 0 * idx

@@ -12,10 +12,11 @@ step from the step's algebra, the smaller of two exact ones:
 * ``"blocks"``: every other step.  A maximal set of ``m`` commuting Pauli
   operators that commute with its terms (see :mod:`agqc.sectors`) splits
   ``H(s) = A + sB`` exactly into ``2^m`` blocks of dimension ``2^(n-m)``,
-  which are propagated (2x2 blocks once per class, and a class whose
-  traceless A or B part is zero in one exponential, see
-  :func:`~agqc._linalg.su2_class_ramp`), and diagonalized in
-  :func:`spectral_scan` and the ground projection, block by block.
+  which are propagated once per distinct problem (2x2 blocks once per
+  class, and a class whose traceless A and B parts are exactly parallel in
+  one exponential, see :func:`~agqc._linalg.su2_class_ramp`; larger blocks
+  once per byte-distinct (A, B)), and diagonalized in :func:`spectral_scan`
+  and the ground projection, block by block.
 
 Both use the same CF4 weight grid, so they agree to roundoff.  Every 2x2
 propagator is an ordered product of SU(2) pairs, each from ``tan(r/2)``,
@@ -153,8 +154,9 @@ class StepPropagation:
     ``"blocks"`` (the module docstring; :func:`evolve_many` for the choice),
     ``n_sub`` the number of CF4 substeps, ``dim`` the dimension of the
     matrices exponentiated: 2, or the block dimension (``2^n`` for a step
-    with one block), and ``distinct`` the number of distinct problems
-    propagated (1 for ``"pair"``, every block for blocks larger than 2x2)."""
+    with one block), and ``distinct`` the number of problems propagated: 1
+    for ``"pair"``, the classes of 2x2 blocks, swept or not, and the
+    byte-distinct (A, B) of larger blocks."""
 
     method: str
     n_sub: int
@@ -174,7 +176,8 @@ class EvolutionResult:
     Hamiltonian terms do not commute, in which case only leakage is
     meaningful).  ``leakage`` is the mean weight outside the final ground
     subspace and ``fidelity`` its complement.  ``unitarity_defect`` is the
-    2-norm distance between the overlap matrix and its unitary part.
+    2-norm distance between the overlap matrix and its unitary part, the
+    largest ``|s_i - 1|`` over its singular values.
     ``propagation`` records the method of each step, in schedule order.
     """
 
@@ -219,15 +222,15 @@ def _is_pair_step(step: ScheduleStep) -> bool:
     )
 
 
-def _pair_coefficients(gamma: float, tau: float, n_sub: int) -> tuple[complex, complex]:
+def _pair_coefficients(gamma: float, tau: float, weights: np.ndarray) -> tuple[complex, complex]:
     """The pair ``(alpha, beta)`` of the CF4 propagator of ``h(s) = -gamma
-    [(1-s) sz + s sx]`` over tau in ``n_sub`` substeps: the
-    :func:`~agqc._linalg.su2_sweep` of ``dt (A/2 + w B)`` with ``A = -gamma
-    sz`` (``z = -gamma``, ``h10 = 0``) and ``B = -gamma (sx - sz)`` (``z =
-    gamma``, ``h10 = -gamma``), both traceless."""
-    dt = tau / n_sub
+    [(1-s) sz + s sx]`` over tau on the :func:`_cf4_weights` ``weights``:
+    the :func:`~agqc._linalg.su2_sweep` of ``dt (A/2 + w B)`` with ``A =
+    -gamma sz`` (``z = -gamma``, ``h10 = 0``) and ``B = -gamma (sx - sz)``
+    (``z = gamma``, ``h10 = -gamma``), both traceless."""
+    dt = 2.0 * tau / weights.shape[0]
     (alpha,), (beta,) = su2_sweep(np.array([0.5 * dt * -gamma]), np.array([dt * gamma]),
-                                  np.zeros(1), np.array([dt * -gamma]), _cf4_weights(n_sub))
+                                  np.zeros(1), np.array([dt * -gamma]), weights)
     return complex(alpha), complex(beta)
 
 
@@ -290,9 +293,9 @@ def evolve_many(
     yielded pass by pass.  A pass holds as many specs as
     :func:`~agqc.budget.pass_columns` admits, and at least one; every pass is
     checked by :func:`~agqc.budget.check_vectors`, then every spec's
-    substeps, before the first runs.  A pass's block forms and states are
-    freed when it returns, so a caller that keeps only leakage holds one
-    pass.  Each step's method and the final terms' commutation are found
+    substeps, then the CF4 weights each pass holds, before the first runs.
+    A pass's block forms and states are freed when it returns, so a caller
+    that keeps only leakage holds one pass.  Each step's method and the final terms' commutation are found
     once a call.  A step runs as ``"pair"`` when :func:`_is_pair_step` holds
     and its removed terms are tracked: the state is +1 on step 0's static
     and removed terms, and after each step on those of its terms (the same
@@ -306,6 +309,8 @@ def evolve_many(
     for group in passes:
         check_vectors(n, m * len(group))
     n_subs = [[[_n_substeps(tau, dt_max) for tau in taus] for taus in group] for group in passes]
+    for subs in n_subs:  # a pass holds the weights of each of its substep counts
+        check_bytes(16 * sum(set().union(*map(set, subs))), "the CF4 weights of a pass")
     first = schedule.steps[0]
     tracked = {id(op) for op in (*first.static_terms, *first.removed.values())}
     pair_steps: list[list[RotatedPauliOp] | None] = []
@@ -329,14 +334,16 @@ def _evolve_pass(
 ) -> list[EvolutionResult]:
     """One pass of :func:`evolve_many`, each spec's logical basis a share of
     the state's columns.  Block forms, 2x2 classes, both logical bases and
-    the ground projection are built once a pass; CF4 weights, pair
-    coefficients or class sweeps and polar extraction are each spec's own."""
+    the ground projection are built once a pass, and the CF4 weights once
+    for each substep count; pair coefficients or class sweeps and polar
+    extraction are each spec's own."""
     graph, n, m = schedule.graph, schedule.n_qubits, 1 << len(schedule.graph.inputs)
     first = schedule.steps[0]
     initial_terms = list(first.static_terms) + list(first.removed.values())
     psi = np.tile(logical_basis_from_ops(initial_terms, initial_frame(graph, schedule.gflow), n),
                   len(specs))
     shares = [slice(j * m, (j + 1) * m) for j in range(len(specs))]
+    cf4 = {s: _cf4_weights(s) for s in set().union(*map(set, n_subs))}
     pair_coeffs: dict[tuple[float, ...], tuple[np.ndarray, np.ndarray]] = {}
     methods = []
     for k, (step, untracked) in enumerate(zip(schedule.steps, pair_steps)):
@@ -344,7 +351,8 @@ def _evolve_pass(
         subs = [n_sub[k] for n_sub in n_subs]
         if untracked is not None:
             if taus not in pair_coeffs:  # one coefficient for each column
-                coeffs = [_pair_coefficients(schedule.gamma, tau, s) for tau, s in zip(taus, subs)]
+                coeffs = [_pair_coefficients(schedule.gamma, tau, cf4[s])
+                          for tau, s in zip(taus, subs)]
                 pair_coeffs[taus] = (np.repeat(coeffs, m, axis=0).T,
                                      schedule.gamma * np.repeat(taus, m))
             psi = _propagate_pair_step(step, *pair_coeffs[taus], untracked, psi)
@@ -352,7 +360,7 @@ def _evolve_pass(
         else:
             blocks = step_blocks(schedule, k)
             psi, distinct = blocks.propagate(psi, [t / s for t, s in zip(taus, subs)],
-                                             map(_cf4_weights, subs))
+                                             [cf4[s] for s in subs])
             methods.append(("blocks", blocks.dim, distinct))
             del blocks  # the next step's block form is built without this one
 
@@ -367,9 +375,9 @@ def _evolve_pass(
         defect = math.nan
         if ref is not None:
             overlap = ref @ psi[:, share]
-            w, _, vh = np.linalg.svd(overlap)
+            w, sigma, vh = np.linalg.svd(overlap)
             logical_unitary = w @ vh
-            defect = float(np.linalg.norm(overlap - logical_unitary, 2))
+            defect = float(np.max(np.abs(sigma - 1.0)))  # overlap - W V^dag = W (S - 1) V^dag
         results.append(EvolutionResult(
             final_states=psi[:, share],
             overlap_matrix=overlap,

@@ -73,6 +73,21 @@ def test_gflow_verify_invalid_is_exit_1(tmp_path, capsys):
     assert any(v["axiom"] == "G3" for v in json.loads(out)["violations"])
 
 
+def test_gflow_verify_refuses_an_input_in_a_correcting_set(tmp_path, capsys):
+    # compile refuses this gflow, whose g(1) holds the input 2, and so
+    # does verify, with compile's detail
+    gpath, fpath = tmp_path / "g.json", tmp_path / "f.json"
+    gpath.write_text('{"n": 3, "edges": [[1, 2], [2, 3]], "inputs": [1, 2], "outputs": [3], '
+                     '"angles": {"1": 0, "2": 0}}')
+    fpath.write_text('{"g": {"1": [2], "2": [3]}, "layer": {"1": 0, "2": 1}}')
+    code, out = run(capsys, "gflow", "verify", "--graph", str(gpath), "--gflow", str(fpath))
+    assert code == 1
+    report = json.loads(out)
+    assert report["valid"] is False
+    assert report["violations"] == [
+        {"vertex": 1, "axiom": "codomain", "detail": "g(1) holds input 2; inputs have no generator"}]
+
+
 def test_gflow_errors_name_vertices_by_their_1_based_labels(tmp_path, capsys):
     fpath = tmp_path / "f.json"
     fpath.write_text('{"g": {"1": [3], "2": [3]}, "layer": {"1": 0, "2": 0}}')

@@ -80,6 +80,19 @@ def test_verify_reports_g2_same_layer():
     assert any(v == 0 and "1" in detail for v, ax, detail in report.violations)
 
 
+def test_verify_reports_an_input_in_a_correcting_set_after_the_axioms():
+    # g(1) = {2} holds the input 2: G1-G3 hold, but g maps into the subsets
+    # of the non-inputs, so compile refuses it and verify must too
+    g = make_graph(3, [(0, 1), (1, 2)], [0, 1], [2])
+    gf = Gflow({0: frozenset({1}), 1: frozenset({2})}, {0: 0, 1: 1})
+    report = verify_gflow(g, gf)
+    assert not report.valid
+    assert report.violations == ((0, "codomain", "g(1) holds input 2; inputs have no generator"),)
+    # with an axiom failing too, the input is listed after it
+    gf = Gflow({0: frozenset({1}), 1: frozenset({2})}, {0: 1, 1: 0})
+    assert [ax for _, ax, _ in verify_gflow(g, gf).violations] == ["G1", "codomain"]
+
+
 def test_verify_structural_mismatch_raises():
     g = generate_chain(3, [0.0] * 3)
     with pytest.raises(GflowStructureError):
@@ -381,7 +394,7 @@ def test_find_gflow_on_large_clusters_is_valid_and_as_deep_as_the_columns(rows, 
 def _reference_violations(graph, gf):
     """The per-vertex, per-pair axiom loop that verify_gflow replaced;
     details name vertices by their 1-based labels u."""
-    violations = []
+    violations, held = [], []
     for v in sorted(gf.g):
         u = v + 1
         corr = gf.g[v]
@@ -394,6 +407,8 @@ def _reference_violations(graph, gf):
                 violations.append(
                     (v, "G2", f"{w + 1} is oddly connected to g({u}) but not after {u}")
                 )
+        held += [(v, "codomain", f"g({u}) holds input {w + 1}; inputs have no generator")
+                 for w in sorted(corr & set(graph.inputs))]
         plane = graph.planes.get(v, Plane.XY)
         in_own = v in corr
         odd_self = odd_connectivity(graph, corr, v)
@@ -412,7 +427,7 @@ def _reference_violations(graph, gf):
                 violations.append((v, "G3", f"YZ plane requires {u} in g({u})"))
             if odd_self:
                 violations.append((v, "G3", f"g({u}) must be evenly connected to {u}"))
-    return tuple(violations)
+    return tuple(violations + held)
 
 
 def _mutated_gflows(rng):
@@ -455,4 +470,4 @@ def test_g2_masks_match_the_per_pair_loop(rng):
         assert report.violations == want
         assert report.valid == (not want)
         kinds |= {axiom for _, axiom, _ in want}
-    assert kinds == {"G1", "G2", "G3"}
+    assert kinds == {"G1", "G2", "G3", "codomain"}

@@ -80,7 +80,7 @@ def rop(p):
 
 def _pair_coefficients(gamma, tau, dt_max):
     """The pair coefficients at the substep count that ``dt_max`` gives tau."""
-    return sim._pair_coefficients(gamma, tau, sim._n_substeps(tau, dt_max))
+    return sim._pair_coefficients(gamma, tau, _cf4_weights(sim._n_substeps(tau, dt_max)))
 
 
 def _propagate_blocks(blocks, psi, taus, dt_max):
@@ -389,7 +389,7 @@ def test_su2_ramp_matches_products_of_eigh_exponentials(rng, kind):
         a, b = (rng.standard_normal((n_blocks, 2))[..., None] * np.eye(2) for _ in range(2))
     scale = {"tiny": 1e-170, "large": 1e3}.get(kind, 1.0)
     a, b = scale * a, scale * b
-    per = budget.CHUNK_BYTES // (32 * n_blocks)
+    per = _linalg.sweep_chunk(n_blocks)
     weights = rng.uniform(0.0, 1.0, 2 * per + 37)  # crosses two chunk boundaries
     phase, alpha, beta = su2_class_ramp(su2_classes(a, b), dt, weights)
     want = np.broadcast_to(np.eye(2), a.shape)
@@ -525,14 +525,14 @@ def test_su2_ramp_takes_classes_with_a_zero_part_in_one_exponential(monkeypatch,
 
     monkeypatch.setattr(_linalg, "su2_exp", su2_exp_recording)
     weights = _cf4_weights(4000)
-    per = budget.CHUNK_BYTES // (32 * 2)
     for pick in ([0, 1], [2, 3], [4, 5], [6], list(range(9))):  # A = 0, B = 0, both, -0.0, mixed
         calls.clear()
         distinct = _assert_ramp_matches_per_block(a[pick], b[pick], 0.25, weights)
         flat = int((~classes.swept[np.unique(classes.inverse[pick])]).sum())
         # one call for the classes with a zero part, the rest swept in chunks
+        chunks = -(-weights.shape[0] // _linalg.sweep_chunk(distinct - flat)) if distinct > flat else 0
         assert [shape for shape in calls if len(shape) == 1] == [(flat,)]
-        assert len(calls) == 1 + (distinct > flat) * -(-weights.shape[0] // per)
+        assert len(calls) == 1 + chunks
 
 
 def test_near_parallel_nonzero_parts_still_go_through_the_sweep(monkeypatch):
@@ -551,6 +551,64 @@ def test_near_parallel_nonzero_parts_still_go_through_the_sweep(monkeypatch):
         ndims.clear()
         _assert_ramp_matches_per_block(scale * a, scale * b, 0.25, _cf4_weights(4000), scale)
         assert ndims and set(ndims) == {2}
+
+
+def _long_double_ramp(a, b, dt, weights):
+    """Reference: ``prod_w exp(-i dt (A/2 + w B))`` over ``weights`` in order
+    for each pair of the 2x2 Hermitian stacks a and b, each factor in closed
+    form and multiplied onto the product one by one, in long double."""
+    def parts(h):
+        h = h.astype(np.clongdouble)
+        return (h[:, 0, 0] + h[:, 1, 1]).real / 2, (h[:, 0, 0] - h[:, 1, 1]).real / 2, h[:, 1, 0]
+
+    (a0, az, a10), (b0, bz, b10) = parts(a), parts(b)
+    dt = np.longdouble(dt)
+    u = np.broadcast_to(np.eye(2, dtype=np.clongdouble), a.shape).copy()
+    for w in weights.astype(np.longdouble):
+        h0, z, h10 = (dt * (0.5 * x + w * y) for x, y in ((a0, b0), (az, bz), (a10, b10)))
+        r = np.sqrt(z * z + (h10 * h10.conj()).real)
+        c, s = np.cos(r), np.sin(r) / np.where(r > 0, r, 1)
+        factor = np.stack([np.stack([c - 1j * s * z, -1j * s * h10.conj()], -1),
+                           np.stack([-1j * s * h10, c + 1j * s * z], -1)], -2)
+        u = np.exp(-1j * h0)[:, None, None] * factor @ u
+    return u
+
+
+def _ramp_error(a, b, dt, weights):
+    """Per pair, the largest entry error of :func:`su2_class_ramp` against
+    :func:`_long_double_ramp`, and which pairs took one exponential."""
+    classes = su2_classes(a, b)
+    phase, alpha, beta = su2_class_ramp(classes, dt, weights)
+    got = phase[:, None, None] * _su2_matrix(alpha, beta)
+    err = np.abs(got - _long_double_ramp(a, b, dt, weights)).astype(float)
+    return np.max(err, axis=(1, 2)), ~classes.swept[classes.inverse]
+
+
+@pytest.mark.parametrize("kind", ["A = 0", "B = -A", "B = 2A"])
+def test_one_exponential_classes_match_a_long_double_product_at_tau_1000(rng, kind):
+    # exactly parallel traceless parts: the ramp's factors commute, and its
+    # product is one exponential of an angle of ~1e3 rad (and a phase of as
+    # much), formed in long double and reduced mod 2 pi; rounded to double
+    # before the reduction, the angle was off by up to ~5e-14.  Dyadic
+    # entries keep each block's scalar and traceless parts exact in double,
+    # as on the integer blocks of a schedule step
+    h = np.round(1024 * _hermitian_stack(rng, 4, 1.0)) / 1024
+    scalar = np.round(1024 * rng.standard_normal((4, 1, 1))) / 1024 * np.eye(2)
+    a, b = {"A = 0": (scalar, h), "B = -A": (h, -h), "B = 2A": (h, 2.0 * h)}[kind]
+    err, flat = _ramp_error(a, b, 0.25, _cf4_weights(4000))
+    assert flat.all()
+    assert np.max(err) <= 3e-15, err
+
+
+def test_chain4_reordered_classes_match_a_long_double_product_at_tau_1000():
+    # order 3,1,2: step 1 has a class with A = 0 and step 2 one with B = -A,
+    # each beside a swept class
+    sched, _ = compile_reordered_fixed(generate_chain(4, [0.0] * 4), chain_gflow(4), [2, 0, 1])
+    for k in (0, 1):
+        blocks = step_blocks(sched, k)
+        err, flat = _ramp_error(blocks.a, blocks.b, 0.25, _cf4_weights(4000))
+        assert flat.any() and not flat.all(), k
+        assert np.max(err[flat]) <= 3e-15 and np.max(err) <= 1e-14, (k, err)
 
 
 def _reordered_chain_schedules():
@@ -700,6 +758,20 @@ def test_a_caller_that_keeps_only_leakage_holds_one_pass(monkeypatch, name, fit)
     assert many <= 1.5 * one
 
 
+def test_the_cf4_weights_a_pass_holds_are_charged_before_it_runs(monkeypatch):
+    # a pass builds the weights of each of its substep counts once and holds
+    # them all: 16 bytes a substep for each distinct count, charged after
+    # every tau's own substep check (64 bytes a substep) has passed
+    sched = compile_stepwise(generate_chain(4), chain_gflow(4))
+    monkeypatch.setattr(budget, "MEMORY_BUDGET", 64 * 1000)
+    taus = [250.0 - k for k in range(5)]  # 1,000 down to 984 substeps
+    assert budget.pass_columns(4) >= 2 * len(taus)  # one pass
+    assert len(list(sim.evolve_many(sched, taus[:4]))) == 4  # 63,616 bytes of 64,000
+    with pytest.raises(SizeCapError, match="CF4 weights of a pass"):
+        next(sim.evolve_many(sched, taus))
+    assert len(list(sim.evolve_many(sched, [taus[0]] * 5))) == 5  # one count
+
+
 def test_each_fact_is_found_once_a_call_over_several_passes(monkeypatch):
     # the budget admits two taus a pass, so five taus take three passes;
     # each step is classified once and each (step, tau) counts its
@@ -735,15 +807,15 @@ def test_each_class_of_a_step_is_propagated_once(monkeypatch, rng):
         widths.append((z.ndim == 2, z.shape[0]))
         return exp2(z, h10)
 
-    def expmi_recording(h):
+    def expmi_recording(h, out=None):
         widths.append((True, h.shape[1]))
-        return expn(h)
+        return expn(h, out)
 
     monkeypatch.setattr(_linalg, "su2_exp", su2_exp_recording)
     monkeypatch.setattr(sectors, "expmi", expmi_recording)
     g = generate_chain(6, [0.0] * 6)
     seeded = generate_chain(5, [0.0, 0.4, 1.3, 2.2, 0.0])
-    merged = single = False
+    merged = single = shared = False
     for sched in (compile_reordered_fixed(g, chain_gflow(6), [2, 0, 1, 4, 3])[0],
                   compile_reordered_strip(g, chain_gflow(6), [2, 0, 1, 4, 3]),
                   compile_reordered_fixed(seeded, chain_gflow(5), [1, 3, 0, 2])[0]):
@@ -760,9 +832,24 @@ def test_each_class_of_a_step_is_propagated_once(monkeypatch, rng):
             single |= bool(flat)
             if blocks.dim == 2:
                 merged |= distinct < blocks.a.shape[0]
-            else:  # larger blocks are propagated one by one
-                assert distinct == blocks.a.shape[0] and not flat
-    assert merged and single
+            else:  # larger blocks are propagated once per byte-distinct (A, B)
+                assert distinct == len({(a.tobytes(), b.tobytes()) for a, b in zip(blocks.a, blocks.b)})
+                assert not flat
+                shared |= distinct < blocks.a.shape[0]
+    assert merged and single and shared
+
+
+def test_unitarity_defect_is_the_2_norm_from_the_singular_values():
+    # overlap - W V^dag = W (S - 1) V^dag, so the defect is max |s_i - 1|
+    seen = 0
+    for param in _one_pass_schedules():
+        (sched,) = param.values
+        for res in sim.evolve_many(sched, _TAUS):
+            if res.logical_unitary is not None:
+                want = np.linalg.norm(res.overlap_matrix - res.logical_unitary, 2)
+                assert abs(res.unitarity_defect - want) <= 1e-15, (param.id, res.tau_used)
+                seen += 1
+    assert seen >= 4 * 6
 
 
 def _traced_propagation(make, psi, weights):
@@ -821,6 +908,58 @@ def test_block_propagation_fits_the_block_budget_charge(rng):
 
     _, _, peak = _traced_propagation(large_blocks, _random_states(rng, n, cols=2), _cf4_weights(2))
     assert peak < _block_charge(n, dim), peak
+
+
+def test_shared_larger_blocks_stay_within_the_block_charge(rng):
+    # one propagator per byte-distinct (A, B), gathered onto every copy:
+    # the distinct stacks, the propagators and the gathered copy stay
+    # within step_blocks' charge, at dimension 128 (one weight a stack,
+    # each the size of A) and on the reversed 8-chain's 4x4 and 8x8 blocks
+    n, dim = 11, 128
+    pair = [_hermitian_stack(rng, 3, 1.0, dim) for _ in range(2)]
+    pick = np.arange(16) % 3
+
+    def shared_blocks():
+        a, b = (h[pick] for h in pair)
+        return sectors.StepBlocks(np.ones(1 << n, dtype=complex), np.arange(1 << n), 0, a, b)
+
+    psi, weights = _random_states(rng, n, cols=2), _cf4_weights(2)
+    blocks, distinct, peak = _traced_propagation(shared_blocks, psi, weights)
+    assert distinct == 3 and peak < _block_charge(n, dim), peak
+    # each copy took its own block's product
+    got, _ = blocks.propagate(psi, [0.25], [weights])
+    coords = blocks.to_blocks(psi)
+    for w in weights:
+        coords = expmi(0.25 * (0.5 * blocks.a + w * blocks.b)) @ coords
+    assert np.max(np.abs(blocks.to_blocks(got) - coords)) < 1e-12
+
+    n = 8
+    sched, _ = compile_reordered_fixed(generate_chain(n, [0.0] * n), chain_gflow(n),
+                                       list(range(n - 2, -1, -1)))
+    psi, weights = _random_states(rng, n, cols=2), _cf4_weights(40)
+    dims = set()
+    for k in range(len(sched.steps)):
+        blocks, distinct, peak = _traced_propagation(lambda: step_blocks(sched, k), psi, weights)
+        assert peak < _block_charge(n, blocks.dim), (k, blocks.dim, peak)
+        if blocks.dim > 2:
+            assert distinct < blocks.a.shape[0], k
+            dims.add(blocks.dim)
+    assert dims == {4, 8}
+
+
+def test_chain5_propagates_each_distinct_problem_once_and_matches_dense_at_tau_1000(rng):
+    # order 3,2,4,1: two 2x2 steps with a class each of exactly parallel
+    # parts, and two steps of 8 4x4 blocks, 4 of them distinct, whose
+    # shared propagators match the dense oracle over 8,000 factors
+    sched, _ = compile_reordered_fixed(generate_chain(5, [0.0] * 5), chain_gflow(5), [2, 1, 3, 0])
+    res = evolve(sched, 1000.0)
+    assert [(p.method, p.dim, p.distinct) for p in res.propagation] == [
+        ("blocks", 2, 2), ("blocks", 4, 4), ("blocks", 4, 4), ("blocks", 2, 2)]
+    for k in (1, 2):
+        psi = _random_states(rng, 5)
+        got, _ = _propagate_blocks(step_blocks(sched, k), psi, [1000.0], 0.25)
+        want = propagate_step(*step_endpoint_matrices(sched, k), psi, 1000.0, 0.25)
+        assert np.max(np.abs(got - want)) < 1e-12, k
 
 
 def _cf4_nodes(n_sub):
