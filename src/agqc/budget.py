@@ -8,20 +8,13 @@ budget raises :class:`SizeCapError`, which the CLI reports as exit 2.
 from __future__ import annotations
 
 from decimal import Decimal
+from typing import Iterable
 
 #: Bytes that the arrays of one simulation may hold at once.
 MEMORY_BUDGET = 1 << 30
 
 #: Bytes of one stacked chunk of block exponentials or spectra.
 CHUNK_BYTES = 1 << 18
-
-#: ``2^n``-entry vectors that each state column of a pass over several tau
-#: holds at its peak: the column, ``alpha psi``, ``I_v psi`` and ``beta I_v
-#: psi`` on a pair step, or its block coordinates, their Walsh copy and the
-#: propagated stack.  On the 12-qubit reordered fixed chain tracemalloc reads,
-#: with the state, 7.3 on a blocks step at 2 columns (one tau), 5.4 at 6 and
-#: 4.4 at 16, and 6.8, 5.6 and 5.2 on a pair step: none is spare at 2.
-PASS_COLUMN_VECTORS = 7
 
 
 class SizeCapError(ValueError):
@@ -54,8 +47,28 @@ def check_vectors(n: int, columns: int) -> None:
     check_bytes((2 * columns + 4) * 16 << n, f"{columns} {n}-qubit state vectors")
 
 
-def pass_columns(n: int) -> int:
-    """The most state columns of ``2^n`` entries that one pass of
-    :func:`agqc.sim.evolve_many` may hold (below 1 when none fits), at
-    :data:`PASS_COLUMN_VECTORS` vectors a column."""
-    return MEMORY_BUDGET // (PASS_COLUMN_VECTORS * 16 << n)
+def pass_bytes(n: int, columns: int, block: int, substeps: Iterable[int]) -> int:
+    """The charge of an :func:`agqc.sim.evolve_many` pass, set from traced
+    peaks: 84 bytes (5.25 vectors) an entry of each of its ``2^n``-entry state
+    columns and 64 more, its largest block form (``block``,
+    :func:`agqc.sectors.block_bytes`), and 40 bytes a substep of its distinct
+    substep counts (16 for each count's CF4 weights, and 24 while one is built)."""
+    return ((84 * columns + 64) << n) + block + 40 * sum(substeps)
+
+
+def evolve_passes(n: int, m: int, block: int, counts: Iterable[list[int]]) -> list[list[list[int]]]:
+    """The substep counts of tau specs of ``m`` columns each, drawn from
+    ``counts``, in consecutive passes of as many specs as :func:`pass_bytes`
+    admits.  Every refusal comes before the first pass: one spec's columns
+    and block form before the first count is drawn, and each spec's own pass
+    as it is drawn."""
+    what = f"a pass of {m} {n}-qubit state vectors, its block forms and CF4 weights"
+    check_bytes(pass_bytes(n, m, block, ()), what)
+    passes: list[list[list[int]]] = []
+    for subs in counts:
+        held = [*passes[-1], subs] if passes else []
+        if not held or pass_bytes(n, m * len(held), block, set().union(*held)) > MEMORY_BUDGET:
+            check_bytes(pass_bytes(n, m, block, set(subs)), what)
+            passes.append([])
+        passes[-1].append(subs)
+    return passes

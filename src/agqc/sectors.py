@@ -196,16 +196,35 @@ class StepBlocks:
         return self.from_blocks(c).reshape(psi.shape), distinct
 
 
-def step_blocks(schedule: Schedule, step_index: int) -> StepBlocks:
-    """The block form of one step, its terms written out by :func:`frame_strings`."""
+def step_form(schedule: Schedule, step_index: int) -> tuple:
+    """The arguments of :func:`pauli_sum_blocks` for one step: its terms
+    written out by :func:`frame_strings`, and their conserved generators."""
     weights = schedule.steps[step_index].endpoint_weights(schedule.gamma)
     theta = twist_frame([op for op, _, _ in weights])
     strings = [(wa * c, wb * c, p) for op, wa, wb in weights for c, p in frame_strings(op, theta)]
-    return pauli_sum_blocks(strings, schedule.n_qubits, theta)
+    n = schedule.n_qubits
+    return strings, n, theta, conserved_generators([p for _, _, p in strings], n)
+
+
+def step_blocks(schedule: Schedule, step_index: int) -> StepBlocks:
+    """The block form of one step."""
+    return pauli_sum_blocks(*step_form(schedule, step_index))
+
+
+def block_bytes(n: int, dim: int) -> int:
+    """The charge of a block form in blocks of dimension ``dim``: per basis
+    index, 160 bytes of sector tables and 16 dim for each of A, B and the four
+    stacks that :meth:`StepBlocks.propagate` holds at once (the weighted sum,
+    which takes the product in place, eigh's vectors, their phased copy and
+    the propagators so far), each the size of A or at most a quarter chunk,
+    which two chunks cover; distinct blocks' copies of A and B, propagators
+    and stacks together stay below those of all blocks."""
+    return ((160 + 96 * dim) << n) + 2 * CHUNK_BYTES
 
 
 def pauli_sum_blocks(
-    strings: Sequence[tuple[complex, complex, PauliString]], n: int, theta: dict[int, float]
+    strings: Sequence[tuple[complex, complex, PauliString]], n: int, theta: dict[int, float],
+    gens: tuple[list[int], list[int], int] | None = None,
 ) -> StepBlocks:
     """The block form of ``A + sB = sum (wa + s wb) P`` over ``(wa, wb, P)``
     in ``strings``, in the frame ``R = prod_v exp(-i theta_v Z_v / 2)``.
@@ -223,18 +242,13 @@ def pauli_sum_blocks(
     (-1)^|sigma & S(j')| |c(r(j'), sigma)>``, where ``S(j') = S(x_P)`` since
     r has no pivot bits, built for all ``2^n`` pairs (r, sigma) of a group of
     strings at once and scattered string by string, in order.  Blocks run by
-    Z label, then sigma; representatives ascend within a block.
+    Z label, then sigma; representatives ascend within a block.  ``gens``
+    are the strings' :func:`conserved_generators`, when the caller holds them.
     """
-    xgens, zgens, pivots = conserved_generators([p for _, _, p in strings], n)
+    xgens, zgens, pivots = gens or conserved_generators([p for _, _, p in strings], n)
     k = len(xgens)
     dim, d = 1 << (n - k - len(zgens)), 1 << n
-    # per basis index: 160 bytes of sector tables, and 16 dim for each of A,
-    # B and the four stacks that StepBlocks.propagate holds at once (the
-    # weighted sum, which takes the product in place, eigh's vectors, their
-    # phased copy and the propagators so far), each the size of A or at most
-    # a quarter chunk, which two chunks cover; distinct blocks' copies of A
-    # and B, propagators and stacks together stay below those of all blocks
-    check_bytes(((160 + 96 * dim) << n) + 2 * CHUNK_BYTES, f"{n}-qubit sector tables and blocks")
+    check_bytes(block_bytes(n, dim), f"{n}-qubit sector tables and blocks")
     idx = np.arange(d, dtype=np.int64)
     rep, expo, label, zlabel = idx.copy(), 0 * idx, 0 * idx, 0 * idx
     for i, g in enumerate(xgens):

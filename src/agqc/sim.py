@@ -22,12 +22,12 @@ Both use the same CF4 weight grid, so they agree to roundoff.  Every 2x2
 propagator is an ordered product of SU(2) pairs, each from ``tan(r/2)``,
 times one phase, and every 2x2 spectrum is taken in closed form; larger
 ones use ``eigh``.  :func:`evolve_many` runs a list of tau specs as extra
-state columns, in as many passes over the schedule as
-:func:`~agqc.budget.pass_columns` requires, and yields the results pass by
-pass, so that a caller that keeps only leakage holds one pass.  Sizes are
-limited by the byte budget of :mod:`agqc.budget`, checked before
-allocating.  Bit v of a state index is the computational basis state of
-vertex v.
+state columns, in as many passes over the schedule as one charge requires
+(:func:`~agqc.budget.pass_bytes`: the state columns, the largest block form
+and the CF4 weights of a pass), and yields the results pass by pass, so
+that a caller that keeps only leakage holds one pass.  Sizes are limited by
+the byte budget of :mod:`agqc.budget`, checked before allocating.  Bit v of
+a state index is the computational basis state of vertex v.
 """
 
 from __future__ import annotations
@@ -39,8 +39,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from ._linalg import su2_sweep
-from . import budget
-from .budget import check_bytes, check_vectors
+from .budget import check_bytes, check_vectors, evolve_passes
 from .compiler import DEGENERACY_TOL, Schedule, ScheduleStep, _require_valid_gflow
 from .gflow import Gflow
 from .graph import OpenGraph, stabilizer_product
@@ -53,7 +52,9 @@ from .pauli import (
     projector_apply,
     to_matrix,
 )
-from .sectors import StepBlocks, frame_strings, pauli_sum_blocks, step_blocks, twist_frame
+from .sectors import (
+    StepBlocks, block_bytes, frame_strings, pauli_sum_blocks, step_blocks, step_form, twist_frame,
+)
 
 # Fourth-order commutator-free Magnus coefficients (two exponentials per
 # substep, Gauss nodes).  Verified by an order-of-accuracy test.
@@ -192,11 +193,11 @@ class EvolutionResult:
 
 
 def _n_substeps(tau: float, dt_max: float) -> int:
-    """At least 8 CF4 substeps of at most ``dt_max``, checked against the
-    memory budget of their weights while still a float (``tau / dt_max``
-    may overflow to inf)."""
+    """At least 8 CF4 substeps of at most ``dt_max``, their weights checked
+    at the pass charge's 40 bytes a substep while still a float (``tau /
+    dt_max`` may overflow to inf)."""
     n_sub = max(8.0, float(np.ceil(tau / dt_max)))
-    check_bytes(64 * n_sub, f"{n_sub:.3g} CF4 substeps")
+    check_bytes(40 * n_sub, f"{n_sub:.3g} CF4 substeps")
     return int(n_sub)
 
 
@@ -290,12 +291,12 @@ def evolve_many(
     dt_max: float = 0.25,
 ) -> Iterator[EvolutionResult]:
     """:func:`evolve` for each of ``tau_specs`` (a tau, or one per step),
-    yielded pass by pass.  A pass holds as many specs as
-    :func:`~agqc.budget.pass_columns` admits, and at least one; every pass is
-    checked by :func:`~agqc.budget.check_vectors`, then every spec's
-    substeps, then the CF4 weights each pass holds, before the first runs.
-    A pass's block forms and states are freed when it returns, so a caller
-    that keeps only leakage holds one pass.  Each step's method and the final terms' commutation are found
+    yielded pass by pass.  :func:`~agqc.budget.evolve_passes` sizes the
+    passes and refuses, before the first runs, a request whose one-spec pass
+    is over budget: for its state columns and largest block form, then for
+    each spec's substeps.  A pass's block forms and states are freed when it
+    returns, so a caller that keeps only leakage holds one pass.  Each step's
+    method and block generators and the final terms' commutation are found
     once a call.  A step runs as ``"pair"`` when :func:`_is_pair_step` holds
     and its removed terms are tracked: the state is +1 on step 0's static
     and removed terms, and after each step on those of its terms (the same
@@ -304,13 +305,6 @@ def evolve_many(
         raise ValueError("empty schedule")
     specs = [_tau_list(schedule, spec) for spec in tau_specs]
     n, m = schedule.n_qubits, 1 << len(schedule.graph.inputs)
-    per = max(1, budget.pass_columns(n) // m)
-    passes = [specs[lo:lo + per] for lo in range(0, len(specs), per)]
-    for group in passes:
-        check_vectors(n, m * len(group))
-    n_subs = [[[_n_substeps(tau, dt_max) for tau in taus] for taus in group] for group in passes]
-    for subs in n_subs:  # a pass holds the weights of each of its substep counts
-        check_bytes(16 * sum(set().union(*map(set, subs))), "the CF4 weights of a pass")
     first = schedule.steps[0]
     tracked = {id(op) for op in (*first.static_terms, *first.removed.values())}
     pair_steps: list[list[RotatedPauliOp] | None] = []
@@ -321,16 +315,22 @@ def evolve_many(
         kept = step.static_terms if pair else [
             op for op in terms if id(op) in tracked and not any(commutation_masks(terms, op))]
         tracked &= set(map(id, kept))
+    forms = {k: step_form(schedule, k) for k, pair in enumerate(pair_steps) if pair is None}
+    dims = [1 << n - len(xgens) - len(zgens) for *_, (xgens, zgens, _) in forms.values()]
+    block = block_bytes(n, max(dims)) if dims else 0  # the largest block form of the call
+    passes = evolve_passes(n, m, block, ([_n_substeps(t, dt_max) for t in taus] for taus in specs))
     last = schedule.steps[-1]
     finals = list(last.static_terms) + list(last.introduced.values())
     commuting = _terms_commute(finals)
-    for group, subs in zip(passes, n_subs):
-        yield from _evolve_pass(schedule, group, subs, pair_steps, finals, commuting)
+    for subs in passes:
+        group, specs = specs[:len(subs)], specs[len(subs):]
+        yield from _evolve_pass(schedule, group, subs, pair_steps, forms, finals, commuting)
 
 
 def _evolve_pass(
     schedule: Schedule, specs: list[list[float]], n_subs: list[list[int]],
-    pair_steps: list[list[RotatedPauliOp] | None], finals: list[RotatedPauliOp], commuting: bool,
+    pair_steps: list[list[RotatedPauliOp] | None], forms: dict[int, tuple],
+    finals: list[RotatedPauliOp], commuting: bool,
 ) -> list[EvolutionResult]:
     """One pass of :func:`evolve_many`, each spec's logical basis a share of
     the state's columns.  Block forms, 2x2 classes, both logical bases and
@@ -358,7 +358,7 @@ def _evolve_pass(
             psi = _propagate_pair_step(step, *pair_coeffs[taus], untracked, psi)
             methods.append(("pair", 2, 1))
         else:
-            blocks = step_blocks(schedule, k)
+            blocks = pauli_sum_blocks(*forms[k])
             psi, distinct = blocks.propagate(psi, [t / s for t, s in zip(taus, subs)],
                                              [cf4[s] for s in subs])
             methods.append(("blocks", blocks.dim, distinct))
@@ -533,7 +533,7 @@ def mbqc_reference_run(
         norm = np.linalg.norm(state, axis=0)
         if np.any(norm < 1e-12):
             raise RuntimeError("measurement branch has zero weight")
-        state = state / norm
+        state /= norm
         # Adapted basis vectors are byproduct * (ideal basis), so the observed
         # outcome already labels the ideal branch; no relabeling.
         if r_obs:

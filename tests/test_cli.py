@@ -550,7 +550,7 @@ def test_non_finite_or_oversized_numbers_are_exit_2(capsys, argv):
 def test_oversized_tau_error_prints_short_counts(capsys):
     code, out, err = run_err(capsys, "evolve", "--graph", "chain:3", "--tau", "1e300")
     assert code == 2 and out == ""
-    assert err == "error: 4e+300 CF4 substeps need ~2.44e+296 MiB, over the 1024 MiB memory budget\n"
+    assert err == "error: 4e+300 CF4 substeps need ~1.53e+296 MiB, over the 1024 MiB memory budget\n"
 
 
 def test_mbqc_input_near_the_float_limit_normalizes_without_overflow(capsys):

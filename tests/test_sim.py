@@ -689,25 +689,45 @@ def _pass_schedules():
     }
 
 
+def _counts(taus):
+    """The distinct substep counts of a list of one-tau specs."""
+    return {sim._n_substeps(tau, 0.25) for tau in taus}
+
+
+def _largest_block(sched):
+    """The block charge of the largest block form among the steps that run as blocks."""
+    n = sched.n_qubits
+    dims = [step_blocks(sched, k).dim for k, step in enumerate(sched.steps) if not _is_pair_step(step)]
+    return max((sectors.block_bytes(n, dim) for dim in dims), default=0)
+
+
 @pytest.mark.parametrize("name", list(_pass_schedules()))
 def test_a_tau_list_over_the_pass_budget_runs_in_passes(monkeypatch, name):
-    # a pass holds as many taus as budget.pass_columns admits, and one tau
-    # wherever check_vectors admits its columns; these pair-step schedules
-    # build no block form, so they run where one tau's columns just fit
+    # a pass holds as many taus as its charge admits; where one tau's own
+    # pass is over budget the request is refused before any pass runs
     sched = _pass_schedules()[name]
     n, m = sched.n_qubits, 1 << len(sched.graph.inputs)
     want = [evolve(sched, tau) for tau in _TAUS]
     passes = []
-    check = sim.check_vectors
-    monkeypatch.setattr(sim, "check_vectors", lambda n, cols: passes.append(cols) or check(n, cols))
+    split = sim.evolve_passes
+    monkeypatch.setattr(sim, "evolve_passes",
+                        lambda *args: [passes.append(len(p)) or p for p in split(*args)])
     for fit in (1, 2, 3):
-        charge = budget.PASS_COLUMN_VECTORS * fit * m * 16 << n
-        monkeypatch.setattr(budget, "MEMORY_BUDGET", charge if fit > 1 else (2 * m + 4) * 16 << n)
-        assert budget.pass_columns(n) < 2 * m if fit == 1 else budget.pass_columns(n) == fit * m
+        # these pair-step schedules build no block form; every fit taus
+        # fit with every count of the list, and fit + 1 with none of them
+        monkeypatch.setattr(budget, "MEMORY_BUDGET", budget.pass_bytes(n, fit * m, 0, _counts(_TAUS)))
         passes.clear()
         for got, res in zip(sim.evolve_many(sched, _TAUS), want):
             _assert_same_evolution(got, res)
-        assert passes == [fit * m] * (len(_TAUS) // fit) + [len(_TAUS) % fit * m] * (len(_TAUS) % fit > 0)
+        assert passes == [fit] * (len(_TAUS) // fit) + [len(_TAUS) % fit] * (len(_TAUS) % fit > 0)
+    # the last tau's own pass is one byte over: nothing runs
+    ran = []
+    one_pass = sim._evolve_pass
+    monkeypatch.setattr(sim, "_evolve_pass", lambda *args: ran.append(1) or one_pass(*args))
+    monkeypatch.setattr(budget, "MEMORY_BUDGET", budget.pass_bytes(n, m, 0, _counts(_TAUS[-1:])) - 1)
+    with pytest.raises(SizeCapError, match="state vectors"):
+        next(sim.evolve_many(sched, _TAUS))
+    assert not ran
 
 
 def _traced_peak(run):
@@ -720,73 +740,158 @@ def _traced_peak(run):
     return peak
 
 
+def _traced_schedule(name):
+    """A schedule of :func:`_pass_schedules` or :func:`_reordered_chain_schedules`,
+    chain 14 stepwise, fixed or strip, or the reversed chain 10 (2x2 to 8x8 blocks)."""
+    g, order = generate_chain(14, [0.0] * 14), [2, 0, 1, 5, 3, 4, 8, 6, 7, 11, 9, 10, 12]
+    if name == "chain14-stepwise":
+        return compile_stepwise(generate_chain(14, [0.0, 0.3] * 7), chain_gflow(14))
+    if name == "chain14-fixed":
+        return compile_reordered_fixed(g, chain_gflow(14), order)[0]
+    if name == "chain14-strip":
+        return compile_reordered_strip(g, chain_gflow(14), order)
+    if name == "chain10-reversed":
+        g = generate_chain(10, [0.0] * 10)
+        return compile_reordered_fixed(g, chain_gflow(10), list(range(8, -1, -1)))[0]
+    return {**_pass_schedules(), **dict(_reordered_chain_schedules())}[name]
+
+
+@pytest.mark.parametrize("name, dims", [pytest.param(name, dims, id=name) for name, dims in (
+    ("chain12-stepwise", set()), ("chain14-stepwise", set()), ("cluster3x4-stepwise", set()),
+    ("chain12-fixed", {2}), ("chain12-strip", {2}), ("chain14-fixed", {2}), ("chain14-strip", {2}),
+    ("chain10-reversed", {2, 4, 8}),
+)])
+def test_an_evolve_call_holds_at_most_its_pass_charge(name, dims):
+    # tracemalloc, the results included: the peak of a one-pass call at 1,
+    # 3 and 8 taus stays within the pass charge of its columns, its largest
+    # block form and its CF4 weights, on pair steps and on 2x2 to 8x8 blocks
+    sched = _traced_schedule(name)
+    n, m = sched.n_qubits, 1 << len(sched.graph.inputs)
+    assert dims == {step_blocks(sched, k).dim for k, step in enumerate(sched.steps)
+                    if not _is_pair_step(step)}
+    block = _largest_block(sched)
+    taus = [2.0, 3.0, 5.0, 7.0, 11.0, 13.0, 17.0, 19.0]
+    list(sim.evolve_many(sched, taus[:1]))  # once untraced, so that every run starts alike
+    for count in (1, 3, 8):
+        specs = taus[:count]
+        charge = budget.pass_bytes(n, count * m, block, _counts(specs))
+        assert len(sim.evolve_passes(n, m, block, ([sim._n_substeps(t, 0.25)] for t in specs))) == 1
+        peak = _traced_peak(lambda: list(sim.evolve_many(sched, specs)))
+        assert peak <= charge, (count, peak / charge)
+
+
+def test_a_23_qubit_stepwise_chain_is_refused_before_allocating():
+    # two 2^23-entry columns are charged (2 * 84 + 64) 2^23 bytes, past the
+    # 1 GiB budget, which the pass refuses before any state exists
+    sched = compile_stepwise(generate_chain(23, [0.0] * 23), chain_gflow(23))
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeCapError, match="2 23-qubit state vectors"):
+            evolve(sched, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 @pytest.mark.parametrize("name", ["chain12-stepwise", "cluster3x4-stepwise", "chain12-fixed",
                                   "chain12-strip", "chain8-seeded-fixed"])
 def test_each_column_of_a_pass_holds_at_most_its_charge(name):
-    # every tau past the first adds its columns and their temporaries, which
-    # budget.pass_columns charges PASS_COLUMN_VECTORS vectors a column; pair
-    # steps, 2x2 and 4x4 block steps alike
+    # every tau past the first adds its columns and their temporaries, and
+    # its weights, which the pass charge covers; pair steps, 2x2 and 4x4
+    # block steps alike
     seeded = generate_chain(8, [0.0, 0.4, 1.3, 2.2, 0.9, 2.8, 0.5, 0.0])
     cases = {**_pass_schedules(), **dict(_reordered_chain_schedules()),
              "chain8-seeded-fixed": compile_reordered_fixed(seeded, chain_gflow(8),
                                                             [1, 3, 0, 5, 2, 6, 4])[0]}
     sched, taus = cases[name], (5.0, 10.0, 20.0, 40.0)
     n, m = sched.n_qubits, 1 << len(sched.graph.inputs)
+    block = _largest_block(sched)
     list(sim.evolve_many(sched, taus))  # once untraced, so that both runs start alike
     one, several = (_traced_peak(lambda: list(sim.evolve_many(sched, specs)))
                     for specs in (taus[:1], taus))
-    assert several - one <= budget.PASS_COLUMN_VECTORS * (len(taus) - 1) * m * 16 << n
+    added = (budget.pass_bytes(n, len(taus) * m, block, _counts(taus))
+             - budget.pass_bytes(n, m, block, _counts(taus[:1])))
+    assert several - one <= added
 
 
 @pytest.mark.parametrize("name, fit", [("chain12-stepwise", 1), ("chain12-fixed", 2)])
 def test_a_caller_that_keeps_only_leakage_holds_one_pass(monkeypatch, name, fit):
-    # the budget admits fit taus a pass (chain 12's block form needs more
-    # than one tau's charge); a 20-tau list consumed for its leakage holds
-    # one pass at a time, not the states of every pass
+    # the budget admits fit taus a pass with every count of the list; a
+    # 20-tau list consumed for its leakage holds one pass at a time, not
+    # the states of every pass
     sched = {**_pass_schedules(), **dict(_reordered_chain_schedules())}[name]
     n, m = sched.n_qubits, 1 << len(sched.graph.inputs)
-    monkeypatch.setattr(budget, "MEMORY_BUDGET",
-                        (budget.PASS_COLUMN_VECTORS * (fit + 1) * m * 16 << n) - 1)
-    assert budget.pass_columns(n) // m == fit
     taus = [5.0 + k for k in range(20)]
+    monkeypatch.setattr(budget, "MEMORY_BUDGET",
+                        budget.pass_bytes(n, fit * m, _largest_block(sched), _counts(taus)))
+    split = sim.evolve_passes
+    sizes = []
+    monkeypatch.setattr(sim, "evolve_passes",
+                        lambda *args: [sizes.append(len(p)) or p for p in split(*args)])
 
     def leakage(specs):
         return [res.leakage for res in sim.evolve_many(sched, specs)]
 
     leakage(taus)  # once untraced, so that both runs start alike
+    assert sizes == [fit] * (20 // fit)
     one, many = (_traced_peak(lambda: leakage(specs)) for specs in (taus[:fit], taus))
     assert many <= 1.5 * one
 
 
 def test_the_cf4_weights_a_pass_holds_are_charged_before_it_runs(monkeypatch):
     # a pass builds the weights of each of its substep counts once and holds
-    # them all: 16 bytes a substep for each distinct count, charged after
-    # every tau's own substep check (64 bytes a substep) has passed
+    # them all, which its charge counts at 40 bytes a substep: four taus of
+    # ~1,000 distinct substeps fit in one pass, a fifth runs in a pass of its
+    # own, and five of one count fit in one; a tau whose own pass is over is
+    # refused before the first pass runs
     sched = compile_stepwise(generate_chain(4), chain_gflow(4))
-    monkeypatch.setattr(budget, "MEMORY_BUDGET", 64 * 1000)
     taus = [250.0 - k for k in range(5)]  # 1,000 down to 984 substeps
-    assert budget.pass_columns(4) >= 2 * len(taus)  # one pass
-    assert len(list(sim.evolve_many(sched, taus[:4]))) == 4  # 63,616 bytes of 64,000
-    with pytest.raises(SizeCapError, match="CF4 weights of a pass"):
-        next(sim.evolve_many(sched, taus))
-    assert len(list(sim.evolve_many(sched, [taus[0]] * 5))) == 5  # one count
+    monkeypatch.setattr(budget, "MEMORY_BUDGET", budget.pass_bytes(4, 2 * 4, 0, _counts(taus[:4])))
+    split = sim.evolve_passes
+    sizes = []
+    monkeypatch.setattr(sim, "evolve_passes",
+                        lambda *args: [sizes.append(len(p)) or p for p in split(*args)])
+    assert len(list(sim.evolve_many(sched, taus))) == 5 and sizes == [4, 1]
+    sizes.clear()
+    assert len(list(sim.evolve_many(sched, [taus[0]] * 5))) == 5 and sizes == [5]
+    monkeypatch.setattr(budget, "MEMORY_BUDGET", budget.pass_bytes(4, 2, 0, _counts(taus[1:2])))
+    ran = []
+    one_pass = sim._evolve_pass
+    monkeypatch.setattr(sim, "_evolve_pass", lambda *args: ran.append(1) or one_pass(*args))
+    with pytest.raises(SizeCapError, match="CF4 weights"):
+        next(sim.evolve_many(sched, taus))  # the first tau's own pass is over
+    with pytest.raises(SizeCapError, match="CF4 weights"):
+        next(sim.evolve_many(sched, taus[1:] + taus[:1]))  # the last one's is
+    assert not ran
+    assert len(list(sim.evolve_many(sched, taus[1:]))) == 4 and ran == [1] * 4
 
 
 def test_each_fact_is_found_once_a_call_over_several_passes(monkeypatch):
     # the budget admits two taus a pass, so five taus take three passes;
-    # each step is classified once and each (step, tau) counts its
-    # substeps once, not once a pass or once more for its propagator
+    # each step is classified once, each blocks step's conserved generators
+    # are found once, and each (step, tau) counts its substeps once, not
+    # once a pass or once more for its propagator
     sched = dict(_reordered_chain_schedules())["chain12-fixed"]
     n, m = sched.n_qubits, 1 << len(sched.graph.inputs)
-    monkeypatch.setattr(budget, "MEMORY_BUDGET", (budget.PASS_COLUMN_VECTORS * 3 * m * 16 << n) - 1)
+    taus = [5.0, 10.0, 20.0, 40.0, 80.0]
+    monkeypatch.setattr(budget, "MEMORY_BUDGET",
+                        budget.pass_bytes(n, 2 * m, _largest_block(sched), _counts(taus)))
     assert any(map(_is_pair_step, sched.steps)) and not all(map(_is_pair_step, sched.steps))
-    calls = {"_is_pair_step": [], "_n_substeps": []}
+    calls = {"_is_pair_step": [], "_n_substeps": [], "_evolve_pass": []}
     for name, seen in calls.items():
         f = getattr(sim, name)
         monkeypatch.setattr(sim, name, lambda *args, f=f, seen=seen: seen.append(1) or f(*args))
-    assert len(list(sim.evolve_many(sched, [5.0, 10.0, 20.0, 40.0, 80.0]))) == 5
+    generators = []
+    find = sectors.conserved_generators
+    monkeypatch.setattr(sectors, "conserved_generators",
+                        lambda *args: generators.append(1) or find(*args))
+    assert len(list(sim.evolve_many(sched, taus))) == 5
+    assert len(calls["_evolve_pass"]) == 3
     assert len(calls["_is_pair_step"]) == len(sched.steps)
     assert len(calls["_n_substeps"]) == 5 * len(sched.steps)
+    # the final terms commute, so the ground projection builds no block form
+    assert len(generators) == sum(not _is_pair_step(step) for step in sched.steps)
 
 
 def test_an_empty_tau_list_yields_nothing():
@@ -865,7 +970,7 @@ def _traced_propagation(make, psi, weights):
 
 
 def _block_charge(n, dim):
-    return ((160 + 96 * dim) << n) + 2 * budget.CHUNK_BYTES
+    return sectors.block_bytes(n, dim)
 
 
 def test_block_propagation_fits_the_block_budget_charge(rng):
@@ -1713,6 +1818,22 @@ def test_mbqc_columns_are_charged_before_allocating(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("graph, gf", [
+    pytest.param(generate_zigzag(r), zigzag_gflow_family(r, 1), id=f"zigzag{r}") for r in (5, 6, 7)
+] + [pytest.param(generate_cluster(4, 3), cluster_gflow(4, 3), id="cluster4x3")])
+def test_mbqc_holds_at_most_its_charge(monkeypatch, graph, gf):
+    # every input basis state as a column (16 to 128): tracemalloc reads 3
+    # vectors a column plus 4 to 12 against a charge of 4 a column plus 4,
+    # so a budget one byte under the peak refuses the run
+    m = 1 << len(graph.inputs)
+    columns = np.eye(m)
+    mbqc_reference_run(graph, gf, columns)  # once untraced, so that the traced run starts warm
+    peak = _traced_peak(lambda: mbqc_reference_run(graph, gf, columns))
+    monkeypatch.setattr(budget, "MEMORY_BUDGET", peak - 1)
+    with pytest.raises(SizeCapError, match=f"{2 * m} {graph.n_vertices}-qubit state vectors"):
+        mbqc_reference_run(graph, gf, columns)
 
 
 def test_mbqc_input_dimension_check():
