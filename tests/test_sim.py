@@ -701,6 +701,15 @@ def _largest_block(sched):
     return max((sectors.block_bytes(n, dim) for dim in dims), default=0)
 
 
+def _recorded_pass_sizes(monkeypatch):
+    """A list that each later ``evolve_many`` call extends by its pass sizes."""
+    sizes = []
+    split = sim.evolve_passes
+    monkeypatch.setattr(sim, "evolve_passes",
+                        lambda *args: [sizes.append(len(p)) or p for p in split(*args)])
+    return sizes
+
+
 @pytest.mark.parametrize("name", list(_pass_schedules()))
 def test_a_tau_list_over_the_pass_budget_runs_in_passes(monkeypatch, name):
     # a pass holds as many taus as its charge admits; where one tau's own
@@ -708,10 +717,7 @@ def test_a_tau_list_over_the_pass_budget_runs_in_passes(monkeypatch, name):
     sched = _pass_schedules()[name]
     n, m = sched.n_qubits, 1 << len(sched.graph.inputs)
     want = [evolve(sched, tau) for tau in _TAUS]
-    passes = []
-    split = sim.evolve_passes
-    monkeypatch.setattr(sim, "evolve_passes",
-                        lambda *args: [passes.append(len(p)) or p for p in split(*args)])
+    passes = _recorded_pass_sizes(monkeypatch)
     for fit in (1, 2, 3):
         # these pair-step schedules build no block form; every fit taus
         # fit with every count of the list, and fit + 1 with none of them
@@ -825,10 +831,7 @@ def test_a_caller_that_keeps_only_leakage_holds_one_pass(monkeypatch, name, fit)
     taus = [5.0 + k for k in range(20)]
     monkeypatch.setattr(budget, "MEMORY_BUDGET",
                         budget.pass_bytes(n, fit * m, _largest_block(sched), _counts(taus)))
-    split = sim.evolve_passes
-    sizes = []
-    monkeypatch.setattr(sim, "evolve_passes",
-                        lambda *args: [sizes.append(len(p)) or p for p in split(*args)])
+    sizes = _recorded_pass_sizes(monkeypatch)
 
     def leakage(specs):
         return [res.leakage for res in sim.evolve_many(sched, specs)]
@@ -848,10 +851,7 @@ def test_the_cf4_weights_a_pass_holds_are_charged_before_it_runs(monkeypatch):
     sched = compile_stepwise(generate_chain(4), chain_gflow(4))
     taus = [250.0 - k for k in range(5)]  # 1,000 down to 984 substeps
     monkeypatch.setattr(budget, "MEMORY_BUDGET", budget.pass_bytes(4, 2 * 4, 0, _counts(taus[:4])))
-    split = sim.evolve_passes
-    sizes = []
-    monkeypatch.setattr(sim, "evolve_passes",
-                        lambda *args: [sizes.append(len(p)) or p for p in split(*args)])
+    sizes = _recorded_pass_sizes(monkeypatch)
     assert len(list(sim.evolve_many(sched, taus))) == 5 and sizes == [4, 1]
     sizes.clear()
     assert len(list(sim.evolve_many(sched, [taus[0]] * 5))) == 5 and sizes == [5]
